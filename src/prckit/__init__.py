@@ -52,6 +52,7 @@ from .radix import (
     point_root_enclosure,
     prc_digits,
     rational_approx_scan,
+    scaled_root_floor,
     verify_floor_recovery,
 )
 from .chain import (

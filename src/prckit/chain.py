@@ -293,7 +293,7 @@ def convergence_bound_check(
         raise ValueError("convergence bound check applies to min chains")
     if not 1 <= k < chain.depth:
         raise ValueError(f"need 1 <= k < depth, got k={k} depth={chain.depth}")
-    from .radix import nth_root_floor  # local import to avoid a module cycle
+    from .radix import scaled_root_floor  # local import to avoid a module cycle
 
     p1 = chain.primes[0]
     c1 = chain.exps.term(1)
@@ -317,10 +317,10 @@ def convergence_bound_check(
             if bits > config.radicand_bit_ceiling:
                 return ConvergenceCheck(k, None, d, 0, 0)
         pow10 = 10 ** d
-        s = nth_root_floor(pk1 * pow10**ck1, ck1)  # [s, s+1] encloses pk1^(1/Ck1)
-        t = nth_root_floor(pk * pow10**ck, ck)
-        u = nth_root_floor((pk + 1) * pow10**ck, ck)
-        m = nth_root_floor(p1a * pow10**b, b)  # [m, m+1] encloses p1^(a/b)
+        s = scaled_root_floor(pk1, ck1, d)  # [s, s+1] encloses pk1^(1/Ck1)
+        t = scaled_root_floor(pk, ck, d)
+        u = scaled_root_floor(pk + 1, ck, d)
+        m = scaled_root_floor(p1a, b, d)  # [m, m+1] encloses p1^(a/b)
         # LHS <= (s + 1 - t)/10^d; RHS >= u / (m + 1), both scale-free here
         lhs_hi = (s + 1 - t) * (m + 1)
         rhs_lo = u * pow10

@@ -30,8 +30,9 @@ from .core import (
     probable,
 )
 
-# Strong-pseudoprime witness set proven exhaustive for n < 3.317e24,
-# comfortably covering the deterministic tier below 2^64.
+# Strong-pseudoprime witness set (the primes 2..37) proven exhaustive for
+# n < 3.186e23, comfortably covering the deterministic tier below 2^64.
+# (The bound 3.317e24 belongs to the 13-base set that adds 41.)
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TWO64 = 1 << 64
 

@@ -1,10 +1,17 @@
 """Exact integer n-th roots and certified decimal digit extraction.
 
 Digits of a constant bracketed by [p^(1/C), (p+1)^(1/C)] are produced by
-scaling: the floor of (p * 10^(d*C))^(1/C) is an integer mantissa whose
-first digits are provably correct, because the root itself is computed
-exactly.  No floating point is involved anywhere; 86 or 254 certified
-decimal places cannot be had any other way at reasonable cost.
+scaling: the floor of p^(1/C) * 10^d, which equals the one-shot root
+floor((p * 10^(d*C))^(1/C)), is an integer mantissa whose first digits are
+provably correct, because the root itself is computed exactly.  For large
+radicands ``scaled_root_floor`` gets that same integer from composed
+prime-order roots: C is split into primes q and the q-th roots are taken
+one after another at fixed point, each on a radicand of about (d + guard)
+* q digits instead of d * C, with the one-shot root as the fallback when
+the composed bounds do not settle the floor.  The bit ceiling still bounds
+the equivalent one-shot radicand p * 10^(d*C), so refusals do not depend
+on which path runs.  No floating point is involved anywhere; 86 or 254
+certified decimal places cannot be had any other way at reasonable cost.
 """
 
 from __future__ import annotations
@@ -22,6 +29,13 @@ from .core import (
 )
 
 _LOG2_10 = 3.321928094887362
+# One-shot radicands below this many bits are cheap enough to root directly.
+_COMPOSE_MIN_BITS = 1 << 14
+# Extra fixed-point digits carried through composed roots.  Each bound ends
+# within about two units of the exact scaled root, so the bounds disagree
+# (and the one-shot root decides) only when the root lies within a few
+# units of the last guard digit of a digit boundary.
+_GUARD_DIGITS = 10
 
 
 def _newton_from_above(n: int, r: int, x: int) -> int:
@@ -73,6 +87,62 @@ def nth_root_floor(n: int, r: int) -> int:
     return _newton_from_above(n, r, (q + 1) << k)
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1 by trial division below 2^10, ascending.
+
+    A cofactor with no divisor below 2^10 is kept whole as the last entry.
+    """
+    factors = []
+    q = 2
+    while q * q <= n and q < 1 << 10:
+        while n % q == 0:
+            factors.append(q)
+            n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def scaled_root_floor(value: int, order: int, d: int) -> int:
+    """floor(value^(1/order) * 10^d), exactly.
+
+    The result always equals the one-shot root
+    ``nth_root_floor(value * 10**(d*order), order)``.  When that radicand
+    is large and order is composite, the prime factors q of order are
+    applied one after another as q-th roots at fixed point with
+    D = d + guard digits: a lower chain floors every step and an upper
+    chain adds one after every floor, so the two bracket
+    value^(1/order) * 10^D exactly.  Their common floor at d digits is the
+    answer; if they straddle a digit boundary the one-shot root decides.
+
+    >>> scaled_root_floor(2, 2, 5)
+    141421
+    >>> scaled_root_floor(3, 729, 10)  # composed: 3^6, one-shot ~24k bits
+    10015081488
+    >>> scaled_root_floor(3, 729, 10) == nth_root_floor(3 * 10**7290, 729)
+    True
+    """
+    if value < 0 or order < 1 or d < 0:
+        raise ValueError(
+            f"need value >= 0, order >= 1 and digits >= 0, got {value}, {order}, {d}"
+        )
+    if value.bit_length() + d * order * _LOG2_10 >= _COMPOSE_MIN_BITS:
+        factors = _prime_factors(order)
+        if len(factors) > 1:
+            scale = 10 ** (d + _GUARD_DIGITS)
+            lo = nth_root_floor(value * scale ** factors[0], factors[0])
+            hi = lo + 1
+            for q in factors[1:]:
+                lift = scale ** (q - 1)
+                lo = nth_root_floor(lo * lift, q)
+                hi = nth_root_floor(hi * lift, q) + 1
+            guard = 10**_GUARD_DIGITS
+            if lo // guard == (hi - 1) // guard:
+                return lo // guard
+    return nth_root_floor(value * 10 ** (d * order), order)
+
+
 def _radicand_guard(p: int, digits: int, order: int, config: Config) -> None:
     bits_estimate = p.bit_length() + int(digits * order * _LOG2_10) + 2
     if bits_estimate > config.radicand_bit_ceiling:
@@ -93,7 +163,7 @@ def point_root_enclosure(
 ) -> CertifiedDecimalInterval:
     """One-ulp decimal enclosure of value^(1/order) at the given precision."""
     _radicand_guard(value, digits, order, config)
-    m = nth_root_floor(value * 10 ** (digits * order), order)
+    m = scaled_root_floor(value, order, digits)
     return CertifiedDecimalInterval(m, m + 1, digits)
 
 
@@ -109,9 +179,8 @@ def certified_root_enclosure(
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     _radicand_guard(p + 1, digits, order, config)
-    pow10 = 10 ** (digits * order)
-    lo = nth_root_floor(p * pow10, order)
-    hi = nth_root_floor((p + 1) * pow10, order) + 1
+    lo = scaled_root_floor(p, order, digits)
+    hi = scaled_root_floor(p + 1, order, digits) + 1
     return CertifiedDecimalInterval(lo, hi, digits)
 
 

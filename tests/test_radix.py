@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prckit as pk
 from prckit.core import CertifiedDecimalInterval
@@ -45,6 +45,69 @@ class TestNthRootFloor:
         n = 11**81 * 10**729
         m = pk.nth_root_floor(n, 729)
         assert m**729 <= n < (m + 1) ** 729
+
+
+class TestScaledRootFloor:
+    # prime powers, mixed composites, and a list-style order whose prime
+    # cofactor 1009 is rooted whole
+    ORDERS = (4, 6, 8, 9, 27, 64, 81, 120, 243, 720, 2187, 3 * 1009)
+
+    @staticmethod
+    def one_shot(value, order, d):
+        return pk.nth_root_floor(value * 10 ** (d * order), order)
+
+    @given(
+        st.sampled_from(ORDERS),
+        st.integers(min_value=0, max_value=2**900),
+        st.data(),
+    )
+    @example(order=2187, value=2**842 + 1, data=None)  # composed: one-shot ~22k bits
+    @example(order=81, value=11, data=None)  # one-shot: below the cutoff
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_shot_root(self, order, value, data):
+        # d reaches one-shot radicands of about 2.5 * 2^14 bits, so draws
+        # fall on both sides of the 2^14-bit composition cutoff
+        d_max = (3 << 14) // (4 * order)
+        d = 3 if data is None else data.draw(st.integers(min_value=0, max_value=d_max))
+        assert pk.scaled_root_floor(value, order, d) == self.one_shot(value, order, d)
+
+    @pytest.mark.parametrize(
+        "value,order",
+        [(8, 3), (1, 9), (2**729, 729), (10**81, 81), (2**729 - 1, 729), (10**81 - 1, 81)],
+    )
+    def test_perfect_powers_and_neighbours(self, value, order):
+        for d in (0, 2, 12, 40):
+            assert pk.scaled_root_floor(value, order, d) == self.one_shot(value, order, d)
+
+    def test_composed_path_and_one_shot_fallback(self, monkeypatch):
+        # (2^729 - 1)^(1/729) lies just below 2, so the composed lower chain
+        # ends below the digit boundary and the upper chain on it: the
+        # one-shot root decides.  3 * 2^729 is settled by the small roots.
+        from prckit import radix
+
+        value = 3 * 2**729
+        expected = self.one_shot(value, 729, 12)
+        radicands = []
+        root = radix.nth_root_floor
+
+        def spy(n, r):
+            radicands.append(n)
+            return root(n, r)
+
+        monkeypatch.setattr(radix, "nth_root_floor", spy)
+        assert radix.scaled_root_floor(2**729 - 1, 729, 12) == 2 * 10**12 - 1
+        assert (2**729 - 1) * 10 ** (12 * 729) in radicands
+        radicands.clear()
+        assert radix.scaled_root_floor(value, 729, 12) == expected
+        assert max(radicands).bit_length() < 1000  # one-shot needs ~29k bits
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            pk.scaled_root_floor(10, 0, 3)
+        with pytest.raises(ValueError):
+            pk.scaled_root_floor(10, 9, -1)
+        with pytest.raises(ValueError):
+            pk.scaled_root_floor(-1, 9, 3)
 
 
 class TestCertifiedRootEnclosure:
