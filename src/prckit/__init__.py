@@ -34,6 +34,7 @@ from .core import (
 )
 from .primality import (
     WindowCount,
+    count_primes_in_range,
     count_primes_in_window,
     find_prime_in_range,
     first_prime_in_range,
@@ -43,6 +44,8 @@ from .primality import (
     min_prime_in_window,
     primes_in_range,
     primes_upto,
+    scan_range,
+    window_prime,
 )
 from .radix import (
     ApproxRecord,

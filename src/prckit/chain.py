@@ -27,13 +27,7 @@ from .core import (
     Window,
     WindowSearchExhausted,
 )
-from .primality import (
-    find_prime_in_range,
-    is_prime,
-    max_prime_in_window,
-    min_prime_in_window,
-    primes_in_range,
-)
+from .primality import find_prime_in_range, is_prime, primes_in_range, window_prime
 
 
 def build_chain(
@@ -87,16 +81,13 @@ def build_chain(
         if policy.covers(c):
             invoked = True
         try:
-            if mode == "min":
-                q = min_prime_in_window(window, config)
-            else:
-                q = max_prime_in_window(window, config)
+            found = window_prime(window, config, descending=mode == "max")
         except WindowSearchExhausted as exc:
             truncated = True
             reason = f"step {k}: {exc}; reachable depth {len(primes)}"
             break
-        primes.append(q)
-        certainty.append(is_prime(q, config).certainty)
+        primes.append(found.value)
+        certainty.append(found.certainty)
     return PrimeChain(
         exps=exps,
         primes=tuple(primes),
@@ -117,7 +108,11 @@ def seed_candidates(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[i
 
 @dataclass(frozen=True)
 class StepCheck:
-    """Verification record for one chain step k -> k+1."""
+    """Verification record for one chain step k -> k+1.
+
+    ``certainty`` is the tier recomputed for p_{k+1}; ``prime_ok`` holds
+    only when p_{k+1} is prime at exactly the tier the chain recorded.
+    """
 
     k: int
     window_ok: bool
@@ -132,6 +127,9 @@ class StepCheck:
 
 @dataclass(frozen=True)
 class ChainReport:
+    """Verification report; ``seed_ok`` holds when the seed is prime at
+    exactly its recorded tier, and ``seed_certainty`` is the recomputed one."""
+
     seed_ok: bool
     seed_certainty: str
     conditional_ok: bool
@@ -145,10 +143,12 @@ class ChainReport:
 def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainReport:
     """Re-check every chain invariant; failures are report entries, not errors.
 
-    Window membership and primality are re-tested for every step.  For min
-    and max chains, extremality is re-verified by rescanning the window up
-    to the claimed prime; rescans longer than the configured cap are
-    reported as "budget" (unverified), which is not a failure.
+    Window membership, primality and the certainty tier are re-tested for
+    every prime; a recorded tier that differs from the recomputed one fails
+    that prime's check.  For min and max chains, extremality is re-verified
+    by rescanning the window up to the claimed prime; rescans longer than
+    the configured cap are reported as "budget" (unverified), which is not
+    a failure.
     """
     seed_verdict = is_prime(chain.primes[0], config)
     invoked = any(
@@ -160,7 +160,7 @@ def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainRep
         p, q = chain.primes[k - 1], chain.primes[k]
         window = Window.from_parent(p, chain.exps.term(k + 1))
         window_ok = q in window
-        prime_ok = is_prime(q, config).is_prime
+        verdict = is_prime(q, config)
         if chain.mode == "explicit" or not window_ok:
             extremality = "not-applicable"
         elif chain.mode == "min":
@@ -171,13 +171,13 @@ def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainRep
             StepCheck(
                 k=k,
                 window_ok=window_ok,
-                prime_ok=prime_ok,
-                certainty=chain.certainty[k] if k < len(chain.certainty) else "",
+                prime_ok=verdict.is_prime and verdict.certainty == chain.certainty[k],
+                certainty=verdict.certainty,
                 extremality=extremality,
             )
         )
     return ChainReport(
-        seed_ok=seed_verdict.is_prime,
+        seed_ok=seed_verdict.is_prime and seed_verdict.certainty == chain.certainty[0],
         seed_certainty=seed_verdict.certainty,
         conditional_ok=conditional_ok,
         steps=tuple(steps),

@@ -86,8 +86,11 @@ class Config:
                          ceiling still bounds the equivalent one-shot size,
                          so refusals do not depend on the path
     max_sieve_base       largest base-prime bound the segmented sieve will build
-    wheel                step window scans through residues coprime to 210
-                         instead of plain odd steps (same results, fewer tests)
+    wheel                inert: window scans sieve every segment by the odd
+                         primes up to 2^17 whatever its value.  Kept only
+                         because every manifest serializes "wheel": false and
+                         removing it would change artifact bytes; it goes
+                         with the golden-stdout codec work (ROADMAP item 5)
     """
 
     mr_rounds: int = 32
@@ -444,12 +447,15 @@ class PrimeChain:
             primes = tuple(int(p) for p in obj["primes"])
             mode = obj["mode"]
             policy = GAP_POLICIES[obj["gap_policy"]]
-            conditional = bool(obj["conditional"])
+            conditional = obj["conditional"]
+            truncated = obj.get("truncated", False)
             certainty = tuple(str(c) for c in obj["certainty"])
         except ExponentSpecError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"chain document missing or malformed field: {exc}") from exc
+        if not isinstance(conditional, bool) or not isinstance(truncated, bool):
+            raise SchemaError("conditional and truncated must be JSON booleans")
         requested = obj.get("requested_depth")
         try:
             return cls(
@@ -459,7 +465,7 @@ class PrimeChain:
                 certainty=certainty,
                 policy=policy,
                 conditional=conditional,
-                truncated=bool(obj.get("truncated", False)),
+                truncated=truncated,
                 truncation_reason=obj.get("truncation_reason"),
                 requested_depth=None if requested is None else int(requested),
             )

@@ -31,7 +31,7 @@ from .core import (
     ExponentSpecError,
     Window,
 )
-from .primality import primes_in_range
+from .primality import count_primes_in_range, primes_in_range
 from .radix import certified_root_enclosure, point_root_enclosure
 
 
@@ -131,13 +131,12 @@ def _expand(exps, prefix, depth, config) -> CylinderNode:
             if expandable:
                 truncated = True
                 children = ()
-        else:
+        elif expandable:
             primes = primes_in_range(window.lo, window.hi_exclusive, config)
             child_count = len(primes)
-            if expandable:
-                children = tuple(
-                    _expand(exps, prefix + (q,), depth, config) for q in primes
-                )
+            children = tuple(_expand(exps, prefix + (q,), depth, config) for q in primes)
+        else:
+            child_count = count_primes_in_range(window.lo, window.hi_exclusive, config)
     elif expandable:
         truncated = True
         children = ()

@@ -8,6 +8,15 @@ by the configured number of extra Miller-Rabin rounds.  Composite verdicts
 are always exact.  Everything here is pure and deterministic: the extra
 rounds draw their bases from a PRNG seeded by the value under test, so
 identical inputs always produce identical outputs.
+
+Window work runs through one numpy sieve over segments of odd numbers.
+Scan mode (``scan_range``: min and max scans, and counts above the sieve
+bound) strikes each segment's multiples of the odd primes up to 2^17 and
+tests only the survivors with ``is_prime``, returning the verdict it
+computed; budgets count scan positions (every odd number, plus every
+integer below 3), struck or not.  Exact mode sieves with base primes to
+sqrt(hi) and either lists each segment's primes (``primes_in_range``) or
+only counts them (``count_primes_in_range``).
 """
 
 from __future__ import annotations
@@ -160,45 +169,136 @@ def is_prime(n: int, config: Config = DEFAULT_CONFIG) -> PrimalityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# window scans
+# window scans: sieve, then test
 
-_WHEEL_RESIDUES = tuple(r for r in range(210) if gcd(r, 210) == 1)
+# Odd base primes up to this bound strike composites from each scan segment
+# before anything reaches is_prime.
+_SCAN_SIEVE_LIMIT = 1 << 17
+# A scan's first segment holds this many odd positions; each later one
+# doubles, up to the cap, so short scans sieve little past their prime.
+_SCAN_SEGMENT_FIRST = 1 << 8
+_SCAN_SEGMENT_CAP = 1 << 15
 
 
-def _candidates(lo: int, hi: int, descending: bool, use_wheel: bool):
-    """Integers in [lo, hi) worth testing, ascending or descending.
+def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
+    """n mod each modulus (n >= 0, moduli below 2^30) as an int64 array.
 
-    Evens other than 2 are never yielded.  With the wheel enabled (and the
-    range safely above 210) only residues coprime to 2*3*5*7 are yielded;
-    the skipped values are composite, so extrema are unaffected.
+    Values of 62 bits or more are reduced by Horner's rule over their
+    32-bit limbs, so no Python int per modulus is ever built.
     """
-    if hi <= lo:
-        return
-    if use_wheel and lo > 210:
-        residues = _WHEEL_RESIDUES if not descending else _WHEEL_RESIDUES[::-1]
-        block = (lo if not descending else hi - 1) // 210 * 210
-        step = 210 if not descending else -210
-        while (block + 210 > lo) if descending else (block < hi):
-            for r in residues:
-                n = block + r
-                if lo <= n < hi:
-                    yield n
-            block += step
-        return
+    if n < 1 << 62:
+        return n % moduli
+    limbs = np.frombuffer(n.to_bytes((n.bit_length() + 31) // 32 * 4, "big"), ">u4")
+    r = np.zeros_like(moduli)
+    for limb in limbs.astype(np.int64).tolist():
+        r = ((r << 32) + limb) % moduli
+    return r
+
+
+def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Sieve mask of the odd numbers a, a + 2, ..., a + 2*(length - 1).
+
+    ``a`` is odd and at least 3, ``base`` holds ascending odd primes and
+    ``res`` is a mod each of them.  An entry is False exactly when its
+    number has a factor in ``base`` other than itself.
+    """
+    mask = np.ones(length, dtype=bool)
+    if not base.size:
+        return mask
+    t = (base - res) % base  # p divides a + t
+    start = (t + (t & 1) * base) // 2  # first odd multiple is a + 2*start
+    if a <= int(base[-1]) ** 2:
+        # p itself may lie in the segment; smaller multiples of p below p*p
+        # are struck by their other, smaller prime factor
+        pp = base * base
+        start = np.where(pp >= a, (pp - a) // 2, start)
+    split = int(np.searchsorted(base, length))
+    for p, s in zip(base[:split].tolist(), start[:split].tolist()):
+        mask[s::p] = False
+    far = start[split:]  # primes of at least ``length`` strike at most once
+    mask[far[far < length]] = False
+    return mask
+
+
+def _scan_layout(lo: int, hi: int) -> tuple[int, int, int]:
+    """(small, first, odd) for the scan positions of [lo, hi).
+
+    Scan positions are every integer below 3 (``small`` of them) and the
+    ``odd`` odd integers first, first + 2, ... from 3 up.  Window budgets
+    count positions, including those the sieve strikes.
+    """
+    small = max(0, min(hi, 3) - lo)
+    first = max(lo, 3) | 1
+    return small, first, max(0, (hi - first + 1) // 2)
+
+
+def _survivors(lo: int, hi: int, descending: bool, limit: int):
+    """Yield the sieve survivors among the first ``limit`` scan positions of
+    [lo, hi), in scan order.
+
+    Ascending scans take the positions below 3 first, descending scans
+    last.  Of those only 2 survives; odd positions survive unless an odd
+    prime up to _SCAN_SIEVE_LIMIT other than themselves divides them.
+    """
+    small, first, odd = _scan_layout(lo, hi)
     if descending:
-        n = hi - 1
-        if n > 2 and n % 2 == 0:
-            n -= 1
-        while n >= lo:
-            yield n
-            n -= 2 if n > 3 else 1
+        count = min(odd, limit)
+        first += 2 * (odd - count)  # the top ``count`` odd positions
+        two = lo <= 2 < hi and odd + min(hi, 3) - 3 < limit
     else:
-        n = lo
-        if n > 2 and n % 2 == 0:
-            n += 1
-        while n < hi:
-            yield n
-            n += 2 if n >= 3 else 1
+        count = min(odd, limit - small)
+        two = lo <= 2 < hi and 2 - lo < limit
+    if two and not descending:
+        yield 2
+    if count > 0:
+        base = _base_primes(min(_SCAN_SIEVE_LIMIT, isqrt(first + 2 * (count - 1))))[1:]
+        done, length, res, a_prev = 0, _SCAN_SEGMENT_FIRST, None, 0
+        while done < count:
+            length = min(length, count - done)
+            a = first + 2 * (count - done - length if descending else done)
+            res = _residues(a, base) if res is None else (res + (a - a_prev)) % base
+            hits = np.flatnonzero(_odd_mask(a, length, base, res)).tolist()
+            if descending:
+                hits.reverse()
+            yield from (a + 2 * i for i in hits)  # a may exceed int64
+            done += length
+            a_prev = a
+            length = min(2 * length, _SCAN_SEGMENT_CAP)
+    if two and descending:
+        yield 2
+
+
+def scan_range(
+    lo: int,
+    hi: int,
+    config: Config = DEFAULT_CONFIG,
+    budget: int | None = None,
+    descending: bool = False,
+) -> PrimalityVerdict | None:
+    """Verdict of the first prime in [lo, hi), scanning from the chosen end.
+
+    Each segment of odd positions is sieved by the odd primes up to 2^17
+    and only the survivors go to ``is_prime``, whose verdict (tier
+    included) is returned.  Returns None when the whole range was scanned
+    without finding one.  Raises WindowSearchExhausted when the budget of
+    scan positions (every integer below 3 and every odd integer, struck by
+    the sieve or not) runs out first, never returning a non-extremal value.
+    """
+    if budget is None:
+        budget = config.window_budget
+    limit = max(budget, 0)
+    for n in _survivors(lo, hi, descending, limit):
+        verdict = is_prime(n, config)
+        if verdict.is_prime:
+            return verdict
+    small, _, odd = _scan_layout(lo, hi)
+    if small + odd > limit:
+        raise WindowSearchExhausted(
+            f"no prime found in [{lo}, {hi}) after {limit} candidates",
+            scanned_all=False,
+            tested=limit,
+        )
+    return None
 
 
 def find_prime_in_range(
@@ -214,20 +314,30 @@ def find_prime_in_range(
     Raises WindowSearchExhausted when the candidate budget runs out first
     (never silently returns a non-extremal value).
     """
-    if budget is None:
-        budget = config.window_budget
-    tested = 0
-    for n in _candidates(lo, hi, descending, config.wheel):
-        if tested >= budget:
-            raise WindowSearchExhausted(
-                f"no prime found in [{lo}, {hi}) after {tested} candidates",
-                scanned_all=False,
-                tested=tested,
-            )
-        tested += 1
-        if is_prime(n, config).is_prime:
-            return n
-    return None
+    verdict = scan_range(lo, hi, config, budget, descending)
+    return None if verdict is None else verdict.value
+
+
+def window_prime(
+    window: Window,
+    config: Config = DEFAULT_CONFIG,
+    budget: int | None = None,
+    descending: bool = False,
+) -> PrimalityVerdict:
+    """Verdict of the least (or, descending, the greatest) prime in the window.
+
+    Raises WindowSearchExhausted with ``scanned_all`` set when the window
+    holds no prime, as well as when the budget runs out.
+    """
+    found = scan_range(window.lo, window.hi_exclusive, config, budget, descending)
+    if found is None:
+        raise WindowSearchExhausted(
+            f"window [{window.lo}, {window.hi_exclusive}) contains no prime "
+            "at the recorded certainty",
+            scanned_all=True,
+            tested=window.width,
+        )
+    return found
 
 
 def min_prime_in_window(
@@ -240,32 +350,14 @@ def min_prime_in_window(
     >>> min_prime_in_window(Window.from_parent(127, 4))
     260144663
     """
-    found = find_prime_in_range(window.lo, window.hi_exclusive, config, budget)
-    if found is None:
-        raise WindowSearchExhausted(
-            f"window [{window.lo}, {window.hi_exclusive}) contains no prime "
-            "at the recorded certainty",
-            scanned_all=True,
-            tested=window.width,
-        )
-    return found
+    return window_prime(window, config, budget).value
 
 
 def max_prime_in_window(
     window: Window, config: Config = DEFAULT_CONFIG, budget: int | None = None
 ) -> int:
     """Greatest prime in the window; descending scan from the top."""
-    found = find_prime_in_range(
-        window.lo, window.hi_exclusive, config, budget, descending=True
-    )
-    if found is None:
-        raise WindowSearchExhausted(
-            f"window [{window.lo}, {window.hi_exclusive}) contains no prime "
-            "at the recorded certainty",
-            scanned_all=True,
-            tested=window.width,
-        )
-    return found
+    return window_prime(window, config, budget, descending=True).value
 
 
 @dataclass(frozen=True)
@@ -284,9 +376,10 @@ def count_primes_in_window(
     """Exact prime count of a window below the enumeration cap.
 
     Windows whose square root fits under the sieve base bound are counted
-    by segmented sieve (deterministic).  Narrow windows beyond that bound
-    fall back to per-candidate testing, and the weakest certainty tier
-    encountered is reported.
+    by segmented sieve (deterministic), without listing the primes unless
+    ``include_list`` asks for them.  Narrow windows beyond that bound fall
+    back to testing the scan's sieve survivors, and the weakest certainty
+    tier encountered is reported.
     """
     if cap is None:
         cap = config.enumeration_cap
@@ -295,10 +388,11 @@ def count_primes_in_window(
             f"window width {window.width} exceeds enumeration cap {cap}", cap
         )
     if isqrt(window.hi_exclusive - 1) <= config.max_sieve_base:
+        if not include_list:
+            count = count_primes_in_range(window.lo, window.hi_exclusive, config)
+            return WindowCount(count, None, DETERMINISTIC)
         ps = primes_in_range(window.lo, window.hi_exclusive, config)
-        return WindowCount(
-            len(ps), tuple(ps) if include_list else None, DETERMINISTIC
-        )
+        return WindowCount(len(ps), tuple(ps), DETERMINISTIC)
     if window.width > 10_000:
         raise EnumerationCapError(
             "window too high for sieving and too wide for per-candidate "
@@ -306,7 +400,7 @@ def count_primes_in_window(
             10_000,
         )
     ps, worst = [], DETERMINISTIC
-    for n in _candidates(window.lo, window.hi_exclusive, False, config.wheel):
+    for n in _survivors(window.lo, window.hi_exclusive, False, window.width):
         v = is_prime(n, config)
         if v.is_prime:
             ps.append(n)
@@ -354,17 +448,16 @@ def primes_upto(limit: int) -> list[int]:
 
 
 _SEGMENT_WIDTH_LIMIT = 50_000_000
+# Odd positions per segment of the exact sieve: a 1 MiB mask.
+_SIEVE_SEGMENT = 1 << 20
 
 
-def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[int]:
-    """Primes in [lo, hi) by segmented sieve — exact, no probabilistic step.
+def _sieve_segments(lo: int, hi: int, config: Config):
+    """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi) exactly.
 
-    Needs base primes up to sqrt(hi); refuses when that exceeds
-    ``config.max_sieve_base`` (values around 10^16 with the default).
+    ``mask`` marks the primes among a, a + 2, ...; base primes run to
+    sqrt(hi), refused above ``config.max_sieve_base``.  Callers add 2.
     """
-    lo = max(lo, 2)
-    if hi <= lo:
-        return []
     need = isqrt(hi - 1)
     if need > config.max_sieve_base:
         raise EnumerationCapError(
@@ -378,16 +471,38 @@ def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[i
             f"segment width {width} exceeds {_SEGMENT_WIDTH_LIMIT}",
             _SEGMENT_WIDTH_LIMIT,
         )
-    base = _base_primes(need)
-    mask = np.ones(width, dtype=bool)
-    if base.size:
-        starts = (-lo) % base
-        pp = base * base  # p <= 1e8 keeps p*p inside int64
-        starts = np.where(pp >= lo, pp - lo, starts)
-        for i in np.flatnonzero(starts < width).tolist():
-            p = int(base[i])
-            mask[int(starts[i]) :: p] = False
-    return [int(lo + i) for i in np.flatnonzero(mask)]
+    base = _base_primes(need)[1:]
+    _, first, odd = _scan_layout(lo, hi)
+    for done in range(0, odd, _SIEVE_SEGMENT):
+        a = first + 2 * done
+        yield a, _odd_mask(a, min(_SIEVE_SEGMENT, odd - done), base, _residues(a, base))
+
+
+def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[int]:
+    """Primes in [lo, hi) by segmented sieve — exact, no probabilistic step.
+
+    Needs base primes up to sqrt(hi); refuses when that exceeds
+    ``config.max_sieve_base`` (values around 10^16 with the default).
+    """
+    lo = max(lo, 2)
+    if hi <= lo:
+        return []
+    primes = [2] if lo == 2 else []
+    for a, mask in _sieve_segments(lo, hi, config):
+        primes.extend((a + 2 * np.flatnonzero(mask)).tolist())
+    return primes
+
+
+def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> int:
+    """len(primes_in_range(lo, hi, config)), refusals included, without
+    building the list: each segment's primes are only counted."""
+    lo = max(lo, 2)
+    if hi <= lo:
+        return 0
+    count = 1 if lo == 2 else 0
+    for _, mask in _sieve_segments(lo, hi, config):
+        count += int(np.count_nonzero(mask))
+    return count
 
 
 def first_prime_in_range(

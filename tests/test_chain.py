@@ -146,6 +146,31 @@ class TestVerifyChain:
         assert report.passed  # unverified-by-budget is not a failure
         assert any(s.extremality == "budget" for s in report.steps)
 
+    def test_certainty_recomputed_not_echoed(self, powfact3_chain, mills_chain):
+        for chain in (powfact3_chain, mills_chain):
+            report = pk.verify_chain(chain)
+            assert [s.certainty for s in report.steps] == list(chain.certainty[1:])
+        assert powfact3_chain.certainty[2] == "probable:32"
+        # a probable prime relabelled deterministic fails its step
+        relabelled = replace(
+            powfact3_chain, certainty=powfact3_chain.certainty[:2] + ("deterministic",)
+        )
+        report = pk.verify_chain(relabelled)
+        assert not report.passed and not report.steps[1].prime_ok
+        assert report.steps[1].certainty == "probable:32"
+        assert report.steps[0].passed
+
+    def test_unknown_tier_fails(self, mills_chain):
+        tiers = mills_chain.certainty
+        banana = replace(mills_chain, certainty=tiers[:1] + ("banana",) + tiers[2:])
+        report = pk.verify_chain(banana)
+        assert not report.passed and not report.steps[0].prime_ok
+        assert report.steps[0].certainty == "deterministic"
+        seed_banana = replace(mills_chain, certainty=("banana",) + tiers[1:])
+        report = pk.verify_chain(seed_banana)
+        assert not report.passed and not report.seed_ok
+        assert all(s.passed for s in report.steps)
+
     def test_json_roundtrip_verifies_identically(self, mills_chain):
         restored = PrimeChain.from_json_dict(mills_chain.to_json_dict())
         assert pk.verify_chain(restored) == pk.verify_chain(mills_chain)

@@ -150,6 +150,12 @@ class TestVerifyCommand:
         bad.write_text('{"primes": ["2"]}')
         code, out, err = run_cli(capsys, "verify", "--chain-file", str(bad))
         assert code == 66 and "schema" in err
+        code, out, _ = run_cli(capsys, *CHAIN_ARGS)
+        stringly = tmp_path / "stringly.json"
+        stringly.write_text(out.replace('"conditional": false', '"conditional": "false"'))
+        assert '"conditional": "false"' in stringly.read_text()
+        code, out, err = run_cli(capsys, "verify", "--chain-file", str(stringly))
+        assert code == 66 and out == "" and "boolean" in err
         notjson = tmp_path / "notjson.json"
         notjson.write_text("{broken")
         code, out, err = run_cli(capsys, "verify", "--chain-file", str(notjson))

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -176,6 +178,21 @@ class TestPrimeChainSerialization:
         bad = dict(good, mode="weird")
         with pytest.raises(pk.SchemaError):
             pk.PrimeChain.from_json_dict(bad)
+
+    @pytest.mark.parametrize("field", ["conditional", "truncated"])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_flags_must_be_json_booleans(self, mills_chain, field, value):
+        doc = dict(mills_chain.to_json_dict(), **{field: value})
+        with pytest.raises(pk.SchemaError):
+            pk.PrimeChain.from_json_dict(doc)
+
+    def test_boolean_flags_roundtrip(self, mills_chain, factorial_chain):
+        tiny = replace(pk.DEFAULT_CONFIG, window_budget=3)
+        truncated = pk.build_chain(pk.parse_exponent_spec("const:3"), 2, 5, config=tiny)
+        assert factorial_chain.conditional and truncated.truncated
+        for chain in (mills_chain, factorial_chain, truncated):
+            doc = json.loads(json.dumps(chain.to_json_dict()))
+            assert pk.PrimeChain.from_json_dict(doc) == chain
 
     def test_certainty_length_enforced(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 import prckit as pk
 from prckit.core import CertifiedDecimalInterval
-from prckit.explorer import CylinderNode, Forest
+from prckit.explorer import CylinderNode, Forest, _attach
 
 from conftest import primes_between
 
@@ -206,6 +207,29 @@ class TestExport:
         one = pk.forest_to_json(pk.explore_tree(exps, (2, 3), 2))
         two = pk.forest_to_json(pk.explore_tree(exps, (2, 3), 2))
         assert one == two
+
+
+@pytest.mark.parametrize("spec,seeds", [("const:3", (2, 3)), ("const:2", (2, 13))])
+def test_counted_frontier_matches_listed_children(spec, seeds):
+    # frontier nodes count their windows without listing them; a forest one
+    # level deeper lists the same windows, and cut back to the same frontier
+    # it must export byte for byte the same
+    exps = pk.parse_exponent_spec(spec)
+    forest = pk.explore_tree(exps, seeds, 2)
+    deeper = pk.explore_tree(exps, seeds, 3)
+
+    def cut(node):
+        if node.depth == 2:
+            return replace(node, children=None)
+        return replace(node, children=tuple(cut(c) for c in node.children))
+
+    roots = tuple(
+        _attach(exps, cut(r), forest.display_digits, pk.DEFAULT_CONFIG) for r in deeper.roots
+    )
+    cut_back = replace(deeper, depth=2, display_digits=forest.display_digits, roots=roots)
+    assert all(n.child_count is not None for n in forest.nodes_at_level(1))
+    assert json.dumps(pk.forest_to_json(cut_back)) == json.dumps(pk.forest_to_json(forest))
+    assert pk.forest_to_csv(cut_back) == pk.forest_to_csv(forest)
 
 
 def test_min_chain_is_leftmost_path():

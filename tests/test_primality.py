@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import prckit as pk
 from prckit.core import Window
+from prckit.primality import scan_range
 
 from conftest import primes_between, sieve_list, trial_is_prime
 
@@ -141,6 +142,133 @@ class TestWindowScans:
             pk.count_primes_in_window(w)
 
 
+TWO17 = 1 << 17
+
+
+@st.composite
+def scan_ranges(draw):
+    """[lo, hi) ranges for the scan engine: starts at 0..3, short ranges
+    below 2^17, ranges straddling it, and ranges from the sieving primes
+    themselves (lo below sqrt(hi)) up to just past 2^17."""
+    kind = draw(st.sampled_from(("start", "low", "straddle", "sieving")))
+    if kind == "start":
+        lo = draw(st.sampled_from((0, 1, 2, 3)))
+        hi = lo + draw(st.integers(0, 60))
+    elif kind == "low":
+        lo = draw(st.integers(0, TWO17 - 1))
+        hi = lo + draw(st.integers(0, 400))
+    elif kind == "straddle":
+        lo = draw(st.integers(TWO17 - 3000, TWO17))
+        hi = draw(st.integers(TWO17, TWO17 + 3000))
+    else:
+        lo = draw(st.integers(0, 400))
+        hi = draw(st.integers(TWO17 - 100, TWO17 + 100))
+    return lo, hi
+
+
+class TestScanEngine:
+    @given(scan_ranges())
+    @settings(max_examples=150, deadline=None)
+    def test_scans_match_sieve_oracles(self, lohi):
+        lo, hi = lohi
+        first = pk.find_prime_in_range(lo, hi)
+        last = pk.find_prime_in_range(lo, hi, descending=True)
+        assert first == pk.first_prime_in_range(lo, hi)
+        assert last == pk.last_prime_in_range(lo, hi)
+        for found, descending in ((first, False), (last, True)):
+            verdict = scan_range(lo, hi, descending=descending)
+            assert verdict == (None if found is None else pk.is_prime(found))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scans_above_two_to_the_64(self, seed):
+        rng = random.Random(seed)
+        lo = rng.randrange(1 << 64, 1 << 100)
+        hi = lo + 3000
+        up = scan_range(lo, hi)
+        down = scan_range(lo, hi, descending=True)
+        assert up.value == sympy.nextprime(lo - 1)
+        assert down.value == sympy.prevprime(hi)
+        assert up.certainty == down.certainty == "probable:32"
+
+    def test_primes_past_the_first_segment(self):
+        # the maximal gap of 1132 after p: 565 odd composites, so the scans
+        # meet the bounding primes only in their second segment
+        p = 1693182318746371
+        q = p + 1132
+        assert pk.find_prime_in_range(p + 1, q + 1) == q
+        assert pk.find_prime_in_range(p, q, descending=True) == p
+        assert pk.find_prime_in_range(p + 1, q) is None
+        assert pk.first_prime_in_range(p + 1, q + 1) == q
+
+    def test_count_fallback_matches_sieve(self):
+        # a low max_sieve_base forces testing of the sieve survivors over
+        # 5000 odd positions, several scan segments
+        low = replace(pk.DEFAULT_CONFIG, max_sieve_base=1000)
+        for lo in (10**7 + 1, 10**12, 2**40 - 5000):
+            fake = Window(parent_prime=2, exponent=2, lo=lo, hi_exclusive=lo + 10_000)
+            got = pk.count_primes_in_window(fake, low, include_list=True)
+            assert got.primes == tuple(pk.primes_in_range(lo, lo + 10_000))
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_budget_counts_sieved_positions(self, descending):
+        # [1328, 1361) lies in the prime gap after 1327: 16 odd positions,
+        # every one struck by the sieve, still each counted against the budget
+        assert pk.find_prime_in_range(1328, 1361, budget=16, descending=descending) is None
+        with pytest.raises(pk.WindowSearchExhausted) as err:
+            pk.find_prime_in_range(1328, 1361, budget=15, descending=descending)
+        assert str(err.value) == "no prime found in [1328, 1361) after 15 candidates"
+        assert err.value.tested == 15 and not err.value.scanned_all
+        # the odd positions 2^64+1..2^64+11 are composite; 2^64+13 is prime
+        lo, hi = (1 << 64) + 1, (1 << 64) + 13
+        assert pk.find_prime_in_range(lo, hi, budget=6, descending=descending) is None
+        with pytest.raises(pk.WindowSearchExhausted) as err:
+            pk.find_prime_in_range(lo, hi, budget=5, descending=descending)
+        assert str(err.value) == f"no prime found in [{lo}, {hi}) after 5 candidates"
+        assert err.value.tested == 5
+
+    def test_budget_counts_positions_below_three(self):
+        # 0 and 1 are positions too; 2 is never reached on a budget of 2
+        assert pk.find_prime_in_range(0, 2, budget=2) is None
+        with pytest.raises(pk.WindowSearchExhausted) as err:
+            pk.find_prime_in_range(0, 2, budget=1, descending=True)
+        assert str(err.value) == "no prime found in [0, 2) after 1 candidates"
+        assert err.value.tested == 1
+        assert pk.find_prime_in_range(0, 3, budget=3) == 2
+        with pytest.raises(pk.WindowSearchExhausted):
+            pk.find_prime_in_range(0, 3, budget=2)
+
+
+class TestCountOnly:
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (4, 4), (10, 5), (0, 0), (0, 2), (2, 3), (1, 2), (-5, 10), (0, 30),
+            (2, 10**5), (9, 100), (25, 26), (49, 1000), (121, 5000),
+            (1009**2, 1009**2 + 20_000), (9973**2 - 1, 9973**2 + 50_000),
+            (10**6, 10**6 + 3 * (1 << 20) + 7),
+        ],
+    )
+    def test_matches_listing(self, lo, hi):
+        assert pk.count_primes_in_range(lo, hi) == len(pk.primes_in_range(lo, hi))
+
+    def test_near_sieve_base_refusal(self):
+        small = replace(pk.DEFAULT_CONFIG, max_sieve_base=1000)
+        # sqrt(hi - 1) may reach 1000 exactly; one more and both refuse
+        lo, hi = 1001**2 - 30_000, 1001**2
+        got = pk.count_primes_in_range(lo, hi, small)
+        assert got == len(pk.primes_in_range(lo, hi, small)) == len(primes_between(lo, hi))
+        for fn in (pk.count_primes_in_range, pk.primes_in_range):
+            with pytest.raises(pk.EnumerationCapError):
+                fn(lo, hi + 1, small)
+
+    @given(st.integers(0, 10**7), st.integers(0, 5000))
+    @settings(max_examples=60, deadline=None)
+    def test_random_ranges(self, lo, width):
+        assert pk.count_primes_in_range(lo, lo + width) == len(
+            pk.primes_in_range(lo, lo + width)
+        )
+
+
 class TestSieves:
     def test_primes_upto_matches_oracle(self):
         assert pk.primes_upto(10_000) == sieve_list(10_000)
@@ -153,6 +281,10 @@ class TestSieves:
     )
     def test_primes_in_range_matches_oracle(self, lo, hi):
         assert pk.primes_in_range(lo, hi) == primes_between(lo, hi)
+
+    def test_primes_in_range_across_segments(self):
+        # 2.25M odd positions: three segments of the exact sieve
+        assert pk.primes_in_range(0, 4_500_000) == sieve_list(4_499_999)
 
     def test_primes_in_range_high_segment(self):
         lo = 10**12
