@@ -31,6 +31,7 @@ from .core import (
     WindowSearchExhausted,
     parse_exponent_spec,
     probable,
+    to_json,
 )
 from .primality import (
     WindowCount,

@@ -61,7 +61,7 @@ def build_chain(
     for k in range(1, depth):
         c = exps.term(k + 1)
         p = primes[-1]
-        if (p.bit_length() - 1) * c >= config.chain_bit_ceiling:
+        if _over_ceiling(p, exps, k + 1, config.chain_bit_ceiling):
             truncated = True
             reason = (
                 f"step {k}: {p.bit_length()}-bit prime to the power {c} exceeds "
@@ -99,6 +99,20 @@ def build_chain(
         truncation_reason=reason,
         requested_depth=depth,
     )
+
+
+def _over_ceiling(p: int, exps: ExponentSequence, k: int, ceiling: int) -> bool:
+    """The chain bit-ceiling test (p.bit_length() - 1) * c_k >= ceiling.
+
+    A powfact term b^(k! - (k-1)!) is never built when its exponent alone
+    decides the test: for p >= 2 and b >= 2 the left side is then at least
+    2^(bits of ceiling).
+    """
+    if exps.kind == "powfact" and k > 1 and p >= 2:
+        exponent = math.factorial(k) - math.factorial(k - 1)
+        if exponent * (exps.base.bit_length() - 1) >= ceiling.bit_length():
+            return True
+    return (p.bit_length() - 1) * exps.term(k) >= ceiling
 
 
 def seed_candidates(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[int]:
@@ -149,16 +163,28 @@ def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainRep
     by rescanning the window up to the claimed prime; rescans longer than
     the configured cap are reported as "budget" (unverified), which is not
     a failure.
+
+    Before any power is built, every step must pass the chain bit-ceiling
+    test that ``build_chain`` applies; a step that fails it raises
+    BitCeilingError, so a hostile exponent cannot start an unbounded power.
     """
+    ceiling = config.chain_bit_ceiling
+    exponents = []
+    for k in range(1, chain.depth):
+        p = chain.primes[k - 1]
+        if _over_ceiling(p, chain.exps, k + 1, ceiling):
+            raise BitCeilingError(
+                f"step {k}: {p.bit_length()}-bit prime to the power c_{k + 1} "
+                f"exceeds the {ceiling}-bit chain ceiling"
+            )
+        exponents.append(chain.exps.term(k + 1))
     seed_verdict = is_prime(chain.primes[0], config)
-    invoked = any(
-        chain.policy.covers(chain.exps.term(k + 1)) for k in range(1, chain.depth)
-    )
+    invoked = any(chain.policy.covers(c) for c in exponents)
     conditional_ok = chain.conditional == (chain.policy.conditional and invoked)
     steps = []
-    for k in range(1, chain.depth):
+    for k, c in enumerate(exponents, start=1):
         p, q = chain.primes[k - 1], chain.primes[k]
-        window = Window.from_parent(p, chain.exps.term(k + 1))
+        window = Window.from_parent(p, c)
         window_ok = q in window
         verdict = is_prime(q, config)
         if chain.mode == "explicit" or not window_ok:

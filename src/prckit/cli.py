@@ -1,14 +1,17 @@
 """Command-line surface: chain, digits, verify, explore, approx.
 
-Artifacts go to stdout as JSON with every numeric value rendered as a
-decimal string (84-digit primes do not survive float-parsing consumers);
-diagnostics, including wall-clock time, go to stderr so that re-running a
+Artifacts go to stdout as JSON encoded by ``core.to_json``, the one
+codec: every integer is a decimal string (84-digit primes do not survive
+float-parsing consumers), flags are JSON booleans and fractions "a/b".
+Diagnostics, including wall-clock time, go to stderr so that re-running a
 command with the same configuration reproduces stdout byte for byte.
 
 Exit codes: 0 success / all checks passed; 1 a verification check failed;
-2 refusal (budget or bit ceiling), with a partial artifact when one
-exists; 64 usage error; 65 bad input data (composite seed); 66 missing or
-malformed input file.
+2 refusal (budget or bit ceiling, including a chain file whose steps
+exceed the chain bit ceiling), with a partial artifact when one exists;
+64 usage error; 65 bad input data (composite seed); 66 missing or
+malformed input file (including integers that are not decimal strings and
+primes below 2).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .core import (
     SchemaError,
     WindowSearchExhausted,
     parse_exponent_spec,
+    to_json,
 )
 from .explorer import (
     branching_stats,
@@ -117,35 +121,17 @@ def _config(args):
     return replace(DEFAULT_CONFIG, **kwargs) if kwargs else DEFAULT_CONFIG
 
 
-def _config_json(config) -> dict:
-    return {
-        "mr_rounds": str(config.mr_rounds),
-        "window_budget": str(config.window_budget),
-        "enumeration_cap": str(config.enumeration_cap),
-        "rescan_cap": str(config.rescan_cap),
-        "chain_bit_ceiling": str(config.chain_bit_ceiling),
-        "radicand_bit_ceiling": str(config.radicand_bit_ceiling),
-        "max_sieve_base": str(config.max_sieve_base),
-        "wheel": config.wheel,
-    }
-
-
 def _manifest(command, config, **fields) -> dict:
-    manifest = {"command": command, "version": __version__, "config": _config_json(config)}
-    for key, value in fields.items():
-        if value is None:
-            continue
-        if isinstance(value, int) and not isinstance(value, bool):
-            value = str(value)
-        manifest[key] = value
-    return manifest
+    # "wheel" names a removed scan option; artifact bytes are frozen, so it stays false
+    config_doc = {**to_json(config), "wheel": False}
+    return {"command": command, "version": __version__, "config": config_doc, **fields}
 
 
 def _fixture_name(manifest) -> str:
     parts = [manifest["command"]]
     for key in ("exps", "seed", "depth", "mode", "gap_policy", "seeds", "max_den"):
         if key in manifest:
-            parts.append(str(manifest[key]).replace(":", "_").replace(",", "-"))
+            parts.append(to_json(manifest[key]).replace(":", "_").replace(",", "-"))
     return "-".join(parts) + ".json"
 
 
@@ -163,7 +149,7 @@ def _emit(text: str, args) -> None:
 
 def _emit_json(artifact: dict, args) -> None:
     args._fixture_name = _fixture_name(artifact.get("manifest", {"command": "artifact"}))
-    _emit(json.dumps(artifact, indent=2, sort_keys=True), args)
+    _emit(json.dumps(to_json(artifact), indent=2, sort_keys=True), args)
 
 
 def _build_from_args(args, config) -> PrimeChain:
@@ -172,7 +158,7 @@ def _build_from_args(args, config) -> PrimeChain:
     return build_chain(exps, args.seed, args.depth, args.mode, policy, config)
 
 
-def _chain_artifact(command, args, config, chain) -> dict:
+def _chain_artifact(command, args, config, chain, **fields) -> dict:
     manifest = _manifest(
         command,
         config,
@@ -181,8 +167,9 @@ def _chain_artifact(command, args, config, chain) -> dict:
         depth=args.depth,
         mode=args.mode,
         gap_policy=args.gap_policy,
-        certainty=list(chain.certainty),
+        certainty=chain.certainty,
         conditional=chain.conditional,
+        **fields,
     )
     return {"manifest": manifest, **chain.to_json_dict()}
 
@@ -201,16 +188,8 @@ def cmd_digits(args) -> int:
     config = _config(args)
     chain = _build_from_args(args, config)
     result = prc_digits(chain, args.max_digits, config)
-    artifact = _chain_artifact("digits", args, config, chain)
-    artifact["manifest"]["max_digits"] = str(args.max_digits)
-    artifact.update(
-        {
-            "digits": result.digits,
-            "agreed_places": str(result.agreed_places),
-            "chain_depth_used": str(result.chain_depth_used),
-            "enclosure": result.enclosure.as_json(),
-        }
-    )
+    artifact = _chain_artifact("digits", args, config, chain, max_digits=args.max_digits)
+    artifact.update(to_json(result))
     if args.format == "text":
         args._fixture_name = _fixture_name(artifact["manifest"]).replace(".json", ".txt")
         _emit(f"{result.digits}\nagreed_places={result.agreed_places}", args)
@@ -236,29 +215,9 @@ def cmd_verify(args) -> int:
     chain = PrimeChain.from_json_dict(document)
     report = verify_chain(chain, config)
     manifest = _manifest(
-        "verify",
-        config,
-        exps=chain.exps.render(),
-        mode=chain.mode,
-        gap_policy=chain.policy.name,
+        "verify", config, exps=chain.exps, mode=chain.mode, gap_policy=chain.policy
     )
-    artifact = {
-        "manifest": manifest,
-        "seed_ok": report.seed_ok,
-        "seed_certainty": report.seed_certainty,
-        "conditional_ok": report.conditional_ok,
-        "steps": [
-            {
-                "k": str(s.k),
-                "window_ok": s.window_ok,
-                "prime_ok": s.prime_ok,
-                "certainty": s.certainty,
-                "extremality": s.extremality,
-            }
-            for s in report.steps
-        ],
-        "passed": report.passed,
-    }
+    artifact = {"manifest": manifest, **to_json(report), "passed": report.passed}
     _emit_json(artifact, args)
     return EX_OK if report.passed else EX_CHECK_FAILED
 
@@ -280,41 +239,21 @@ def cmd_explore(args) -> int:
         args._fixture_name = _fixture_name(manifest).replace(".json", ".csv")
         _emit(forest_to_csv(forest), args)
     else:
-        stats = branching_stats(forest)
         artifact = {
             "manifest": manifest,
             "forest": forest_to_json(forest),
-            "stats": {
-                "levels": [
-                    {
-                        "level": str(ls.level),
-                        "nodes": str(ls.nodes),
-                        "counted": str(ls.counted),
-                        "min_children": None if ls.min_children is None else str(ls.min_children),
-                        "max_children": None if ls.max_children is None else str(ls.max_children),
-                        "mean_children": None if ls.mean_children is None else str(ls.mean_children),
-                    }
-                    for ls in stats.levels
-                ],
-                "total_leaves": str(stats.total_leaves),
-                "isolation_candidates": [
-                    [str(p) for p in prefix] for prefix in stats.isolation_candidates
-                ],
-                "empty_windows": [
-                    [str(p) for p in prefix] for prefix in stats.empty_windows
-                ],
-            },
+            "stats": branching_stats(forest),
             "violations": violations,
         }
         if args.gap_level is not None:
             gaps = gap_intervals(forest, args.gap_level, config)
             artifact["gaps"] = [
                 {
-                    "level": str(args.gap_level),
-                    "left_value": str(g.left.value),
-                    "left_enclosure": g.left.enclosure.as_json(),
-                    "right_value": str(g.right.value),
-                    "right_enclosure": g.right.enclosure.as_json(),
+                    "level": args.gap_level,
+                    "left_value": g.left.value,
+                    "left_enclosure": g.left.enclosure,
+                    "right_value": g.right.value,
+                    "right_enclosure": g.right.enclosure,
                 }
                 for g in gaps
             ]
@@ -341,21 +280,7 @@ def cmd_approx(args) -> int:
         gap_policy=args.gap_policy,
         max_den=args.max_den,
     )
-    artifact = {
-        "manifest": manifest,
-        "enclosure": result.enclosure.as_json(),
-        "records": [
-            {
-                "den": str(r.den),
-                "num": str(r.num),
-                "inside": r.inside,
-                "separation": None
-                if r.separation is None
-                else f"{r.separation.numerator}/{r.separation.denominator}",
-            }
-            for r in records
-        ],
-    }
+    artifact = {"manifest": manifest, "enclosure": result.enclosure, "records": records}
     _emit_json(artifact, args)
     return EX_CHECK_FAILED if any(r.inside for r in records) else EX_OK
 

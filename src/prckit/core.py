@@ -86,11 +86,8 @@ class Config:
                          ceiling still bounds the equivalent one-shot size,
                          so refusals do not depend on the path
     max_sieve_base       largest base-prime bound the segmented sieve will build
-    wheel                inert: window scans sieve every segment by the odd
-                         primes up to 2^17 whatever its value.  Kept only
-                         because every manifest serializes "wheel": false and
-                         removing it would change artifact bytes; it goes
-                         with the golden-stdout codec work (ROADMAP item 5)
+
+    Artifacts record every field in their manifest through ``to_json``.
     """
 
     mr_rounds: int = 32
@@ -100,7 +97,6 @@ class Config:
     chain_bit_ceiling: int = 1 << 20
     radicand_bit_ceiling: int = 1 << 24
     max_sieve_base: int = 100_000_000
-    wheel: bool = False
 
 
 DEFAULT_CONFIG = Config()
@@ -289,6 +285,9 @@ EMPIRICAL = GapPolicy("empirical", 2, False)
 GAP_POLICIES = {p.name: p for p in (MATTNER, CULLY_HUGILL, RH_CMS, EMPIRICAL)}
 
 
+_INTERVAL_KEYS = ("lo_mantissa", "hi_mantissa", "digits_after_point")
+
+
 @dataclass(frozen=True)
 class CertifiedDecimalInterval:
     """Closed interval [lo, hi] with endpoints lo_mantissa * 10^-d etc.
@@ -349,21 +348,11 @@ class CertifiedDecimalInterval:
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
 
-    def as_json(self) -> dict:
-        return {
-            "lo_mantissa": str(self.lo_mantissa),
-            "hi_mantissa": str(self.hi_mantissa),
-            "digits_after_point": str(self.digits_after_point),
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "CertifiedDecimalInterval":
+        """Inverse of ``to_json`` on an interval."""
         try:
-            return cls(
-                int(obj["lo_mantissa"]),
-                int(obj["hi_mantissa"]),
-                int(obj["digits_after_point"]),
-            )
+            return cls(*(_parse_decimal(obj[key], key) for key in _INTERVAL_KEYS))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad interval object: {exc}") from exc
 
@@ -400,9 +389,9 @@ class PrimeChain:
     exps: ExponentSequence
     primes: tuple[int, ...]
     mode: str  # "min" | "max" | "explicit"
-    certainty: tuple[str, ...]
     policy: GapPolicy
     conditional: bool
+    certainty: tuple[str, ...]
     truncated: bool = False
     truncation_reason: str | None = None
     requested_depth: int | None = None
@@ -424,50 +413,117 @@ class PrimeChain:
         return Window.from_parent(self.primes[k - 1], self.exps.term(k + 1))
 
     def to_json_dict(self) -> dict:
+        # the artifact names the policy field "gap_policy"
         return {
-            "exps": self.exps.render(),
-            "primes": [str(p) for p in self.primes],
-            "mode": self.mode,
-            "gap_policy": self.policy.name,
-            "conditional": self.conditional,
-            "certainty": list(self.certainty),
-            "truncated": self.truncated,
-            "truncation_reason": self.truncation_reason,
-            "requested_depth": None
-            if self.requested_depth is None
-            else str(self.requested_depth),
+            "gap_policy" if key == "policy" else key: value
+            for key, value in to_json(self).items()
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PrimeChain":
+        """Strict inverse of ``to_json_dict`` for untrusted documents.
+
+        Primes and ``requested_depth`` must be decimal strings, every prime
+        at least 2; tiers and ``truncation_reason`` must be strings (the
+        reason may be null) and the two flags JSON booleans.  Anything else
+        raises SchemaError.
+        """
         if not isinstance(obj, dict):
             raise SchemaError("chain document must be a JSON object")
         try:
-            exps = parse_exponent_spec(obj["exps"])
-            primes = tuple(int(p) for p in obj["primes"])
-            mode = obj["mode"]
+            spec, primes, certainty = obj["exps"], obj["primes"], obj["certainty"]
+            mode, conditional = obj["mode"], obj["conditional"]
             policy = GAP_POLICIES[obj["gap_policy"]]
-            conditional = obj["conditional"]
-            truncated = obj.get("truncated", False)
-            certainty = tuple(str(c) for c in obj["certainty"])
-        except ExponentSpecError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"chain document missing or malformed field: {exc}") from exc
+        if not isinstance(spec, str):
+            raise SchemaError("exps must be a string")
+        exps = parse_exponent_spec(spec)
+        if not isinstance(primes, list) or not isinstance(certainty, list):
+            raise SchemaError("primes and certainty must be JSON arrays")
+        primes = tuple(_parse_decimal(p, "prime") for p in primes)
+        if any(p < 2 for p in primes):
+            raise SchemaError("every prime must be at least 2")
+        if len(primes) > exps.max_depth:
+            raise SchemaError(f"{len(primes)} primes exceed the depth of {spec}")
+        if not all(isinstance(c, str) for c in certainty):
+            raise SchemaError("certainty entries must be strings")
+        truncated = obj.get("truncated", False)
         if not isinstance(conditional, bool) or not isinstance(truncated, bool):
             raise SchemaError("conditional and truncated must be JSON booleans")
+        reason = obj.get("truncation_reason")
+        if reason is not None and not isinstance(reason, str):
+            raise SchemaError("truncation_reason must be a string or null")
         requested = obj.get("requested_depth")
         try:
             return cls(
                 exps=exps,
                 primes=primes,
                 mode=mode,
-                certainty=certainty,
+                certainty=tuple(certainty),
                 policy=policy,
                 conditional=conditional,
                 truncated=truncated,
-                truncation_reason=obj.get("truncation_reason"),
-                requested_depth=None if requested is None else int(requested),
+                truncation_reason=reason,
+                requested_depth=None
+                if requested is None
+                else _parse_decimal(requested, "requested_depth"),
             )
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# JSON codec: the one place the artifact format is decided
+
+
+def to_json(value):
+    """Encode a value for a JSON artifact.
+
+    Integers become decimal strings (84-digit primes do not survive
+    float-parsing consumers), bools stay JSON booleans, Fractions use
+    ``str`` ("7" when integral, else "a/b"), exponent sequences their spec
+    and gap policies their name.  A dataclass becomes a dict of its fields
+    in declaration order (properties are not fields and are skipped);
+    tuples and lists become lists, dicts keep their keys, and None and
+    strings pass through.  Encoding an encoded value changes nothing.
+
+    >>> to_json({"n": 10**20, "ok": True, "f": Fraction(14, 2), "c": None})
+    {'n': '100000000000000000000', 'ok': True, 'f': '7', 'c': None}
+    >>> to_json(CertifiedDecimalInterval(13052, 13054, 4))
+    {'lo_mantissa': '13052', 'hi_mantissa': '13054', 'digits_after_point': '4'}
+    """
+    kind = type(value)  # exact types, so a bool is never taken for an int
+    if kind is int or kind is Fraction:
+        return str(value)
+    if value is None or kind is bool or kind is str:
+        return value
+    if kind is tuple or kind is list:
+        return [to_json(v) for v in value]
+    if kind is dict:
+        return {key: to_json(v) for key, v in value.items()}
+    if kind is ExponentSequence:
+        return value.render()
+    if kind is GapPolicy:
+        return value.name
+    names = getattr(kind, "__dataclass_fields__", None)  # in declaration order
+    if names is not None:
+        return {name: to_json(getattr(value, name)) for name in names}
+    raise TypeError(f"no JSON encoding for {kind.__name__}")
+
+
+_DECIMAL = re.compile(r"[0-9]+")
+
+
+def _parse_decimal(text, what: str) -> int:
+    """Inverse of ``to_json`` on a non-negative int: a string of ASCII digits.
+
+    JSON numbers, signs, spaces and underscores are refused with a
+    SchemaError, as are strings too long for ``int`` to convert.
+    """
+    if isinstance(text, str) and _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # beyond the interpreter's int-string limit
+            pass
+    raise SchemaError(f"{what} must be a decimal string, got {text!r:.40}")

@@ -30,6 +30,7 @@ from .core import (
     ExponentSequence,
     ExponentSpecError,
     Window,
+    to_json,
 )
 from .primality import count_primes_in_range, primes_in_range
 from .radix import certified_root_enclosure, point_root_enclosure
@@ -44,15 +45,16 @@ class CylinderNode:
     enclosure at the forest display precision.  ``child_count`` is the
     exact number of primes in this node's window, or None when the window
     was not enumerated (leaf windows above the cap); ``children`` is None
-    for nodes at the expansion frontier.
+    for nodes at the expansion frontier.  Field order is the key order of
+    the JSON export.
     """
 
     prefix: tuple[int, ...]
     depth: int
     interval: CertifiedDecimalInterval
     child_count: int | None
-    children: tuple["CylinderNode", ...] | None
     truncated: bool = False
+    children: tuple["CylinderNode", ...] | None = None
 
     @property
     def value(self) -> int:
@@ -61,13 +63,15 @@ class CylinderNode:
 
 @dataclass(frozen=True)
 class Forest:
+    """Cylinder trees over a seed range; field order is the JSON key order."""
+
     exps: ExponentSequence
     seed_lo: int
     seed_hi: int
     depth: int
     display_digits: int
-    roots: tuple[CylinderNode, ...]
     truncated: bool
+    roots: tuple[CylinderNode, ...]
 
     def nodes_at_level(self, level: int) -> list[CylinderNode]:
         """Nodes at ``level`` generations below the seeds (0 = the seeds)."""
@@ -123,11 +127,10 @@ def _expand(exps, prefix, depth, config) -> CylinderNode:
         c_next = None  # sequence ends here; nothing to enumerate
     if c_next is not None:
         window = Window.from_parent(prefix[-1], c_next)
-        if window.width > config.enumeration_cap:
-            if expandable:
-                truncated = True
-                children = ()
-        elif math.isqrt(window.hi_exclusive - 1) > config.max_sieve_base:
+        if (
+            window.width > config.enumeration_cap
+            or math.isqrt(window.hi_exclusive - 1) > config.max_sieve_base
+        ):
             if expandable:
                 truncated = True
                 children = ()
@@ -169,7 +172,7 @@ def _sibling_pairs(exps, roots):
     while groups:
         group = groups.pop()
         if len(group) >= 2:
-            C = _cumulative(exps, group[0].depth)
+            C = exps.partial_product(group[0].depth)
             for left, right in zip(group, group[1:]):
                 a, b = left.value + 1, right.value
                 if b > a:  # touching cylinders (seeds 2,3) cannot be separated
@@ -177,10 +180,6 @@ def _sibling_pairs(exps, roots):
         for node in group:
             if node.children:
                 groups.append(list(node.children))
-
-
-def _cumulative(exps, k):
-    return exps.partial_product(k)
 
 
 def _display_digits(exps, roots, config) -> int:
@@ -209,7 +208,7 @@ def _display_digits(exps, roots, config) -> int:
 
 
 def _attach(exps, node, digits, config) -> CylinderNode:
-    order = _cumulative(exps, node.depth)
+    order = exps.partial_product(node.depth)
     interval = certified_root_enclosure(node.value, order, digits, config)
     children = node.children
     if children is not None:
@@ -420,29 +419,8 @@ def branching_stats(forest: Forest) -> BranchingStats:
 # ---------------------------------------------------------------------------
 # export
 
-def node_to_json(node: CylinderNode) -> dict:
-    return {
-        "prefix": [str(p) for p in node.prefix],
-        "depth": str(node.depth),
-        "interval": node.interval.as_json(),
-        "child_count": None if node.child_count is None else str(node.child_count),
-        "truncated": node.truncated,
-        "children": None
-        if node.children is None
-        else [node_to_json(c) for c in node.children],
-    }
-
-
 def forest_to_json(forest: Forest) -> dict:
-    return {
-        "exps": forest.exps.render(),
-        "seed_lo": str(forest.seed_lo),
-        "seed_hi": str(forest.seed_hi),
-        "depth": str(forest.depth),
-        "display_digits": str(forest.display_digits),
-        "truncated": forest.truncated,
-        "roots": [node_to_json(r) for r in forest.roots],
-    }
+    return to_json(forest)
 
 
 def forest_to_csv(forest: Forest) -> str:

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp
 
 import prckit as pk
+from prckit.chain import _over_ceiling
 from prckit.core import PrimeChain
 
 F_P4 = 127**4 + 22
@@ -82,6 +83,29 @@ class TestVerifyChain:
             report = pk.verify_chain(chain)
             assert report.passed
             assert all(s.extremality == "verified" for s in report.steps)
+
+    @pytest.mark.parametrize(
+        "spec,depth",
+        [("const:4000000000", 2), ("list:1,99999999999999", 2), ("powfact:3", 20)],
+    )
+    def test_hostile_powers_refused(self, spec, depth):
+        chain = PrimeChain(
+            exps=pk.parse_exponent_spec(spec),
+            primes=(2,) * depth,
+            mode="min",
+            certainty=("deterministic",) * depth,
+            policy=pk.CULLY_HUGILL,
+            conditional=False,
+        )
+        with pytest.raises(pk.BitCeilingError):
+            pk.verify_chain(chain)
+
+    def test_powfact_ceiling_decided_from_the_exponent(self):
+        # c_20 = 3^(20! - 19!) could never be built; the test needs only 20! - 19!
+        exps = pk.parse_exponent_spec("powfact:3")
+        assert _over_ceiling(2, exps, 20, pk.DEFAULT_CONFIG.chain_bit_ceiling)
+        # below the shortcut the exact test decides: 1 * 3^4 against 81 and 82
+        assert _over_ceiling(2, exps, 3, 81) and not _over_ceiling(2, exps, 3, 82)
 
     def test_extremality_failure(self):
         # 13 is prime and in [8, 26), but 11 is smaller

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -160,6 +161,38 @@ class TestVerifyCommand:
         notjson.write_text("{broken")
         code, out, err = run_cli(capsys, "verify", "--chain-file", str(notjson))
         assert code == 66
+
+    @pytest.mark.parametrize(
+        "fields,code",
+        [
+            ({"primes": [2.9, "11"]}, 66),
+            ({"primes": [" 2", "11"]}, 66),
+            ({"primes": ["1_1", "11"]}, 66),
+            ({"primes": ["1", "11"]}, 66),
+            ({"primes": ["-5", "11"]}, 66),
+            ({"exps": "const:4000000000", "primes": ["2", "3"]}, 2),
+            ({"exps": "list:1,99999999999999", "primes": ["2", "3"]}, 2),
+        ],
+    )
+    def test_hostile_chain_files(self, capsys, tmp_path, fields, code):
+        doc = {
+            "exps": "const:3",
+            "primes": ["2", "11"],
+            "mode": "min",
+            "gap_policy": "empirical",
+            "conditional": False,
+            "certainty": ["deterministic", "deterministic"],
+            **fields,
+        }
+        hostile = tmp_path / "hostile.json"
+        hostile.write_text(json.dumps(doc))
+        started = time.monotonic()
+        got, out, err = run_cli(capsys, "verify", "--chain-file", str(hostile))
+        assert time.monotonic() - started < 1
+        assert got == code and out == ""
+        message, elapsed = err.splitlines()  # one message, then the timing line
+        prefix = "refused: " if code == 2 else "chain file schema mismatch: "
+        assert message.startswith(prefix) and elapsed.startswith("elapsed_ms=")
 
 
 class TestExploreCommand:

@@ -152,7 +152,7 @@ class TestCertifiedDecimalInterval:
 
     def test_json_roundtrip(self):
         enc = CertifiedDecimalInterval(13052, 13054, 4)
-        assert CertifiedDecimalInterval.from_json(enc.as_json()) == enc
+        assert CertifiedDecimalInterval.from_json(pk.to_json(enc)) == enc
 
 
 class TestPrimeChainSerialization:
@@ -178,6 +178,64 @@ class TestPrimeChainSerialization:
         bad = dict(good, mode="weird")
         with pytest.raises(pk.SchemaError):
             pk.PrimeChain.from_json_dict(bad)
+
+    TWO_PRIMES = {
+        "exps": "const:3",
+        "primes": ["2", "11"],
+        "mode": "min",
+        "gap_policy": "empirical",
+        "conditional": False,
+        "certainty": ["deterministic", "deterministic"],
+        "truncated": False,
+        "truncation_reason": None,
+        "requested_depth": "2",
+    }
+
+    def test_strict_document_decodes(self):
+        chain = pk.PrimeChain.from_json_dict(
+            dict(self.TWO_PRIMES, truncation_reason="cut", requested_depth="5")
+        )
+        assert chain.primes == (2, 11) and chain.requested_depth == 5
+        assert chain.truncation_reason == "cut"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("primes", [2.9, "11"]),  # a JSON number, even an integral one
+            ("primes", [2, "11"]),
+            ("primes", [" 2", "11"]),
+            ("primes", ["1_1", "11"]),
+            ("primes", ["+2", "11"]),
+            ("primes", ["\u0662", "11"]),  # a non-ASCII digit int() would accept
+            ("primes", ["1" * 5000, "11"]),  # beyond the int-string limit
+            ("primes", ["1", "11"]),
+            ("primes", ["0", "11"]),
+            ("primes", ["-5", "11"]),
+            ("primes", "211"),
+            ("requested_depth", 2),
+            ("requested_depth", "2.0"),
+            ("certainty", [1, "deterministic"]),
+            ("certainty", [None, "deterministic"]),
+            ("certainty", "deterministic"),
+            ("truncation_reason", 5),
+            ("truncation_reason", ["cut"]),
+            ("exps", 3),
+            ("gap_policy", ["empirical"]),
+        ],
+    )
+    def test_strict_decoding(self, field, value):
+        with pytest.raises(pk.SchemaError):
+            pk.PrimeChain.from_json_dict(dict(self.TWO_PRIMES, **{field: value}))
+
+    def test_depth_beyond_the_sequence_refused(self):
+        doc = dict(
+            self.TWO_PRIMES,
+            exps="list:1,2",
+            primes=["2", "3", "5"],
+            certainty=["deterministic"] * 3,
+        )
+        with pytest.raises(pk.SchemaError):
+            pk.PrimeChain.from_json_dict(doc)
 
     @pytest.mark.parametrize("field", ["conditional", "truncated"])
     @pytest.mark.parametrize("value", ["false", 0, None])

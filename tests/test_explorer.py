@@ -122,7 +122,7 @@ class TestGapIntervals:
             child_count=1,
             children=(child,),
         )
-        forest = Forest(exps, 2, 2, 2, 8, (root,), truncated=False)
+        forest = Forest(exps, 2, 2, 2, 8, truncated=False, roots=(root,))
         gaps = pk.gap_intervals(forest, 1)
         assert [(g.left.value, g.right.value) for g in gaps] == [(8, 11), (12, 27)]
 
@@ -178,7 +178,7 @@ class TestBranchingStats:
             child_count=1,
             children=(lonely,),
         )
-        forest = Forest(exps, 2, 2, 2, 4, (root,), truncated=False)
+        forest = Forest(exps, 2, 2, 2, 4, truncated=False, roots=(root,))
         stats = pk.branching_stats(forest)
         assert (2,) in stats.isolation_candidates
         assert (2, 11) in stats.isolation_candidates

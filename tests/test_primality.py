@@ -92,24 +92,22 @@ class TestWindowScans:
         got = pk.count_primes_in_window(w, include_list=True)
         assert got.primes == tuple(oracle)
 
-    def test_wheel_gives_identical_results(self):
-        wheeled = replace(pk.DEFAULT_CONFIG, wheel=True)
+    def test_scans_match_sieve_oracles(self):
         for p, c in [(31, 3), (127, 4), (997, 2)]:
             w = pk.Window.from_parent(p, c)
-            assert pk.min_prime_in_window(w, wheeled) == pk.min_prime_in_window(w)
-            assert pk.max_prime_in_window(w, wheeled) == pk.max_prime_in_window(w)
+            lo, hi = w.lo, w.hi_exclusive
+            assert pk.min_prime_in_window(w) == pk.first_prime_in_range(lo, hi)
+            assert pk.max_prime_in_window(w) == pk.last_prime_in_range(lo, hi)
 
-    def test_wheel_fuzz_both_directions(self):
+    def test_scan_fuzz_matches_sieve_oracles(self):
         rng = random.Random(404)
-        wheeled = replace(pk.DEFAULT_CONFIG, wheel=True)
         for _ in range(60):
             lo = rng.randrange(2, 10**6)
             hi = lo + rng.randrange(1, 2000)
-            for descending in (False, True):
-                plain = pk.find_prime_in_range(lo, hi, descending=descending)
-                assert plain == pk.find_prime_in_range(
-                    lo, hi, wheeled, descending=descending
-                )
+            assert pk.find_prime_in_range(lo, hi) == pk.first_prime_in_range(lo, hi)
+            assert pk.find_prime_in_range(
+                lo, hi, descending=True
+            ) == pk.last_prime_in_range(lo, hi)
 
     def test_count_fallback_above_sieve_base(self):
         # narrow window too high to sieve: per-candidate testing kicks in
