@@ -43,6 +43,7 @@ from .primality import (
     last_prime_in_range,
     max_prime_in_window,
     min_prime_in_window,
+    modexp_backend,
     primes_in_range,
     primes_upto,
     scan_range,

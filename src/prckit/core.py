@@ -424,9 +424,10 @@ class PrimeChain:
         """Strict inverse of ``to_json_dict`` for untrusted documents.
 
         Primes and ``requested_depth`` must be decimal strings, every prime
-        at least 2; tiers and ``truncation_reason`` must be strings (the
-        reason may be null) and the two flags JSON booleans.  Anything else
-        raises SchemaError.
+        at least 2; each tier must be ``deterministic`` or ``probable:<k>``
+        with k a positive decimal without leading zeros,
+        ``truncation_reason`` a string or null and the two flags JSON
+        booleans.  Anything else raises SchemaError.
         """
         if not isinstance(obj, dict):
             raise SchemaError("chain document must be a JSON object")
@@ -446,8 +447,8 @@ class PrimeChain:
             raise SchemaError("every prime must be at least 2")
         if len(primes) > exps.max_depth:
             raise SchemaError(f"{len(primes)} primes exceed the depth of {spec}")
-        if not all(isinstance(c, str) for c in certainty):
-            raise SchemaError("certainty entries must be strings")
+        if not all(isinstance(c, str) and _TIER.fullmatch(c) for c in certainty):
+            raise SchemaError('certainty entries must be "deterministic" or "probable:<k>"')
         truncated = obj.get("truncated", False)
         if not isinstance(conditional, bool) or not isinstance(truncated, bool):
             raise SchemaError("conditional and truncated must be JSON booleans")
@@ -513,6 +514,7 @@ def to_json(value):
 
 
 _DECIMAL = re.compile(r"[0-9]+")
+_TIER = re.compile(r"deterministic|probable:[1-9][0-9]*")  # what probable(k) writes
 
 
 def _parse_decimal(text, what: str) -> int:

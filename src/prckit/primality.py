@@ -9,6 +9,15 @@ are always exact.  Everything here is pure and deterministic: the extra
 rounds draw their bases from a PRNG seeded by the value under test, so
 identical inputs always produce identical outputs.
 
+Every strong probable-prime round ends in one modular power, ``_powmod``.
+For odd moduli of at least 2^64 it runs libgmp's ``mpz_powm`` through
+ctypes when the shared library loads (``libgmp.so.10``, ``libgmp.so`` or
+``libgmp.10.dylib``, tried once, on the first such modulus, and never at
+import); otherwise, and for every smaller modulus, it is the builtin
+``pow``.  Both compute the same integer, so tests, bases, verdicts and
+tiers do not depend on the backend; ``modexp_backend()`` reports which
+one runs.  The strong Lucas ladder stays in Python ints.
+
 Window work runs through one numpy sieve over segments of odd numbers.
 Scan mode (``scan_range``: min and max scans, and counts above the sieve
 bound) strikes each segment's multiples of the odd primes up to 2^17 and
@@ -65,6 +74,96 @@ _TRIAL_COMPLETE_LIMIT = 1009 * 1009
 _BASE_SALT = 0x9E3779B97F4A7C15  # seeds the per-value PRNG for extra rounds
 
 
+# Shared-library names tried in order, on the first big odd modulus.
+_GMP_NAMES = ("libgmp.so.10", "libgmp.so", "libgmp.10.dylib")
+# (version, powm) once libgmp has loaded, False when none loaded, None
+# before the first try.
+_gmp = None
+
+
+def _libgmp():
+    """``_gmp``, binding libgmp's mpz_powm through ctypes on the first call.
+
+    Returns ``(version, powm)``, or False when no library loads or one
+    lacks the symbols; either answer is kept for the life of the process.
+    """
+    global _gmp
+    if _gmp is not None:
+        return _gmp
+    import ctypes
+
+    for name in _GMP_NAMES:
+        try:
+            lib = ctypes.CDLL(name)
+            version = ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
+            init, clear, mpz_import, mpz_export, mpz_powm = (
+                lib["__gmpz_" + fn] for fn in ("init", "clear", "import", "export", "powm")
+            )
+        except (OSError, AttributeError, ValueError):
+            continue
+        break
+    else:
+        _gmp = False
+        return _gmp
+
+    class Mpz(ctypes.Structure):  # __mpz_struct of gmp.h
+        _fields_ = [
+            ("alloc", ctypes.c_int),
+            ("size", ctypes.c_int),
+            ("limbs", ctypes.c_void_p),
+        ]
+
+    mpz, size_t, c_int = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
+    init.argtypes = clear.argtypes = [mpz]
+    mpz_powm.argtypes = [mpz] * 4
+    # (rop, count, order, size, endian, nails, data) and its inverse
+    mpz_import.argtypes = [mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p]
+    mpz_export.argtypes = [
+        ctypes.c_char_p, ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz
+    ]
+    init.restype = clear.restype = mpz_import.restype = mpz_powm.restype = None
+    mpz_export.restype = ctypes.c_void_p
+
+    def powm(a: int, e: int, n: int) -> int:
+        # Fresh values on every call: the foreign calls release the GIL, so
+        # shared scratch values would race between threads.
+        r, b, x, m = values = (Mpz(), Mpz(), Mpz(), Mpz())
+        for z in values:
+            init(z)
+        try:
+            for z, v in ((b, a), (x, e), (m, n)):
+                raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+                mpz_import(z, len(raw), -1, 1, 0, 0, raw)  # bytes, least first
+            mpz_powm(r, b, x, m)
+            # raw holds n, and r < n fits in as many bytes
+            out, count = ctypes.create_string_buffer(len(raw)), size_t()
+            mpz_export(out, ctypes.byref(count), -1, 1, 0, 0, r)
+        finally:
+            for z in values:
+                clear(z)
+        return int.from_bytes(out.raw[: count.value], "little")
+
+    _gmp = (version, powm)
+    return _gmp
+
+
+def _powmod(a: int, e: int, n: int) -> int:
+    """pow(a, e, n), through libgmp's mpz_powm for odd n >= 2^64 (a, e >= 0)
+    when libgmp loads, else the builtin."""
+    if n & 1 and n >= _TWO64 and a >= 0 and e >= 0:
+        gmp = _libgmp()
+        if gmp:
+            return gmp[1](a, e, n)
+    return pow(a, e, n)
+
+
+def modexp_backend() -> str:
+    """``"gmp <version>"`` when big moduli run through libgmp, else
+    ``"builtin"``.  Only reports: results are identical either way."""
+    gmp = _libgmp()
+    return f"gmp {gmp[0]}" if gmp else "builtin"
+
+
 def _sprp(n: int, a: int) -> bool:
     """Strong probable prime test to base a (n odd, n > 2)."""
     a %= n
@@ -73,7 +172,7 @@ def _sprp(n: int, a: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    x = pow(a, d, n)
+    x = _powmod(a, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):

@@ -1,6 +1,8 @@
+import copy
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp
 
 import prckit as pk
@@ -319,3 +321,94 @@ class TestMonotoneApproximants:
             lo = w.lo
             least = next(n for n in range(lo, lo + 1000) if pk.is_prime(n).is_prime)
             assert least == mills_chain.primes[k]
+
+
+MILLS5_DOC = {
+    "exps": "const:3",
+    "primes": ["2", "11", "1361", "2521008887", "16022236204009818131831320183"],
+    "mode": "min",
+    "gap_policy": "empirical",
+    "conditional": False,
+    "certainty": ["deterministic"] * 4 + ["probable:32"],
+    "truncated": False,
+    "truncation_reason": None,
+    "requested_depth": "5",
+}
+# bounded rescans: a moved prime must not send an example over millions
+# of positions
+FUZZ_CONFIG = replace(pk.DEFAULT_CONFIG, rescan_cap=10_000)
+ODD_VALUES = ([], {}, ["2"], None, True, 0, 2.5, "", "x", "2")
+TIERS = ("deterministic", "probable:32", "probable:1", "banana", "probable:032", "")
+
+
+@st.composite
+def mutated_documents(draw):
+    """The const:3 depth-5 chain document after one to three mutations:
+    dropped keys, values of another type, edited digits, changed tiers,
+    flags and modes, and arrays cut, padded or emptied."""
+    doc = copy.deepcopy(MILLS5_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("retype", "digits", "tier", "flag", "length", "drop")))
+        keys = sorted(doc)
+        if kind == "drop" and keys:
+            del doc[draw(st.sampled_from(keys))]
+        elif kind == "retype":
+            doc[draw(st.sampled_from(sorted(MILLS5_DOC)))] = draw(st.sampled_from(ODD_VALUES))
+        elif kind == "digits":
+            slots = [(doc, k) for k in keys if isinstance(doc[k], str)]
+            slots += [
+                (doc[k], i)
+                for k in keys
+                if isinstance(doc[k], list)
+                for i, v in enumerate(doc[k])
+                if isinstance(v, str)
+            ]
+            if slots:
+                owner, key = draw(st.sampled_from(slots))
+                text = owner[key]
+                i = draw(st.integers(0, len(text)))
+                digit = draw(st.sampled_from("0123456789"))
+                cut = draw(st.integers(0, 1))  # replace a character or insert one
+                owner[key] = text[:i] + digit + text[i + cut :]
+        elif kind == "tier" and isinstance(doc.get("certainty"), list) and doc["certainty"]:
+            i = draw(st.integers(0, len(doc["certainty"]) - 1))
+            doc["certainty"][i] = draw(st.sampled_from(TIERS))
+        elif kind == "flag":
+            key, value = draw(
+                st.sampled_from(
+                    [("conditional", v) for v in (True, False, "false", 0)]
+                    + [("truncated", v) for v in (True, False, "true", None)]
+                    + [("mode", v) for v in ("min", "max", "explicit", "MIN")]
+                    + [("gap_policy", v) for v in ("empirical", "rh-cms", "nope")]
+                )
+            )
+            doc[key] = value
+        elif kind == "length":
+            key = draw(st.sampled_from(("primes", "certainty")))
+            if isinstance(doc.get(key), list):
+                items = doc[key]
+                change = draw(st.sampled_from(("cut", "repeat", "append", "empty")))
+                if change == "cut":
+                    doc[key] = items[: draw(st.integers(0, len(items)))]
+                elif change == "repeat" and items:
+                    doc[key] = items + items[-1:]
+                elif change == "append":
+                    doc[key] = items + [draw(st.sampled_from(("2", "deterministic", 3)))]
+                else:
+                    doc[key] = []
+    return doc
+
+
+class TestVerifyFuzz:
+    def test_unmutated_document_passes(self):
+        chain = PrimeChain.from_json_dict(copy.deepcopy(MILLS5_DOC))
+        assert pk.verify_chain(chain, FUZZ_CONFIG).passed
+
+    @given(mutated_documents())
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_report_or_prc_error(self, doc):
+        try:
+            report = pk.verify_chain(PrimeChain.from_json_dict(doc), FUZZ_CONFIG)
+        except pk.PrcError:
+            return
+        assert isinstance(report, pk.ChainReport)

@@ -194,6 +194,29 @@ class TestVerifyCommand:
         prefix = "refused: " if code == 2 else "chain file schema mismatch: "
         assert message.startswith(prefix) and elapsed.startswith("elapsed_ms=")
 
+    @pytest.mark.parametrize(
+        "tier", ["banana", "probable:", "probable:032", "probable:-1", "Deterministic"]
+    )
+    def test_unknown_tier_exits_66(self, capsys, tmp_path, tier):
+        code, out, _ = run_cli(capsys, *CHAIN_ARGS)
+        doc = json.loads(out)
+        doc["certainty"][1] = tier
+        chain_file = tmp_path / "tier.json"
+        chain_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--chain-file", str(chain_file))
+        assert code == 66 and out == ""
+        assert err.startswith("chain file schema mismatch: certainty entries")
+
+    def test_well_formed_wrong_tier_fails_the_check(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, *CHAIN_ARGS)
+        doc = json.loads(out)
+        doc["certainty"][1] = "probable:7"  # 11 is prime deterministically
+        chain_file = tmp_path / "tier.json"
+        chain_file.write_text(json.dumps(doc))
+        code, report, _ = run_json(capsys, "verify", "--chain-file", str(chain_file))
+        assert code == 1 and report["passed"] is False
+        assert report["steps"][0]["certainty"] == "deterministic"
+
 
 class TestExploreCommand:
     def test_json_output(self, capsys):

@@ -217,6 +217,13 @@ class TestPrimeChainSerialization:
             ("certainty", [1, "deterministic"]),
             ("certainty", [None, "deterministic"]),
             ("certainty", "deterministic"),
+            ("certainty", ["banana", "deterministic"]),
+            ("certainty", ["probable:", "deterministic"]),
+            ("certainty", ["probable:032", "deterministic"]),
+            ("certainty", ["probable:0", "deterministic"]),
+            ("certainty", ["probable:-1", "deterministic"]),
+            ("certainty", ["probable:3 ", "deterministic"]),
+            ("certainty", ["Deterministic", "deterministic"]),
             ("truncation_reason", 5),
             ("truncation_reason", ["cut"]),
             ("exps", 3),
@@ -226,6 +233,11 @@ class TestPrimeChainSerialization:
     def test_strict_decoding(self, field, value):
         with pytest.raises(pk.SchemaError):
             pk.PrimeChain.from_json_dict(dict(self.TWO_PRIMES, **{field: value}))
+
+    def test_known_tiers_decode(self):
+        tiers = ["probable:1", "probable:32000000000000000000"]
+        chain = pk.PrimeChain.from_json_dict(dict(self.TWO_PRIMES, certainty=tiers))
+        assert chain.certainty == tuple(tiers)
 
     def test_depth_beyond_the_sequence_refused(self):
         doc = dict(

@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import prckit as pk
+from prckit import primality
 from prckit.core import Window
 from prckit.primality import scan_range
 
@@ -311,3 +317,162 @@ class TestSieves:
 @settings(max_examples=300, deadline=None)
 def test_is_prime_matches_trial_division(n):
     assert pk.is_prime(n).is_prime == trial_is_prime(n)
+
+
+# ---------------------------------------------------------------------------
+# modular powers: libgmp's mpz_powm against the builtin pow
+
+TWO64 = 1 << 64
+# Strong pseudoprimes to base 2, two of them above 2^64 (those reach the
+# strong Lucas test, the others fail a later base of the 12-base set).
+SPSP2 = (
+    3215031751,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+CARMICHAEL = 1501081 * 3002161 * 4503241  # Chernick form, above 2^64
+# p_{k+1} - p_k^3 along the const:3 seed-2 min chain to depth 8
+MILLS_OFFSETS = (3, 30, 6, 80, 12, 450, 894)
+
+
+def mills_primes() -> list[int]:
+    primes = [2]
+    for offset in MILLS_OFFSETS:
+        primes.append(primes[-1] ** 3 + offset)
+    return primes
+
+
+@pytest.fixture
+def builtin_modexp(monkeypatch):
+    """Force the builtin pow: the cached libgmp handle reads as unavailable."""
+    monkeypatch.setattr(primality, "_gmp", False)
+
+
+@st.composite
+def modexp_args(draw):
+    """(a, e, n): n from 2^64 - 1 and 2^64 + 1 up to 8000 bits, even ones
+    included; a among 0, 1, n - 1 and values beyond n; e among 0, 1 and
+    up to 600 bits, so the builtin reference stays fast (full-size
+    exponents are tested separately)."""
+    n = draw(
+        st.sampled_from((TWO64 - 1, TWO64 + 1))
+        | st.integers(64, 8000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+    )
+    a = draw(
+        st.sampled_from((0, 1, n - 1, n, n + 1))
+        | st.integers(0, n - 1)
+        | st.integers(n, 5 * n)
+    )
+    e = draw(st.sampled_from((0, 1, 2)) | st.integers(0, (1 << 600) - 1))
+    return a, e, n
+
+
+class TestModexp:
+    @given(modexp_args())
+    @settings(max_examples=120, deadline=None)
+    def test_powmod_matches_pow(self, args):
+        a, e, n = args
+        assert primality._powmod(a, e, n) == pow(a, e, n)
+
+    @pytest.mark.parametrize("bits", [64, 65, 840, 2530])
+    def test_full_size_exponents(self, bits):
+        rng = random.Random(bits)
+        n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+        for a in (2, rng.randrange(n), n - 1):
+            assert primality._powmod(a, n - 1, n) == pow(a, n - 1, n)
+
+    def test_only_big_odd_moduli_reach_libgmp(self, monkeypatch):
+        seen = []
+
+        def spy(a, e, n):
+            seen.append(n)
+            return pow(a, e, n)
+
+        monkeypatch.setattr(primality, "_gmp", ("spy", spy))
+        assert pk.modexp_backend() == "gmp spy"
+        for n in (TWO64 - 1, TWO64, TWO64 + 1, 3 * TWO64, (1 << 65) + 1):
+            assert primality._powmod(3, 5, n) == pow(3, 5, n)
+        assert primality._powmod(-3, 5, TWO64 + 1) == pow(-3, 5, TWO64 + 1)
+        assert primality._powmod(3, -1, TWO64 + 1) == pow(3, -1, TWO64 + 1)
+        assert seen == [TWO64 + 1, (1 << 65) + 1]
+
+    def test_concurrent_calls(self):
+        # the foreign calls release the GIL; each call owns its values
+        rng = random.Random(5)
+        cases = []
+        for _ in range(48):
+            n = rng.getrandbits(1024) | 1 | (1 << 1023)
+            cases.append((rng.randrange(n), rng.getrandbits(256), n))
+        want = [pow(*case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(primality._powmod, *case) for case in cases * 4]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 4
+
+    def test_fallback_is_the_builtin(self, builtin_modexp):
+        assert pk.modexp_backend() == "builtin"
+        n = (1 << 127) - 1
+        assert primality._powmod(3, n - 1, n) == 1
+
+    def test_backend_report(self):
+        backend = pk.modexp_backend()
+        assert backend == "builtin" or backend.startswith("gmp ")
+
+    def test_verdicts_identical_under_both_backends(self, monkeypatch):
+        chain = mills_primes()
+        big = [p for p in chain if p.bit_length() >= 256]
+        products = [p * q for i, p in enumerate(big) for q in big[i:]]
+        values = [*SPSP2, CARMICHAEL, *chain, *products]
+        with_gmp = [pk.is_prime(n) for n in values]
+        sprp2 = [primality._sprp(n, 2) for n in SPSP2]
+        monkeypatch.setattr(primality, "_gmp", False)
+        assert [pk.is_prime(n) for n in values] == with_gmp
+        assert [primality._sprp(n, 2) for n in SPSP2] == sprp2 == [True] * 4
+        composite, small_prime = (False, "deterministic"), (True, "deterministic")
+        expected = (
+            [composite] * 5  # the pseudoprimes and the Carmichael number
+            + [small_prime] * 4  # the chain below 2^64
+            + [(True, "probable:32")] * 4
+            + [composite] * len(products)
+        )
+        assert [(v.is_prime, v.certainty) for v in with_gmp] == expected
+        assert [p.bit_length() for p in big] == [282, 844, 2530]
+
+
+def test_libgmp_loads_lazily():
+    """Import, the CLI module and a sieve-only explore never try libgmp;
+    the first primality test above 2^64 does."""
+    probe = """
+import prckit, prckit.cli
+from prckit import primality
+
+def mapped():
+    try:
+        with open("/proc/self/maps") as maps:
+            return "libgmp" in maps.read()
+    except OSError:
+        return None
+
+prckit.explore_tree(prckit.parse_exponent_spec("const:3"), (2, 2), 2)
+print(primality._gmp is None, mapped())
+prckit.is_prime((1 << 89) - 1)
+print(primality._gmp is not None, mapped(), primality.modexp_backend())
+"""
+    src = str(Path(pk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout.split("\n")
+    untried, mapped_before = out[0].split()
+    assert untried == "True" and mapped_before in ("False", "None")
+    tried, mapped_after, backend = out[1].split(maxsplit=2)
+    assert tried == "True"
+    if backend.startswith("gmp") and mapped_after != "None":
+        assert mapped_after == "True"
