@@ -217,6 +217,10 @@ class TestPrimeChainSerialization:
             ("certainty", [1, "deterministic"]),
             ("certainty", [None, "deterministic"]),
             ("certainty", "deterministic"),
+            ("truncation_reason", 5),
+            ("truncation_reason", ["cut"]),
+            ("exps", 3),
+            ("gap_policy", ["empirical"]),
             ("certainty", ["banana", "deterministic"]),
             ("certainty", ["probable:", "deterministic"]),
             ("certainty", ["probable:032", "deterministic"]),
@@ -224,10 +228,6 @@ class TestPrimeChainSerialization:
             ("certainty", ["probable:-1", "deterministic"]),
             ("certainty", ["probable:3 ", "deterministic"]),
             ("certainty", ["Deterministic", "deterministic"]),
-            ("truncation_reason", 5),
-            ("truncation_reason", ["cut"]),
-            ("exps", 3),
-            ("gap_policy", ["empirical"]),
         ],
     )
     def test_strict_decoding(self, field, value):
