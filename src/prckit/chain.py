@@ -28,6 +28,7 @@ from .core import (
     WindowSearchExhausted,
 )
 from .primality import find_prime_in_range, is_prime, primes_in_range, window_prime
+from .radix import scaled_root_floor
 
 
 def build_chain(
@@ -168,16 +169,7 @@ def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainRep
     test that ``build_chain`` applies; a step that fails it raises
     BitCeilingError, so a hostile exponent cannot start an unbounded power.
     """
-    ceiling = config.chain_bit_ceiling
-    exponents = []
-    for k in range(1, chain.depth):
-        p = chain.primes[k - 1]
-        if _over_ceiling(p, chain.exps, k + 1, ceiling):
-            raise BitCeilingError(
-                f"step {k}: {p.bit_length()}-bit prime to the power c_{k + 1} "
-                f"exceeds the {ceiling}-bit chain ceiling"
-            )
-        exponents.append(chain.exps.term(k + 1))
+    exponents = _step_exponents(chain, config)
     seed_verdict = is_prime(chain.primes[0], config)
     invoked = any(chain.policy.covers(c) for c in exponents)
     conditional_ok = chain.conditional == (chain.policy.conditional and invoked)
@@ -208,6 +200,22 @@ def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainRep
         conditional_ok=conditional_ok,
         steps=tuple(steps),
     )
+
+
+def _step_exponents(chain: PrimeChain, config: Config) -> list[int]:
+    """c_2, ..., c_K of the chain's steps, or BitCeilingError as soon as a
+    step fails the chain bit-ceiling test that ``build_chain`` applies."""
+    ceiling = config.chain_bit_ceiling
+    exponents = []
+    for k in range(1, chain.depth):
+        p = chain.primes[k - 1]
+        if _over_ceiling(p, chain.exps, k + 1, ceiling):
+            raise BitCeilingError(
+                f"step {k}: {p.bit_length()}-bit prime to the power c_{k + 1} "
+                f"exceeds the {ceiling}-bit chain ceiling"
+            )
+        exponents.append(chain.exps.term(k + 1))
+    return exponents
 
 
 def _rescan(lo: int, hi: int, config: Config, descending: bool) -> str:
@@ -257,11 +265,14 @@ class ThetaReport:
 
 
 def theta_window_report(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ThetaReport:
-    """Exact theta-window membership per step (only steps with c_{k+1} >= 3)."""
+    """Exact theta-window membership per step (only steps with c_{k+1} >= 3).
+
+    Like ``verify_chain``, raises BitCeilingError before any power is
+    built when a step fails the chain bit-ceiling test.
+    """
     side = "right" if chain.mode == "max" else "left"
     records = []
-    for k in range(1, chain.depth):
-        c = chain.exps.term(k + 1)
+    for k, c in enumerate(_step_exponents(chain, config), start=1):
         if c < 3:
             continue
         p, q = chain.primes[k - 1], chain.primes[k]
@@ -319,8 +330,6 @@ def convergence_bound_check(
         raise ValueError("convergence bound check applies to min chains")
     if not 1 <= k < chain.depth:
         raise ValueError(f"need 1 <= k < depth, got k={k} depth={chain.depth}")
-    from .radix import scaled_root_floor  # local import to avoid a module cycle
-
     p1 = chain.primes[0]
     c1 = chain.exps.term(1)
     pk, pk1 = chain.primes[k - 1], chain.primes[k]

@@ -427,7 +427,11 @@ class PrimeChain:
         at least 2; each tier must be ``deterministic`` or ``probable:<k>``
         with k a positive decimal without leading zeros,
         ``truncation_reason`` a string or null and the two flags JSON
-        booleans.  Anything else raises SchemaError.
+        booleans.  The metadata must agree with itself: the depth is at
+        most ``requested_depth``, which is at most the sequence's
+        ``max_depth``; ``truncated`` holds exactly when fewer primes than
+        requested are given; and a truncation reason is given exactly
+        when the chain is truncated.  Anything else raises SchemaError.
         """
         if not isinstance(obj, dict):
             raise SchemaError("chain document must be a JSON object")
@@ -456,6 +460,16 @@ class PrimeChain:
         if reason is not None and not isinstance(reason, str):
             raise SchemaError("truncation_reason must be a string or null")
         requested = obj.get("requested_depth")
+        if requested is not None:
+            requested = _parse_decimal(requested, "requested_depth")
+            if not len(primes) <= requested <= exps.max_depth:
+                raise SchemaError(
+                    f"requested_depth {requested} outside [{len(primes)}, {exps.max_depth}]"
+                )
+        if truncated != (requested is not None and len(primes) < requested):
+            raise SchemaError("truncated must say whether fewer primes than requested are given")
+        if (reason is None) == truncated:
+            raise SchemaError("truncation_reason must be given exactly when truncated")
         try:
             return cls(
                 exps=exps,
@@ -466,9 +480,7 @@ class PrimeChain:
                 conditional=conditional,
                 truncated=truncated,
                 truncation_reason=reason,
-                requested_depth=None
-                if requested is None
-                else _parse_decimal(requested, "requested_depth"),
+                requested_depth=requested,
             )
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc

@@ -16,6 +16,7 @@ only, at a precision chosen so sibling enclosures separate.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -28,11 +29,10 @@ from .core import (
     Config,
     EnumerationCapError,
     ExponentSequence,
-    ExponentSpecError,
     Window,
     to_json,
 )
-from .primality import count_primes_in_range, primes_in_range
+from .primality import count_primes_in_window, primes_in_range
 from .radix import certified_root_enclosure, point_root_enclosure
 
 
@@ -44,9 +44,9 @@ class CylinderNode:
     (prefix[-1]+1)^(1/C_depth); ``interval`` is their outward decimal
     enclosure at the forest display precision.  ``child_count`` is the
     exact number of primes in this node's window, or None when the window
-    was not enumerated (leaf windows above the cap); ``children`` is None
-    for nodes at the expansion frontier.  Field order is the key order of
-    the JSON export.
+    was not enumerated (windows that ``count_primes_in_window`` refuses);
+    ``children`` is None for nodes at the expansion frontier.  Field order
+    is the key order of the JSON export.
     """
 
     prefix: tuple[int, ...]
@@ -89,10 +89,11 @@ def explore_tree(
 ) -> Forest:
     """Expand every prime seed in [lo, hi] to ``depth`` chain levels.
 
-    Nodes above the frontier enumerate their windows exactly (child counts
-    and materialized children); frontier nodes still get a child count
-    whenever their window fits under the enumeration cap.  Oversized
-    windows flag the node truncated instead of silently shrinking it.
+    Every window is enumerated by ``count_primes_in_window``: nodes above
+    the frontier list their window's primes as children, frontier nodes
+    only count them.  A window that rule refuses flags a node above the
+    frontier truncated instead of silently shrinking it, and leaves a
+    frontier node's child count None.
     """
     lo, hi = seed_range
     if depth < 1:
@@ -116,40 +117,23 @@ def explore_tree(
 
 def _expand(exps, prefix, depth, config) -> CylinderNode:
     level = len(prefix)
-    placeholder = CertifiedDecimalInterval(0, 0, 0)
-    child_count = None
-    children = None
-    truncated = False
     expandable = level < depth
-    try:
-        c_next = exps.term(level + 1)
-    except ExponentSpecError:
-        c_next = None  # sequence ends here; nothing to enumerate
-    if c_next is not None:
-        window = Window.from_parent(prefix[-1], c_next)
-        if (
-            window.width > config.enumeration_cap
-            or math.isqrt(window.hi_exclusive - 1) > config.max_sieve_base
-        ):
-            if expandable:
-                truncated = True
-                children = ()
-        elif expandable:
-            primes = primes_in_range(window.lo, window.hi_exclusive, config)
-            child_count = len(primes)
-            children = tuple(_expand(exps, prefix + (q,), depth, config) for q in primes)
-        else:
-            child_count = count_primes_in_range(window.lo, window.hi_exclusive, config)
-    elif expandable:
-        truncated = True
-        children = ()
+    counted = None  # stays None when the sequence ends here or the window is refused
+    if level < exps.max_depth:
+        window = Window.from_parent(prefix[-1], exps.term(level + 1))
+        with contextlib.suppress(EnumerationCapError):
+            counted = count_primes_in_window(window, config, include_list=expandable)
+    children = None
+    if expandable:
+        primes = () if counted is None else counted.primes
+        children = tuple(_expand(exps, prefix + (q,), depth, config) for q in primes)
     return CylinderNode(
         prefix=tuple(prefix),
         depth=level,
-        interval=placeholder,
-        child_count=child_count,
+        interval=CertifiedDecimalInterval(0, 0, 0),  # placeholder until _attach
+        child_count=None if counted is None else counted.count,
         children=children,
-        truncated=truncated,
+        truncated=expandable and counted is None,
     )
 
 

@@ -18,14 +18,18 @@ import); otherwise, and for every smaller modulus, it is the builtin
 tiers do not depend on the backend; ``modexp_backend()`` reports which
 one runs.  The strong Lucas ladder stays in Python ints.
 
-Window work runs through one numpy sieve over segments of odd numbers.
-Scan mode (``scan_range``: min and max scans, and counts above the sieve
-bound) strikes each segment's multiples of the odd primes up to 2^17 and
-tests only the survivors with ``is_prime``, returning the verdict it
-computed; budgets count scan positions (every odd number, plus every
-integer below 3), struck or not.  Exact mode sieves with base primes to
-sqrt(hi) and either lists each segment's primes (``primes_in_range``) or
-only counts them (``count_primes_in_range``).
+Every prime enumeration runs through one numpy sieve kernel over odd
+numbers: ``_odd_mask`` is the one loop that strikes multiples and
+``_walk_segments`` the one segment walker; ``_sieve_odd`` builds the base
+primes with them.  Scan mode (``scan_range``: min and max scans, and
+counts above the sieve bound) strikes each segment's multiples of the odd
+primes up to 2^17 and tests only the survivors with ``is_prime``,
+returning the verdict it computed; budgets count scan positions (every
+odd number, plus every integer below 3), struck or not.  Exact mode
+sieves with base primes to sqrt(hi) and either lists each segment's
+primes (``primes_in_range``) or only counts them
+(``count_primes_in_range``).  ``count_primes_in_window`` is the one rule
+for which windows are enumerated; the explorer's child counts use it.
 """
 
 from __future__ import annotations
@@ -48,23 +52,86 @@ from .core import (
     probable,
 )
 
+# ---------------------------------------------------------------------------
+# the sieve kernel: one striking loop and one segment walker
+
+
+def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
+    """n mod each modulus (n >= 0, moduli below 2^30) as an int64 array.
+
+    Values of 62 bits or more are reduced by Horner's rule over their
+    32-bit limbs, so no Python int per modulus is ever built.
+    """
+    if n < 1 << 62:
+        return n % moduli
+    limbs = np.frombuffer(n.to_bytes((n.bit_length() + 31) // 32 * 4, "big"), ">u4")
+    r = np.zeros_like(moduli)
+    for limb in limbs.astype(np.int64).tolist():
+        r = ((r << 32) + limb) % moduli
+    return r
+
+
+def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Sieve mask of the odd numbers a, a + 2, ..., a + 2*(length - 1).
+
+    ``a`` is odd and at least 3, ``base`` holds ascending odd primes and
+    ``res`` is a mod each of them.  An entry is False exactly when its
+    number has a factor in ``base`` other than itself.
+    """
+    mask = np.ones(length, dtype=bool)
+    if not base.size:
+        return mask
+    t = (base - res) % base  # p divides a + t
+    start = (t + (t & 1) * base) // 2  # first odd multiple is a + 2*start
+    if a <= int(base[-1]) ** 2:
+        # p itself may lie in the segment; smaller multiples of p below p*p
+        # are struck by their other, smaller prime factor
+        pp = base * base
+        start = np.where(pp >= a, (pp - a) // 2, start)
+    split = int(np.searchsorted(base, length))
+    for p, s in zip(base[:split].tolist(), start[:split].tolist()):
+        mask[s::p] = False
+    far = start[split:]  # primes of at least ``length`` strike at most once
+    mask[far[far < length]] = False
+    return mask
+
+
+def _walk_segments(
+    first: int, count: int, base: np.ndarray, length: int, cap: int, descending: bool = False
+):
+    """Yield (a, ``_odd_mask`` of a, a + 2, ...) for segments covering the
+    ``count`` odd numbers from ``first`` in scan order.  Segments hold
+    ``length`` odd numbers, doubling up to ``cap``; residues come from
+    Horner's rule once and are then shifted from segment to segment.
+    """
+    done, res, a_prev = 0, None, 0
+    while done < count:
+        length = min(length, count - done)
+        a = first + 2 * (count - done - length if descending else done)
+        res = _residues(a, base) if res is None else (res + (a - a_prev)) % base
+        yield a, _odd_mask(a, length, base, res)
+        done += length
+        a_prev = a
+        length = min(2 * length, cap)
+
+
+def _sieve_odd(limit: int) -> np.ndarray:
+    """All primes <= limit as an int64 array (odd-only sieve of Eratosthenes;
+    the striking primes up to sqrt(limit) come from a recursive call)."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    base = _sieve_odd(isqrt(limit))[1:]
+    mask = _odd_mask(3, (limit - 1) // 2, base, 3 % base)
+    return np.concatenate((np.array([2], dtype=np.int64), 3 + 2 * np.flatnonzero(mask)))
+
+
 # Strong-pseudoprime witness set (the primes 2..37) proven exhaustive for
 # n < 3.186e23, comfortably covering the deterministic tier below 2^64.
 # (The bound 3.317e24 belongs to the 13-base set that adds 41.)
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TWO64 = 1 << 64
 
-
-def _tiny_sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
-
-
-_TRIAL_PRIMES = tuple(_tiny_sieve(997))
+_TRIAL_PRIMES = tuple(_sieve_odd(997).tolist())
 _TRIAL_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 # Survivors of division by every prime <= 997 have no factor below 1009,
@@ -279,46 +346,6 @@ _SCAN_SEGMENT_FIRST = 1 << 8
 _SCAN_SEGMENT_CAP = 1 << 15
 
 
-def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
-    """n mod each modulus (n >= 0, moduli below 2^30) as an int64 array.
-
-    Values of 62 bits or more are reduced by Horner's rule over their
-    32-bit limbs, so no Python int per modulus is ever built.
-    """
-    if n < 1 << 62:
-        return n % moduli
-    limbs = np.frombuffer(n.to_bytes((n.bit_length() + 31) // 32 * 4, "big"), ">u4")
-    r = np.zeros_like(moduli)
-    for limb in limbs.astype(np.int64).tolist():
-        r = ((r << 32) + limb) % moduli
-    return r
-
-
-def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Sieve mask of the odd numbers a, a + 2, ..., a + 2*(length - 1).
-
-    ``a`` is odd and at least 3, ``base`` holds ascending odd primes and
-    ``res`` is a mod each of them.  An entry is False exactly when its
-    number has a factor in ``base`` other than itself.
-    """
-    mask = np.ones(length, dtype=bool)
-    if not base.size:
-        return mask
-    t = (base - res) % base  # p divides a + t
-    start = (t + (t & 1) * base) // 2  # first odd multiple is a + 2*start
-    if a <= int(base[-1]) ** 2:
-        # p itself may lie in the segment; smaller multiples of p below p*p
-        # are struck by their other, smaller prime factor
-        pp = base * base
-        start = np.where(pp >= a, (pp - a) // 2, start)
-    split = int(np.searchsorted(base, length))
-    for p, s in zip(base[:split].tolist(), start[:split].tolist()):
-        mask[s::p] = False
-    far = start[split:]  # primes of at least ``length`` strike at most once
-    mask[far[far < length]] = False
-    return mask
-
-
 def _scan_layout(lo: int, hi: int) -> tuple[int, int, int]:
     """(small, first, odd) for the scan positions of [lo, hi).
 
@@ -351,18 +378,13 @@ def _survivors(lo: int, hi: int, descending: bool, limit: int):
         yield 2
     if count > 0:
         base = _base_primes(min(_SCAN_SIEVE_LIMIT, isqrt(first + 2 * (count - 1))))[1:]
-        done, length, res, a_prev = 0, _SCAN_SEGMENT_FIRST, None, 0
-        while done < count:
-            length = min(length, count - done)
-            a = first + 2 * (count - done - length if descending else done)
-            res = _residues(a, base) if res is None else (res + (a - a_prev)) % base
-            hits = np.flatnonzero(_odd_mask(a, length, base, res)).tolist()
+        for a, mask in _walk_segments(
+            first, count, base, _SCAN_SEGMENT_FIRST, _SCAN_SEGMENT_CAP, descending
+        ):
+            hits = np.flatnonzero(mask).tolist()
             if descending:
                 hits.reverse()
             yield from (a + 2 * i for i in hits)  # a may exceed int64
-            done += length
-            a_prev = a
-            length = min(2 * length, _SCAN_SEGMENT_CAP)
     if two and descending:
         yield 2
 
@@ -469,22 +491,24 @@ class WindowCount:
 def count_primes_in_window(
     window: Window,
     config: Config = DEFAULT_CONFIG,
-    cap: int | None = None,
     include_list: bool = False,
 ) -> WindowCount:
-    """Exact prime count of a window below the enumeration cap.
+    """Exact prime count of a window, or EnumerationCapError.
 
-    Windows whose square root fits under the sieve base bound are counted
-    by segmented sieve (deterministic), without listing the primes unless
-    ``include_list`` asks for them.  Narrow windows beyond that bound fall
-    back to testing the scan's sieve survivors, and the weakest certainty
-    tier encountered is reported.
+    This is the one rule for which windows are enumerated.  Windows wider
+    than ``config.enumeration_cap`` are refused.  Windows whose square root
+    fits under ``config.max_sieve_base`` are counted by segmented sieve
+    (deterministic), without listing the primes unless ``include_list``
+    asks for them.  Narrow windows beyond that bound fall back to testing
+    the scan's sieve survivors, and the weakest certainty tier encountered
+    is reported; wider ones are refused.
     """
-    if cap is None:
-        cap = config.enumeration_cap
+    cap = config.enumeration_cap
     if window.width > cap:
+        # in bits: the width itself may be too long to print
         raise EnumerationCapError(
-            f"window width {window.width} exceeds enumeration cap {cap}", cap
+            f"window of {window.width.bit_length()}-bit width exceeds enumeration cap {cap}",
+            cap,
         )
     if isqrt(window.hi_exclusive - 1) <= config.max_sieve_base:
         if not include_list:
@@ -514,24 +538,6 @@ def count_primes_in_window(
 _base_cache: dict = {"limit": 1, "primes": np.empty(0, dtype=np.int64)}
 
 
-def _sieve_odd(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (odd-only sieve of Eratosthenes)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    half = (limit + 1) // 2
-    mask = np.ones(half, dtype=bool)
-    mask[0] = False
-    for i in range(1, (isqrt(limit) - 1) // 2 + 1):  # odd p = 2i+1 <= sqrt(limit)
-        if mask[i]:
-            p = 2 * i + 1
-            start = (p * p) // 2
-            if start < half:
-                mask[start::p] = False
-    odds = 2 * np.flatnonzero(mask).astype(np.int64) + 1
-    odds = odds[odds <= limit]
-    return np.concatenate((np.array([2], dtype=np.int64), odds))
-
-
 def _base_primes(limit: int) -> np.ndarray:
     if limit > _base_cache["limit"]:
         grown = max(limit, 2 * _base_cache["limit"], 1 << 16)
@@ -543,7 +549,7 @@ def _base_primes(limit: int) -> np.ndarray:
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit (exact sieve)."""
-    return [int(p) for p in _base_primes(limit)]
+    return _base_primes(limit).tolist()
 
 
 _SEGMENT_WIDTH_LIMIT = 50_000_000
@@ -570,11 +576,8 @@ def _sieve_segments(lo: int, hi: int, config: Config):
             f"segment width {width} exceeds {_SEGMENT_WIDTH_LIMIT}",
             _SEGMENT_WIDTH_LIMIT,
         )
-    base = _base_primes(need)[1:]
     _, first, odd = _scan_layout(lo, hi)
-    for done in range(0, odd, _SIEVE_SEGMENT):
-        a = first + 2 * done
-        yield a, _odd_mask(a, min(_SIEVE_SEGMENT, odd - done), base, _residues(a, base))
+    yield from _walk_segments(first, odd, _base_primes(need)[1:], _SIEVE_SEGMENT, _SIEVE_SEGMENT)
 
 
 def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[int]:
@@ -604,13 +607,15 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
     return count
 
 
-def first_prime_in_range(
-    lo: int, hi: int, config: Config = DEFAULT_CONFIG, segment: int = 1 << 17
-) -> int | None:
+# Width of the ranges the sieve-only oracles below sieve at a time.
+_ORACLE_SEGMENT = 1 << 17
+
+
+def first_prime_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> int | None:
     """Least prime in [lo, hi) via segmented sieve only (oracle-grade)."""
     seg_lo = max(lo, 2)
     while seg_lo < hi:
-        seg_hi = min(seg_lo + segment, hi)
+        seg_hi = min(seg_lo + _ORACLE_SEGMENT, hi)
         ps = primes_in_range(seg_lo, seg_hi, config)
         if ps:
             return ps[0]
@@ -618,14 +623,12 @@ def first_prime_in_range(
     return None
 
 
-def last_prime_in_range(
-    lo: int, hi: int, config: Config = DEFAULT_CONFIG, segment: int = 1 << 17
-) -> int | None:
+def last_prime_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> int | None:
     """Greatest prime in [lo, hi) via segmented sieve only (oracle-grade)."""
     seg_hi = hi
     floor = max(lo, 2)
     while seg_hi > floor:
-        seg_lo = max(seg_hi - segment, floor)
+        seg_lo = max(seg_hi - _ORACLE_SEGMENT, floor)
         ps = primes_in_range(seg_lo, seg_hi, config)
         if ps:
             return ps[-1]

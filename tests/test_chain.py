@@ -1,4 +1,7 @@
 import copy
+import json
+import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -243,6 +246,21 @@ class TestThetaReport:
         assert rec.side == "right" and rec.offset == 27 - 23 == 4
         assert rec.satisfied == (4**40 <= 3**63) is True
 
+    def test_hostile_exponent_refused_before_any_power(self):
+        # 2^99999999999999 would never finish; the ceiling test comes first
+        chain = PrimeChain(
+            exps=pk.parse_exponent_spec("list:3,99999999999999"),
+            primes=(2, 3),
+            mode="explicit",
+            certainty=("deterministic",) * 2,
+            policy=pk.EMPIRICAL,
+            conditional=False,
+        )
+        started = time.monotonic()
+        with pytest.raises(pk.BitCeilingError):
+            pk.theta_window_report(chain)
+        assert time.monotonic() - started < 1
+
 
 class TestConvergenceBound:
     @staticmethod
@@ -339,6 +357,36 @@ MILLS5_DOC = {
 FUZZ_CONFIG = replace(pk.DEFAULT_CONFIG, rescan_cap=10_000)
 ODD_VALUES = ([], {}, ["2"], None, True, 0, 2.5, "", "x", "2")
 TIERS = ("deterministic", "probable:32", "probable:1", "banana", "probable:032", "")
+METADATA = ("truncated", "truncation_reason", "requested_depth")
+META_VALUES = (
+    [("truncated", v) for v in (True, False)]
+    + [("truncation_reason", v) for v in (None, "cut", "")]
+    + [("requested_depth", v) for v in ("4", "5", "6", "64", "65", "775", None)]
+)
+
+
+def _metadata_only(doc) -> bool:
+    """Does ``doc`` differ from the true document at most in its metadata?"""
+    def rest(d):  # as JSON text, so 0 and false differ
+        return json.dumps({k: v for k, v in d.items() if k not in METADATA}, sort_keys=True)
+
+    return rest(doc) == rest(MILLS5_DOC)
+
+
+def _consistent_metadata(doc) -> bool:
+    """The schema's metadata rules, restated for a document of 5 primes
+    under const:3 (max depth 64)."""
+    requested = doc.get("requested_depth")
+    truncated = doc.get("truncated", False)
+    reason = doc.get("truncation_reason")
+    if type(truncated) is not bool or not (reason is None or isinstance(reason, str)):
+        return False
+    if requested is None:
+        return not truncated and reason is None
+    if not (isinstance(requested, str) and re.fullmatch("[0-9]+", requested)):
+        return False
+    requested = int(requested)
+    return 5 <= requested <= 64 and truncated == (requested > 5) == (reason is not None)
 
 
 @st.composite
@@ -348,7 +396,9 @@ def mutated_documents(draw):
     flags and modes, and arrays cut, padded or emptied."""
     doc = copy.deepcopy(MILLS5_DOC)
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("retype", "digits", "tier", "flag", "length", "drop")))
+        kind = draw(
+            st.sampled_from(("retype", "digits", "tier", "flag", "length", "drop", "meta"))
+        )
         keys = sorted(doc)
         if kind == "drop" and keys:
             del doc[draw(st.sampled_from(keys))]
@@ -383,6 +433,9 @@ def mutated_documents(draw):
                 )
             )
             doc[key] = value
+        elif kind == "meta":
+            key, value = draw(st.sampled_from(META_VALUES))
+            doc[key] = value
         elif kind == "length":
             key = draw(st.sampled_from(("primes", "certainty")))
             if isinstance(doc.get(key), list):
@@ -410,5 +463,9 @@ class TestVerifyFuzz:
         try:
             report = pk.verify_chain(PrimeChain.from_json_dict(doc), FUZZ_CONFIG)
         except pk.PrcError:
-            return
-        assert isinstance(report, pk.ChainReport)
+            report = None
+        else:
+            assert isinstance(report, pk.ChainReport)
+        if _metadata_only(doc):
+            # the primes are the true ones, so only the metadata decides
+            assert (report is not None and report.passed) == _consistent_metadata(doc)

@@ -207,6 +207,36 @@ class TestVerifyCommand:
         assert code == 66 and out == ""
         assert err.startswith("chain file schema mismatch: certainty entries")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"truncated": True},
+            {"requested_depth": "775"},
+            {"requested_depth": "2"},
+            {"requested_depth": "4"},
+            {"truncation_reason": "cut"},
+            {"requested_depth": None, "truncated": True, "truncation_reason": "cut"},
+            {"requested_depth": "775", "truncated": True, "truncation_reason": "cut"},
+        ],
+    )
+    def test_inconsistent_metadata_exits_66(self, capsys, tmp_path, fields):
+        code, out, _ = run_cli(capsys, *CHAIN_ARGS)
+        doc = dict(json.loads(out), **fields)
+        chain_file = tmp_path / "meta.json"
+        chain_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--chain-file", str(chain_file))
+        assert code == 66 and out == ""
+        assert err.startswith("chain file schema mismatch: ")
+
+    def test_consistent_truncation_claim_verifies(self, capsys, tmp_path):
+        # three true primes of a chain asked for four: nothing to refute
+        code, out, _ = run_cli(capsys, *CHAIN_ARGS)
+        fields = {"requested_depth": "4", "truncated": True, "truncation_reason": "cut"}
+        chain_file = tmp_path / "meta.json"
+        chain_file.write_text(json.dumps(dict(json.loads(out), **fields)))
+        code, report, _ = run_json(capsys, "verify", "--chain-file", str(chain_file))
+        assert code == 0 and report["passed"] is True
+
     def test_well_formed_wrong_tier_fails_the_check(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, *CHAIN_ARGS)
         doc = json.loads(out)

@@ -193,10 +193,10 @@ class TestPrimeChainSerialization:
 
     def test_strict_document_decodes(self):
         chain = pk.PrimeChain.from_json_dict(
-            dict(self.TWO_PRIMES, truncation_reason="cut", requested_depth="5")
+            dict(self.TWO_PRIMES, truncated=True, truncation_reason="cut", requested_depth="5")
         )
         assert chain.primes == (2, 11) and chain.requested_depth == 5
-        assert chain.truncation_reason == "cut"
+        assert chain.truncated and chain.truncation_reason == "cut"
 
     @pytest.mark.parametrize(
         "field,value",
@@ -228,11 +228,28 @@ class TestPrimeChainSerialization:
             ("certainty", ["probable:-1", "deterministic"]),
             ("certainty", ["probable:3 ", "deterministic"]),
             ("certainty", ["Deterministic", "deterministic"]),
+            # metadata that disagrees with itself (depth 2, not truncated)
+            ("requested_depth", "1"),
+            ("requested_depth", "3"),
+            ("requested_depth", "65"),
+            ("requested_depth", "775"),
+            ("truncated", True),
+            ("truncation_reason", "cut"),
+            ("truncation_reason", ""),
         ],
     )
     def test_strict_decoding(self, field, value):
         with pytest.raises(pk.SchemaError):
             pk.PrimeChain.from_json_dict(dict(self.TWO_PRIMES, **{field: value}))
+
+    @pytest.mark.parametrize("requested", ["65", "775"])
+    def test_requested_depth_beyond_the_sequence_refused(self, requested):
+        # even with a consistent truncation claim: const:3 stops at depth 64
+        doc = dict(
+            self.TWO_PRIMES, truncated=True, truncation_reason="cut", requested_depth=requested
+        )
+        with pytest.raises(pk.SchemaError, match="requested_depth"):
+            pk.PrimeChain.from_json_dict(doc)
 
     def test_known_tiers_decode(self):
         tiers = ["probable:1", "probable:32000000000000000000"]

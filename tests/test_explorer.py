@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import prckit as pk
 from prckit.core import CertifiedDecimalInterval
@@ -255,3 +256,62 @@ def test_gap_endpoints_refine_within_parent_cylinder():
     # cross-powered containment: 11^3 <= 1361 and 1361+1 <= 12^3
     assert level1.value ** 3 <= level2.value
     assert level2.value + 1 <= (level1.value + 1) ** 3
+
+
+def _nodes(forest):
+    stack = list(forest.roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children or ())
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pk.DEFAULT_CONFIG,
+        replace(pk.DEFAULT_CONFIG, enumeration_cap=60),
+        replace(pk.DEFAULT_CONFIG, max_sieve_base=30),
+        replace(pk.DEFAULT_CONFIG, enumeration_cap=1000, max_sieve_base=100),
+    ],
+    ids=["default", "cap60", "base30", "cap1000-base100"],
+)
+def test_child_counts_follow_the_engine(config):
+    # every node's child count is the engine's count of its window, and
+    # None exactly where the engine refuses; refused nodes above the
+    # frontier, and only those, are truncated
+    exps = pk.parse_exponent_spec("const:3")
+    forest = pk.explore_tree(exps, (2, 7), 2, config)
+    refused = 0
+    for node in _nodes(forest):
+        window = pk.Window.from_parent(node.value, exps.term(node.depth + 1))
+        try:
+            expect = pk.count_primes_in_window(window, config).count
+        except pk.EnumerationCapError:
+            expect = None
+            refused += 1
+        assert node.child_count == expect, node.prefix
+        assert node.truncated == (expect is None and node.depth < forest.depth)
+        if node.children:
+            assert [c.value for c in node.children] == primes_between(
+                window.lo, window.hi_exclusive
+            )
+    assert forest.truncated == any(n.truncated for n in _nodes(forest))
+    assert (refused > 0) == (config != pk.DEFAULT_CONFIG)
+
+
+def test_narrow_windows_above_the_sieve_base_are_counted():
+    # with base primes only to 1000, the roots' windows (hi above 1000^2)
+    # fall back to testing sieve survivors; the frontier windows, about
+    # 2 * 10^6 wide, are refused
+    small = replace(pk.DEFAULT_CONFIG, max_sieve_base=1000)
+    forest = pk.explore_tree(pk.parse_exponent_spec("const:2"), (1000, 1040), 2, small)
+    assert [r.value for r in forest.roots] == [1009, 1013, 1019, 1021, 1031, 1033, 1039]
+    assert forest.roots[0].child_count == 151
+    assert not forest.truncated
+    for root in forest.roots:
+        lo, hi = root.value**2, (root.value + 1) ** 2 - 1
+        assert root.child_count == sympy.primepi(hi - 1) - sympy.primepi(lo - 1)
+        assert [c.value for c in root.children] == list(sympy.primerange(lo, hi))
+        assert all(c.child_count is None and not c.truncated for c in root.children)
+    assert pk.validate_forest(forest) == []

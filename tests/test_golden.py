@@ -51,6 +51,13 @@ CASES = [
     ("approx_powfact3", 0, [
         "approx", "--exps", "powfact:3", "--seed", "2", "--depth", "3",
         "--max-den", "10"]),
+    # windows of these roots are far wider than the enumeration cap, so the
+    # roots are truncated at depth 2 and carry no child count at depth 1
+    ("explore_refused", 0, [
+        "explore", "--exps", "const:3", "--seeds", "1000000:1000040", "--depth", "2"]),
+    ("explore_refused_csv", 0, [
+        "explore", "--exps", "const:3", "--seeds", "1000000:1000040", "--depth", "1",
+        "--format", "csv"]),
 ]
 
 

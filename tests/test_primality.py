@@ -1,3 +1,4 @@
+import bisect
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,14 @@ class TestWindowScans:
         w = pk.Window.from_parent(99991, 3)  # width ~3e10
         with pytest.raises(pk.EnumerationCapError):
             pk.count_primes_in_window(w)
+
+    def test_count_refuses_a_width_too_long_to_print(self):
+        # about 9.5k digits, past the interpreter's int-to-str limit
+        w = pk.Window.from_parent(2, 20_000)
+        with pytest.raises(pk.EnumerationCapError, match="31700-bit width"):
+            pk.count_primes_in_window(w)
+        forest = pk.explore_tree(pk.parse_exponent_spec("const:20000"), (2, 3), 1)
+        assert [r.child_count for r in forest.roots] == [None, None]
 
 
 TWO17 = 1 << 17
@@ -311,6 +321,36 @@ class TestSieves:
     def test_sieve_refuses_unreachable_base(self):
         with pytest.raises(pk.EnumerationCapError):
             pk.primes_in_range(10**17, 10**17 + 10)
+
+
+class TestSieveKernel:
+    """``_sieve_odd`` (and so ``_odd_mask``, the one striking loop) and the
+    cached ``primes_upto`` against a plain bytearray sieve."""
+
+    ORACLE = sieve_list(997**2 + 2)
+    ORACLE_ARRAY = np.array(ORACLE, dtype=np.int64)
+
+    def _check(self, limit):
+        count = bisect.bisect_right(self.ORACLE, limit)
+        got = primality._sieve_odd(limit)
+        assert got.dtype == np.int64 and np.array_equal(got, self.ORACLE_ARRAY[:count]), limit
+        assert pk.primes_upto(limit) == self.ORACLE[:count], limit
+
+    def test_trial_primes_are_the_primes_below_1000(self):
+        assert primality._TRIAL_PRIMES == tuple(sieve_list(999))
+        assert len(primality._TRIAL_PRIMES) == 168
+
+    def test_every_limit_to_3000(self):
+        for limit in range(3001):
+            self._check(limit)
+
+    def test_limits_around_prime_squares(self):
+        for p in sieve_list(999):
+            for limit in range(p * p - 2, p * p + 3):
+                self._check(limit)
+
+    def test_two_to_the_17(self):
+        self._check(1 << 17)
 
 
 @given(st.integers(min_value=0, max_value=5000))
