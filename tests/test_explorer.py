@@ -315,3 +315,16 @@ def test_narrow_windows_above_the_sieve_base_are_counted():
         assert [c.value for c in root.children] == list(sympy.primerange(lo, hi))
         assert all(c.child_count is None and not c.truncated for c in root.children)
     assert pk.validate_forest(forest) == []
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_windows_past_the_sieve_width_limit_are_refused(depth):
+    # windows about 6 * 10^7 wide fit under this cap but not under the exact
+    # sieve's 5 * 10^7 width limit: the engine refuses them, so the roots
+    # are truncated (depth 2) or uncounted (depth 1) instead of an error
+    wide = replace(pk.DEFAULT_CONFIG, enumeration_cap=10**8)
+    exps = pk.parse_exponent_spec("const:2")
+    forest = pk.explore_tree(exps, (30_000_000, 30_000_100), depth, wide)
+    assert forest.roots
+    assert all(r.child_count is None for r in forest.roots)
+    assert forest.truncated == (depth == 2)
