@@ -32,6 +32,7 @@ from .core import (
     Window,
     to_json,
 )
+from .chain import _over_ceiling
 from .primality import count_primes_in_window, primes_in_range
 from .radix import certified_root_enclosure, point_root_enclosure
 
@@ -44,7 +45,8 @@ class CylinderNode:
     (prefix[-1]+1)^(1/C_depth); ``interval`` is their outward decimal
     enclosure at the forest display precision.  ``child_count`` is the
     exact number of primes in this node's window, or None when the window
-    was not enumerated (windows that ``count_primes_in_window`` refuses);
+    was not enumerated (windows that ``count_primes_in_window`` refuses,
+    and those the chain bit ceiling refuses before building them);
     ``children`` is None for nodes at the expansion frontier.  Field order
     is the key order of the JSON export.
     """
@@ -119,7 +121,10 @@ def _expand(exps, prefix, depth, config) -> CylinderNode:
     level = len(prefix)
     expandable = level < depth
     counted = None  # stays None when the sequence ends here or the window is refused
-    if level < exps.max_depth:
+    # the chain bit ceiling refuses a window before its power is built
+    if level < exps.max_depth and not _over_ceiling(
+        prefix[-1], exps, level + 1, config.chain_bit_ceiling
+    ):
         window = Window.from_parent(prefix[-1], exps.term(level + 1))
         with contextlib.suppress(EnumerationCapError):
             counted = count_primes_in_window(window, config, include_list=expandable)

@@ -16,15 +16,28 @@ ctypes when the shared library loads (``libgmp.so.10``, ``libgmp.so`` or
 import); otherwise, and for every smaller modulus, it is the builtin
 ``pow``.  Both compute the same integer, so tests, bases, verdicts and
 tiers do not depend on the backend; ``modexp_backend()`` reports which
-one runs.  The strong Lucas ladder stays in Python ints.
+one runs.  The strong Lucas test is one V-only Lucas chain
+(``_lucas_v``), run from 768 bits on the same libgmp handle (mpz_mul,
+mpz_sub and mpz_mod per step) and in Python ints below that or without
+libgmp.
+
+With libgmp and at least two usable CPUs, the tests of values from 1024
+bits run on one shared pool of at most 4 threads, made on first use
+(``concurrent.futures`` is imported only then; import starts no thread).
+``is_prime`` runs the strong Lucas test and the Miller-Rabin rounds of a
+value that passed base 2 concurrently, and a scan tests its next few
+survivors to base 2 concurrently, then gives the full test to those that
+pass, in scan order.  The libgmp calls release the GIL, so the threads
+overlap.  Verdicts, tiers, the bases drawn and scan budgets do not depend
+on the pool.
 
 Every prime enumeration runs through one numpy sieve kernel over odd
 numbers: ``_odd_mask`` is the one loop that strikes multiples and
 ``_walk_segments`` the one segment walker; ``_sieve_odd`` builds the base
 primes with them.  Scan mode (``scan_range``: min and max scans, and
 counts above the sieve bound) strikes each segment's multiples of the odd
-primes up to 2^17 and tests only the survivors with ``is_prime``,
-returning the verdict it computed; budgets count scan positions (every
+primes up to 2^17 and tests only the survivors, returning the
+``is_prime`` verdict of the first prime; budgets count scan positions (every
 odd number, plus every integer below 3), struck or not.  Exact mode
 sieves with base primes to sqrt(hi) and either lists each segment's
 primes (``primes_in_range``) or only counts them
@@ -34,8 +47,12 @@ for which windows are enumerated; the explorer's child counts use it.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -143,35 +160,37 @@ _BASE_SALT = 0x9E3779B97F4A7C15  # seeds the per-value PRNG for extra rounds
 
 # Shared-library names tried in order, on the first big odd modulus.
 _GMP_NAMES = ("libgmp.so.10", "libgmp.so", "libgmp.10.dylib")
-# (version, powm) once libgmp has loaded, False when none loaded, None
-# before the first try.
+# (version, powm, lucas_v) once libgmp has loaded, False when none loaded,
+# None before the first try.
 _gmp = None
 
 
 def _libgmp():
-    """``_gmp``, binding libgmp's mpz_powm through ctypes on the first call.
+    """``_gmp``, binding libgmp through ctypes on the first call.
 
-    Returns ``(version, powm)``, or False when no library loads or one
-    lacks the symbols; either answer is kept for the life of the process.
+    Returns ``(version, powm, lucas_v)``, or False when no library loads or
+    one lacks the symbols; either answer is kept for the life of the
+    process.  ``powm(a, e, n)`` is pow(a, e, n) and ``lucas_v`` computes
+    what ``_lucas_v`` does.
     """
     global _gmp
     if _gmp is not None:
         return _gmp
     import ctypes
 
+    names = ("init", "clear", "import", "export", "powm", "mul", "sub", "sub_ui", "mod")
     for name in _GMP_NAMES:
         try:
             lib = ctypes.CDLL(name)
             version = ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
-            init, clear, mpz_import, mpz_export, mpz_powm = (
-                lib["__gmpz_" + fn] for fn in ("init", "clear", "import", "export", "powm")
-            )
+            fns = [lib["__gmpz_" + fn] for fn in names]
         except (OSError, AttributeError, ValueError):
             continue
         break
     else:
         _gmp = False
         return _gmp
+    init, clear, mpz_import, mpz_export, mpz_powm, mul, sub, sub_ui, mod = fns
 
     class Mpz(ctypes.Structure):  # __mpz_struct of gmp.h
         _fields_ = [
@@ -180,37 +199,76 @@ def _libgmp():
             ("limbs", ctypes.c_void_p),
         ]
 
-    mpz, size_t, c_int = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
+    # Values pass as plain addresses: a POINTER(Mpz) argument costs about
+    # 1 us more per call, which the Lucas ladder's 6 calls per bit would feel.
+    mpz, size_t, c_int = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
     init.argtypes = clear.argtypes = [mpz]
     mpz_powm.argtypes = [mpz] * 4
+    mul.argtypes = sub.argtypes = mod.argtypes = [mpz] * 3
+    sub_ui.argtypes = [mpz, mpz, ctypes.c_ulong]
     # (rop, count, order, size, endian, nails, data) and its inverse
     mpz_import.argtypes = [mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p]
     mpz_export.argtypes = [
         ctypes.c_char_p, ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz
     ]
-    init.restype = clear.restype = mpz_import.restype = mpz_powm.restype = None
+    for fn in fns:
+        fn.restype = None
     mpz_export.restype = ctypes.c_void_p
 
-    def powm(a: int, e: int, n: int) -> int:
-        # Fresh values on every call: the foreign calls release the GIL, so
-        # shared scratch values would race between threads.
-        r, b, x, m = values = (Mpz(), Mpz(), Mpz(), Mpz())
-        for z in values:
+    def run(values, body, size):
+        """body(*addresses) on fresh mpz values set to ``values``; returns
+        the values at the addresses body returns, read as ``size``-byte ints.
+
+        Fresh values on every call: the foreign calls release the GIL, so
+        shared scratch values would race between threads.
+        """
+        zs = [Mpz() for _ in values]
+        addrs = [ctypes.addressof(z) for z in zs]
+        for z in addrs:
             init(z)
         try:
-            for z, v in ((b, a), (x, e), (m, n)):
+            for z, v in zip(addrs, values):
                 raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
                 mpz_import(z, len(raw), -1, 1, 0, 0, raw)  # bytes, least first
-            mpz_powm(r, b, x, m)
-            # raw holds n, and r < n fits in as many bytes
-            out, count = ctypes.create_string_buffer(len(raw)), size_t()
-            mpz_export(out, ctypes.byref(count), -1, 1, 0, 0, r)
+            out, count = ctypes.create_string_buffer(size), size_t()
+            results = []
+            for z in body(*addrs):
+                mpz_export(out, ctypes.byref(count), -1, 1, 0, 0, z)
+                results.append(int.from_bytes(out.raw[: count.value], "little"))
+            return results
         finally:
-            for z in values:
+            for z in addrs:
                 clear(z)
-        return int.from_bytes(out.raw[: count.value], "little")
 
-    _gmp = (version, powm)
+    def powm(a: int, e: int, n: int) -> int:
+        def body(r, b, x, m):
+            mpz_powm(r, b, x, m)
+            return (r,)
+
+        # r < n fits in as many bytes as n
+        return run((0, a, e, n), body, (n.bit_length() + 7) // 8)[0]
+
+    def lucas_v(pp: int, m: int, n: int) -> tuple[int, int]:
+        def body(a, b, t, zn, zp):
+            for bit in bin(m)[2:]:  # the chain of _lucas_v
+                mul(t, a, b)
+                sub(t, t, zp)
+                mod(t, t, zn)  # V_(2k+1)
+                if bit == "1":
+                    mul(b, b, b)
+                    sub_ui(b, b, 2)
+                    mod(b, b, zn)  # V_(2k+2)
+                    a, t = t, a
+                else:
+                    mul(a, a, a)
+                    sub_ui(a, a, 2)
+                    mod(a, a, zn)  # V_(2k)
+                    b, t = t, b
+            return a, b
+
+        return tuple(run((2, pp, 0, n, pp), body, (n.bit_length() + 7) // 8))
+
+    _gmp = (version, powm, lucas_v)
     return _gmp
 
 
@@ -229,6 +287,60 @@ def modexp_backend() -> str:
     ``"builtin"``.  Only reports: results are identical either way."""
     gmp = _libgmp()
     return f"gmp {gmp[0]}" if gmp else "builtin"
+
+
+# Break-evens from the sweeps recorded in BENCH_7.json (2 vCPU, GMP 6.2.1):
+# the strong Lucas ladder runs on libgmp from this many bits of n (below,
+# ctypes call overhead outweighs the faster arithmetic) ...
+_LUCAS_GMP_BITS = 768
+# ... and tests of n from this many bits run on the test pool (below, the
+# second core saved little more than the hand-offs to threads cost, and a
+# scan's sieving in the calling thread holds the GIL its workers wait for).
+_POOL_MIN_BITS = 1024
+_POOL_MAX_WORKERS = 4
+# (executor, workers) once made, False with one usable CPU, None before the
+# first test of at least _POOL_MIN_BITS bits.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _pool_for(n: int):
+    """(executor, workers) of the shared test pool when tests of n should
+    run on it, else None.
+
+    Only libgmp's calls release the GIL, so without libgmp nothing runs
+    pooled; libgmp is bound here, in the calling thread, before any
+    submit.  Pool tasks are ``_sprp`` and ``_strong_lucas_prp`` calls: they
+    never submit to the pool themselves.
+    """
+    global _pool
+    if n.bit_length() < _POOL_MIN_BITS or not _libgmp():
+        return None
+    with _pool_lock:
+        if _pool is None:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # not on every platform
+                cpus = os.cpu_count() or 1
+            workers = min(_POOL_MAX_WORKERS, cpus)
+            _pool = False
+            if workers > 1:
+                # imported here: concurrent.futures costs about 11 ms to import
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = (ThreadPoolExecutor(workers, "prckit-test"), workers)
+    return _pool or None
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads, and its copy
+    of the lock may have been held by one of them."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _sprp(n: int, a: int) -> bool:
@@ -265,11 +377,35 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _lucas_v(pp: int, m: int, n: int) -> tuple[int, int]:
+    """(V_m, V_(m+1)) mod n of the Lucas sequence V_0 = 2, V_1 = pp,
+    V_(k+1) = pp V_k - V_(k-1) (parameters (pp, 1)), by a Lucas chain over
+    the bits of m (0 <= pp < n)."""
+    a, b = 2, pp
+    for bit in bin(m)[2:]:  # (a, b) = (V_k, V_(k+1)), then k becomes 2k + bit
+        t = (a * b - pp) % n
+        if bit == "1":
+            a, b = t, (b * b - 2) % n
+        else:
+            a, b = (a * a - 2) % n, t
+    return a, b
+
+
 def _strong_lucas_prp(n: int) -> bool:
     """Strong Lucas probable prime test with Selfridge parameters.
 
     Caller must have ruled out even n, small factors, and perfect squares
     (the discriminant search below does not terminate on squares).
+
+    With P = 1, Q = (1 - D)/4 and n + 1 = d 2^s, d odd, n passes when U_d
+    or some V_(d 2^r), 0 <= r < s, is 0 mod n.  Only a V-only ladder runs:
+    W below is the Lucas V sequence of parameters (1/Q - 2, 1).  For a
+    unit Q and d = 2m + 1, V_(2k) = Q^k W_k, V_d = Q^(m+1) (W_m + W_(m+1))
+    and D U_d = Q^(m+1) (W_(m+1) - W_m), D being a unit by its Jacobi
+    symbol; so n passes when W_m = W_(m+1), W_m = -W_(m+1) or some
+    W_(d 2^r), 0 <= r < s - 1, is 0, where W_d = W_m W_(m+1) - W_1.  Q is
+    a unit: a prime p dividing Q and n is below |D|, so the search met
+    D = +-p (or 9, for p = 3) first, with symbol 0.
     """
     D = 5
     while True:
@@ -279,28 +415,44 @@ def _strong_lucas_prp(n: int) -> bool:
         if j == -1:
             break
         D = -(D + 2) if D > 0 else -(D - 2)
-    P = 1
     Q = (1 - D) // 4
     d = n + 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    U, V, Qk = 1, P, Q % n
-    inv2 = (n + 1) >> 1
-    for bit in bin(d)[3:]:
-        U = U * V % n
-        V = (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if bit == "1":
-            U, V = (P * U + V) * inv2 % n, (D * U + P * V) * inv2 % n
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
+    pp = (pow(Q, -1, n) - 2) % n
+    ladder = _lucas_v
+    if n.bit_length() >= _LUCAS_GMP_BITS:
+        gmp = _libgmp()
+        if gmp:
+            ladder = gmp[2]
+    w, w1 = ladder(pp, d >> 1, n)
+    if w == w1 or (w + w1) % n == 0:
         return True
+    w = (w * w1 - pp) % n
     for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
-        if V == 0:
+        if w == 0:
             return True
-        Qk = Qk * Qk % n
+        w = (w * w - 2) % n
     return False
+
+
+def _all_pass(n: int, tests) -> bool:
+    """True when every call (fn, *args) in ``tests`` of n returns true, run
+    in the order given or, when ``_pool_for(n)`` yields a pool,
+    concurrently; the calls not started yet are cancelled at the first
+    failure."""
+    pool = _pool_for(n)
+    if pool is None:
+        return all(fn(*args) for fn, *args in tests)
+    from concurrent.futures import as_completed
+
+    executor, _ = pool
+    futures = [executor.submit(*call) for call in tests]
+    try:
+        return all(f.result() for f in as_completed(futures))
+    finally:
+        for f in futures:
+            f.cancel()
 
 
 def is_prime(n: int, config: Config = DEFAULT_CONFIG) -> PrimalityVerdict:
@@ -325,12 +477,10 @@ def is_prime(n: int, config: Config = DEFAULT_CONFIG) -> PrimalityVerdict:
     r = isqrt(n)
     if r * r == n:
         return PrimalityVerdict(n, False, DETERMINISTIC)
-    if not _strong_lucas_prp(n):
-        return PrimalityVerdict(n, False, DETERMINISTIC)
     rng = random.Random(n ^ _BASE_SALT)
-    for _ in range(config.mr_rounds):
-        if not _sprp(n, rng.randrange(2, n - 1)):
-            return PrimalityVerdict(n, False, DETERMINISTIC)
+    rounds = [(_sprp, n, rng.randrange(2, n - 1)) for _ in range(config.mr_rounds)]
+    if not _all_pass(n, [(_strong_lucas_prp, n), *rounds]):
+        return PrimalityVerdict(n, False, DETERMINISTIC)
     return PrimalityVerdict(n, True, probable(config.mr_rounds))
 
 
@@ -389,6 +539,33 @@ def _survivors(lo: int, hi: int, descending: bool, limit: int):
         yield 2
 
 
+def _passing_base_2(pool, candidates):
+    """Yield the candidates that are strong probable primes to base 2 (2
+    among them), in their order, testing as many ahead as ``pool`` has
+    workers; closing the generator cancels the tests not started yet.
+
+    Every other candidate is composite, and is_prime says so at its own
+    base-2 step or before.
+    """
+    executor, ahead = pool
+    pending = collections.deque()
+    try:
+        for n in candidates:
+            pending.append((n, executor.submit(_sprp, n, 2)))
+            if len(pending) < ahead:
+                continue
+            first, test = pending.popleft()
+            if test.result():
+                yield first
+        while pending:
+            first, test = pending.popleft()
+            if test.result():
+                yield first
+    finally:
+        for _, test in pending:
+            test.cancel()
+
+
 def scan_range(
     lo: int,
     hi: int,
@@ -408,10 +585,15 @@ def scan_range(
     if budget is None:
         budget = config.window_budget
     limit = max(budget, 0)
-    for n in _survivors(lo, hi, descending, limit):
-        verdict = is_prime(n, config)
-        if verdict.is_prime:
-            return verdict
+    candidates = _survivors(lo, hi, descending, limit)
+    pool = _pool_for(max(lo, 2))
+    if pool is not None:
+        candidates = _passing_base_2(pool, candidates)
+    with contextlib.closing(candidates):
+        for n in candidates:
+            verdict = is_prime(n, config)
+            if verdict.is_prime:
+                return verdict
     small, _, odd = _scan_layout(lo, hi)
     if small + odd > limit:
         raise WindowSearchExhausted(
@@ -563,17 +745,19 @@ def _sieve_segments(lo: int, hi: int, config: Config):
     ``mask`` marks the primes among a, a + 2, ...; base primes run to
     sqrt(hi), refused above ``config.max_sieve_base``.  Callers add 2.
     """
+    # bounds in bits: lo, hi and the width may be too long to print
     need = isqrt(hi - 1)
     if need > config.max_sieve_base:
         raise EnumerationCapError(
-            f"sieving [{lo}, {hi}) needs base primes to {need}, above the "
-            f"configured bound {config.max_sieve_base}",
+            f"sieving below a {hi.bit_length()}-bit bound needs "
+            f"{need.bit_length()}-bit base primes, above the configured bound "
+            f"{config.max_sieve_base}",
             config.max_sieve_base,
         )
     width = hi - lo
     if width > _SEGMENT_WIDTH_LIMIT:
         raise EnumerationCapError(
-            f"segment width {width} exceeds {_SEGMENT_WIDTH_LIMIT}",
+            f"segment of {width.bit_length()}-bit width exceeds {_SEGMENT_WIDTH_LIMIT}",
             _SEGMENT_WIDTH_LIMIT,
         )
     _, first, odd = _scan_layout(lo, hi)

@@ -287,6 +287,21 @@ class TestExploreCommand:
         )
         assert code == 64
 
+    def test_window_over_the_chain_ceiling_is_never_built(self, capsys):
+        # 3^30000000 (47.5M bits) once took 26 s to build before this refusal
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "explore", "--exps", "const:30000000", "--seeds", "2:2", "--depth", "1"
+        )
+        assert time.monotonic() - started < 2
+        assert code == 2 and out == ""
+        message, elapsed = err.splitlines()
+        assert message == (
+            "refused: radicand for 6 digits at root order 30000000 needs about "
+            "597947061 bits, above the ceiling 16777216; at most ~0 digits are feasible"
+        )
+        assert elapsed.startswith("elapsed_ms=")
+
 
 class TestApproxCommand:
     def test_powfact3_separations(self, capsys):

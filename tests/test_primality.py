@@ -3,8 +3,11 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +325,12 @@ class TestSieves:
         with pytest.raises(pk.EnumerationCapError):
             pk.primes_in_range(10**17, 10**17 + 10)
 
+    @pytest.mark.parametrize("sieve", [pk.primes_in_range, pk.count_primes_in_range])
+    def test_refusal_of_bounds_too_long_to_print(self, sieve):
+        # about 5000 digits, past the interpreter's int-to-str limit
+        with pytest.raises(pk.EnumerationCapError, match="16610-bit bound needs 8305-bit"):
+            sieve(10**5000, 10**5000 + 10)
+
 
 class TestSieveKernel:
     """``_sieve_odd`` (and so ``_odd_mask``, the one striking loop) and the
@@ -485,6 +494,16 @@ class TestModexp:
         assert [p.bit_length() for p in big] == [282, 844, 2530]
 
 
+def run_probe(probe: str) -> list[str]:
+    """Stdout lines of ``probe`` run in a fresh interpreter on this prckit."""
+    src = str(Path(pk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout.split("\n")
+
+
 def test_libgmp_loads_lazily():
     """Import, the CLI module and a sieve-only explore never try libgmp;
     the first primality test above 2^64 does."""
@@ -504,15 +523,258 @@ print(primality._gmp is None, mapped())
 prckit.is_prime((1 << 89) - 1)
 print(primality._gmp is not None, mapped(), primality.modexp_backend())
 """
-    src = str(Path(pk.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    ).stdout.split("\n")
+    out = run_probe(probe)
     untried, mapped_before = out[0].split()
     assert untried == "True" and mapped_before in ("False", "None")
     tried, mapped_after, backend = out[1].split(maxsplit=2)
     assert tried == "True"
     if backend.startswith("gmp") and mapped_after != "None":
         assert mapped_after == "True"
+
+
+def test_pool_starts_lazily():
+    """Import, the CLI module and a sieve-only explore start no thread and
+    leave concurrent.futures unimported; a 2530-bit is_prime then starts
+    at most min(4, usable CPUs) pool threads."""
+    probe = """
+import os, sys, threading
+import prckit, prckit.cli
+
+prckit.explore_tree(prckit.parse_exponent_spec("const:3"), (2, 2), 2)
+print("concurrent.futures" in sys.modules, threading.active_count())
+p = 2
+for offset in (3, 30, 6, 80, 12, 450, 894):
+    p = p**3 + offset
+assert p.bit_length() == 2530 and prckit.is_prime(p).is_prime
+cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+print(threading.active_count() - 1, cpus)
+"""
+    out = run_probe(probe)
+    assert out[0] == "False 1"
+    started, cpus = map(int, out[1].split())
+    assert started <= min(4, cpus)
+
+
+# ---------------------------------------------------------------------------
+# the strong Lucas test: one V-only ladder, in Python ints and on libgmp
+
+# Strong Lucas pseudoprimes (OEIS A217255): odd composites that pass.
+SLPSP = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439)
+
+
+def strong_lucas_uv(n: int) -> bool:
+    """The strong Lucas test by the U, V ladder with Selfridge parameters
+    (n odd and no square): the reference for the V-only ladder."""
+    D = 5
+    while True:
+        j = sympy.jacobi_symbol(D % n, n)
+        if j == 0:
+            return False
+        if j == -1:
+            break
+        D = -(D + 2) if D > 0 else -(D - 2)
+    P, Q = 1, (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    U, V, Qk = 1, P, Q % n
+    inv2 = (n + 1) >> 1
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = (P * U + V) * inv2 % n, (D * U + P * V) * inv2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+@pytest.fixture(scope="module")
+def gmp():
+    handle = primality._libgmp()
+    if not handle:
+        pytest.skip("libgmp does not load here")
+    return handle
+
+
+@st.composite
+def ladder_args(draw):
+    """(pp, m, n): odd n of 2 to 8000 bits, so on both sides of the libgmp
+    cutoff; pp among 0, 1, 2, n - 1 and any residue; m among 0, 1, 2 and
+    up to 600 bits, so the Python ladder stays fast (full-length ladders
+    are tested separately)."""
+    n = draw(st.integers(2, 8000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+    n |= 1
+    pp = draw(st.sampled_from((0, 1, 2, n - 1)) | st.integers(0, n - 1))
+    m = draw(st.sampled_from((0, 1, 2)) | st.integers(0, (1 << 600) - 1))
+    return pp, m, n
+
+
+class TestStrongLucas:
+    @given(ladder_args())
+    @settings(max_examples=150, deadline=None)
+    def test_libgmp_ladder_matches_python(self, gmp, args):
+        pp, m, n = args
+        assert gmp[2](pp, m, n) == primality._lucas_v(pp, m, n)
+
+    @pytest.mark.parametrize("bits", [767, 768, 2530, 4096])
+    def test_full_length_ladders(self, gmp, bits):
+        rng = random.Random(bits)
+        n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+        pp, m = rng.randrange(n), (n + 1) >> 2
+        assert gmp[2](pp, m, n) == primality._lucas_v(pp, m, n)
+
+    def test_verdicts_match_the_uv_ladder(self, monkeypatch):
+        # every odd non-square to 6001 (small factors included), the strong
+        # Lucas pseudoprimes, the strong base-2 pseudoprimes, the chain
+        # primes from 2^64 and their products
+        chain = [p for p in mills_primes() if p >= TWO64]
+        values = [n for n in range(3, 6002, 2) if isqrt(n) ** 2 != n]
+        values += [*SLPSP, *SPSP2, CARMICHAEL, *chain]
+        values += [p * q for i, p in enumerate(chain) for q in chain[i + 1 :]]
+        want = [strong_lucas_uv(n) for n in values]
+        verdicts = {}
+        for side, cutoff in (("python", 1 << 30), ("libgmp", 0)):
+            monkeypatch.setattr(primality, "_LUCAS_GMP_BITS", cutoff)
+            verdicts[side] = [primality._strong_lucas_prp(n) for n in values]
+        assert verdicts["python"] == verdicts["libgmp"] == want
+        passed = {n for n, ok in zip(values, want) if ok}
+        assert passed.issuperset(SLPSP) and passed.issuperset(chain)
+        assert passed.isdisjoint(SPSP2) and CARMICHAEL not in passed
+
+
+# ---------------------------------------------------------------------------
+# the test pool: verdicts, scan order and budgets do not depend on it
+
+
+@pytest.fixture
+def inline_tests(monkeypatch):
+    """Force every test inline, as with one usable CPU."""
+    monkeypatch.setattr(primality, "_pool", False)
+
+
+@pytest.fixture
+def pooled_tests(monkeypatch):
+    """A fresh two-worker pool that takes the tests of every value from
+    2^64 (what pooled tests need: libgmp)."""
+    if not primality._libgmp():
+        pytest.skip("nothing runs pooled without libgmp")
+    executor = ThreadPoolExecutor(2, "prckit-test")
+    monkeypatch.setattr(primality, "_pool", (executor, 2))
+    monkeypatch.setattr(primality, "_POOL_MIN_BITS", 0)
+    yield executor
+    executor.shutdown()
+
+
+def pool_threads(monkeypatch) -> list[str]:
+    """Names of the threads that run each strong probable prime test from
+    now on."""
+    sprp, names = primality._sprp, []
+
+    def spy(n, a):
+        names.append(threading.current_thread().name)
+        return sprp(n, a)
+
+    monkeypatch.setattr(primality, "_sprp", spy)
+    return names
+
+
+def chain_values() -> list[int]:
+    chain = mills_primes()
+    big = [p for p in chain if p.bit_length() >= 256]
+    products = [p * q for i, p in enumerate(big) for q in big[i:]]
+    return [*SPSP2, CARMICHAEL, *chain, *products]
+
+
+class TestPool:
+    def test_verdicts_and_tiers_identical_with_the_pool_off(self, inline_tests):
+        # the same cases and expectations as under both modexp backends
+        values = chain_values()
+        expected = [pk.is_prime(n) for n in values]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primality, "_pool", None)  # default: made on first use
+            assert [pk.is_prime(n) for n in values] == expected
+        assert [(v.is_prime, v.certainty) for v in expected].count((True, "probable:32")) == 4
+
+    def test_verdicts_identical_with_every_size_pooled(self, pooled_tests, monkeypatch):
+        values = chain_values()
+        names = pool_threads(monkeypatch)
+        pooled = [pk.is_prime(n) for n in values]
+        assert any(name.startswith("prckit-test") for name in names)
+        monkeypatch.setattr(primality, "_pool", False)
+        assert [pk.is_prime(n) for n in values] == pooled
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_first_prime_in_scan_order_wins(self, pooled_tests, monkeypatch, descending):
+        # twin primes: both are survivors tested in one batch, and the base-2
+        # test of the first in scan order is made to finish last
+        p = (1 << 100) + 5635
+        assert sympy.isprime(p) and sympy.isprime(p + 2)
+        first = p + 2 if descending else p
+        sprp, tested = primality._sprp, []
+
+        def slow_first(n, a):
+            if a == 2:
+                tested.append(n)
+                if n == first and tested.count(first) == 1:  # the scan's test
+                    time.sleep(0.2)
+            return sprp(n, a)
+
+        monkeypatch.setattr(primality, "_sprp", slow_first)
+        verdict = scan_range(p, p + 3, descending=descending)
+        assert verdict == pk.is_prime(first) and verdict.value == first
+        assert sorted(tested[:2]) == [p, p + 2]
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_budget_exhaustion_identical_with_the_pool_off(self, monkeypatch, descending):
+        # 2530 bits, no prime: p_8 = p_7^3 + 894 is the least prime from p_7^3
+        lo = mills_primes()[-2] ** 3
+        hi = lo + 894
+
+        def exhausted():
+            with pytest.raises(pk.WindowSearchExhausted) as err:
+                pk.find_prime_in_range(lo, hi, budget=100, descending=descending)
+            return str(err.value), err.value.tested, err.value.scanned_all
+
+        pooled = exhausted()
+        monkeypatch.setattr(primality, "_pool", False)
+        assert exhausted() == pooled
+        assert pooled == (f"no prime found in [{lo}, {hi}) after 100 candidates", 100, False)
+
+    def test_callers_on_many_threads_share_one_pool(self, monkeypatch):
+        if not primality._libgmp():
+            pytest.skip("nothing runs pooled without libgmp")
+        import concurrent.futures
+
+        made = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        values = chain_values()
+        monkeypatch.setattr(primality, "_pool", False)
+        want = [pk.is_prime(n) for n in values]
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(primality, "_POOL_MIN_BITS", 0)
+        monkeypatch.setattr(primality, "_pool", None)  # made by the first caller
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as callers:
+                runs = [callers.submit(lambda: [pk.is_prime(n) for n in values]) for _ in range(6)]
+                got = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert got == [want] * 6
+        assert len(made) == (0 if primality._pool is False else 1)  # False: one CPU
