@@ -541,3 +541,27 @@ def _parse_decimal(text, what: str) -> int:
         except ValueError:  # beyond the interpreter's int-string limit
             pass
     raise SchemaError(f"{what} must be a decimal string, got {text!r:.40}")
+
+
+# ceil(log10(2) * 2^64): (bits * _LOG10_2_UP) >> 64 overshoots floor(bits *
+# log10(2)) by at most one for any bit length below 2^63.
+_LOG10_2_UP = 0x4D104D427DE7FBCD
+
+
+def decimal_length(n: int) -> int:
+    """len(str(n)) for n >= 0, from n.bit_length() and one comparison with a
+    power of 10, so it holds past the interpreter's int-to-str limit.
+
+    With b bits, log10(n) lies in [(b - 1) log10(2), b log10(2)), so n has
+    k or k + 1 digits for k = floor(b log10(2)), k + 1 exactly when
+    n >= 10^k.  When the estimate overshoots k, b log10(2) sits just below
+    k + 1 and (b - 1) log10(2) above k: n has k + 1 digits and is below
+    10^(k + 1), so the same comparison still answers.
+
+    >>> decimal_length(0), decimal_length(9), decimal_length(10), decimal_length(10**4400 + 1)
+    (1, 1, 2, 4401)
+    """
+    if n == 0:
+        return 1
+    k = n.bit_length() * _LOG10_2_UP >> 64
+    return k + 1 if n >= 10**k else k

@@ -30,6 +30,7 @@ from .core import (
     EnumerationCapError,
     ExponentSequence,
     Window,
+    decimal_length,
     to_json,
 )
 from .chain import _over_ceiling
@@ -152,7 +153,7 @@ def _log10(n: int) -> float:
     try:
         return math.log10(n)
     except OverflowError:
-        return (len(str(n)) - 1) * 1.0
+        return float(decimal_length(n) - 1)
 
 
 def _sibling_pairs(exps, roots):

@@ -26,23 +26,28 @@ bits run on one shared pool of at most 4 threads, made on first use
 (``concurrent.futures`` is imported only then; import starts no thread).
 ``is_prime`` runs the strong Lucas test and the Miller-Rabin rounds of a
 value that passed base 2 concurrently, and a scan tests its next few
-survivors to base 2 concurrently, then gives the full test to those that
-pass, in scan order.  The libgmp calls release the GIL, so the threads
-overlap.  Verdicts, tiers, the bases drawn and scan budgets do not depend
-on the pool.
+survivors to base 2 concurrently, then gives those that pass the rest of
+the test (``_past_base_2``, which does not run base 2 again), in scan
+order.  The libgmp calls release the GIL, so the threads overlap.
+Verdicts, tiers, the bases drawn and scan budgets do not depend on the
+pool.
 
 Every prime enumeration runs through one numpy sieve kernel over odd
 numbers: ``_odd_mask`` is the one loop that strikes multiples and
 ``_walk_segments`` the one segment walker; ``_sieve_odd`` builds the base
-primes with them.  Scan mode (``scan_range``: min and max scans, and
-counts above the sieve bound) strikes each segment's multiples of the odd
-primes up to 2^17 and tests only the survivors, returning the
-``is_prime`` verdict of the first prime; budgets count scan positions (every
-odd number, plus every integer below 3), struck or not.  Exact mode
-sieves with base primes to sqrt(hi) and either lists each segment's
+primes with them.  The kernel functions import numpy on their first call,
+so importing this module loads neither numpy nor ctypes, and
+``is_prime`` never needs numpy.  Scan mode (``scan_range``: min and max
+scans, and counts above the sieve bound) strikes each segment's multiples
+of the odd primes up to 2^17 and tests only the survivors, returning the
+``is_prime`` verdict of the first prime; budgets count scan positions
+(every odd number, plus every integer below 3), struck or not.  Exact
+mode sieves with base primes to sqrt(hi) and either lists each segment's
 primes (``primes_in_range``) or only counts them
-(``count_primes_in_range``).  ``count_primes_in_window`` is the one rule
-for which windows are enumerated; the explorer's child counts use it.
+(``count_primes_in_range``); base primes up to 2^23 stay cached once
+sieved, larger ones are sieved batch by batch and dropped.
+``count_primes_in_window`` is the one rule for which windows are
+enumerated; the explorer's child counts use it.
 """
 
 from __future__ import annotations
@@ -55,8 +60,6 @@ import random
 import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
-
-import numpy as np
 
 from .core import (
     DEFAULT_CONFIG,
@@ -79,6 +82,8 @@ def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
     Values of 62 bits or more are reduced by Horner's rule over their
     32-bit limbs, so no Python int per modulus is ever built.
     """
+    import numpy as np
+
     if n < 1 << 62:
         return n % moduli
     limbs = np.frombuffer(n.to_bytes((n.bit_length() + 31) // 32 * 4, "big"), ">u4")
@@ -95,6 +100,8 @@ def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndar
     ``res`` is a mod each of them.  An entry is False exactly when its
     number has a factor in ``base`` other than itself.
     """
+    import numpy as np
+
     mask = np.ones(length, dtype=bool)
     if not base.size:
         return mask
@@ -135,6 +142,8 @@ def _walk_segments(
 def _sieve_odd(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (odd-only sieve of Eratosthenes;
     the striking primes up to sqrt(limit) come from a recursive call)."""
+    import numpy as np
+
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     base = _sieve_odd(isqrt(limit))[1:]
@@ -148,7 +157,8 @@ def _sieve_odd(limit: int) -> np.ndarray:
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TWO64 = 1 << 64
 
-_TRIAL_PRIMES = tuple(_sieve_odd(997).tolist())
+# by trial division, not the sieve kernel: importing this module loads no numpy
+_TRIAL_PRIMES = tuple(n for n in range(2, 998) if all(n % p for p in range(2, isqrt(n) + 1)))
 _TRIAL_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 # Survivors of division by every prime <= 997 have no factor below 1009,
@@ -474,6 +484,12 @@ def is_prime(n: int, config: Config = DEFAULT_CONFIG) -> PrimalityVerdict:
         return PrimalityVerdict(n, ok, DETERMINISTIC)
     if not _sprp(n, 2):
         return PrimalityVerdict(n, False, DETERMINISTIC)
+    return _past_base_2(n, config)
+
+
+def _past_base_2(n: int, config: Config) -> PrimalityVerdict:
+    """``is_prime(n, config)`` for n >= 2^64 with no factor up to 997 that
+    is a strong probable prime to base 2: the rest of its test."""
     r = isqrt(n)
     if r * r == n:
         return PrimalityVerdict(n, False, DETERMINISTIC)
@@ -516,6 +532,8 @@ def _survivors(lo: int, hi: int, descending: bool, limit: int):
     last.  Of those only 2 survives; odd positions survive unless an odd
     prime up to _SCAN_SIEVE_LIMIT other than themselves divides them.
     """
+    import numpy as np
+
     small, first, odd = _scan_layout(lo, hi)
     if descending:
         count = min(odd, limit)
@@ -591,7 +609,8 @@ def scan_range(
         candidates = _passing_base_2(pool, candidates)
     with contextlib.closing(candidates):
         for n in candidates:
-            verdict = is_prime(n, config)
+            # survivors from 2^64 have no factor up to 997; pooled ones passed base 2
+            verdict = _past_base_2(n, config) if pool and n >= _TWO64 else is_prime(n, config)
             if verdict.is_prime:
                 return verdict
     small, _, odd = _scan_layout(lo, hi)
@@ -717,21 +736,52 @@ def count_primes_in_window(
 # ---------------------------------------------------------------------------
 # exact sieving (used for enumeration, oracles, and seed listing)
 
-_base_cache: dict = {"limit": 1, "primes": np.empty(0, dtype=np.int64)}
+# Base primes up to this bound stay cached once sieved: the scans' (to 2^17)
+# and the explorer's under the default enumeration cap (a const:2 window of
+# width 10^7 needs them to 5*10^6).  Larger ones are sieved batch by batch
+# and dropped.
+_BASE_CACHE_LIMIT = 1 << 23
+# (limit, the primes up to it as an int64 array), grown on demand up to
+# _BASE_CACHE_LIMIT; swapped whole, so every thread reads a matching pair.
+_base_cache: tuple = (0, None)
 
 
 def _base_primes(limit: int) -> np.ndarray:
-    if limit > _base_cache["limit"]:
-        grown = max(limit, 2 * _base_cache["limit"], 1 << 16)
-        _base_cache["primes"] = _sieve_odd(grown)
-        _base_cache["limit"] = grown
-    primes = _base_cache["primes"]
+    """The primes up to min(limit, _BASE_CACHE_LIMIT), from the cache."""
+    import numpy as np
+
+    global _base_cache
+    limit = min(limit, _BASE_CACHE_LIMIT)
+    cached, primes = _base_cache
+    if primes is None or limit > cached:
+        cached = min(max(limit, 2 * cached, 1 << 16), _BASE_CACHE_LIMIT)
+        primes = _sieve_odd(cached)
+        _base_cache = (cached, primes)
     return primes[: np.searchsorted(primes, limit, side="right")]
+
+
+def _base_batches(limit: int):
+    """Yield the primes up to ``limit`` as ascending int64 arrays: the cached
+    ones, then those above _BASE_CACHE_LIMIT one exact-sieve segment at a
+    time, never cached (their striking primes, up to sqrt(limit), come from
+    a recursive call)."""
+    import numpy as np
+
+    yield _base_primes(limit)
+    first = _BASE_CACHE_LIMIT + 1
+    if limit >= first:
+        base = np.concatenate(tuple(_base_batches(isqrt(limit))))[1:]
+        count = (limit - first) // 2 + 1
+        for a, mask in _walk_segments(first, count, base, _SIEVE_SEGMENT, _SIEVE_SEGMENT):
+            yield a + 2 * np.flatnonzero(mask)
 
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit (exact sieve)."""
-    return _base_primes(limit).tolist()
+    primes = []
+    for batch in _base_batches(limit):
+        primes += batch.tolist()
+    return primes
 
 
 _SEGMENT_WIDTH_LIMIT = 50_000_000
@@ -761,7 +811,19 @@ def _sieve_segments(lo: int, hi: int, config: Config):
             _SEGMENT_WIDTH_LIMIT,
         )
     _, first, odd = _scan_layout(lo, hi)
-    yield from _walk_segments(first, odd, _base_primes(need)[1:], _SIEVE_SEGMENT, _SIEVE_SEGMENT)
+    batches = _base_batches(need)
+    walk = _walk_segments(first, odd, next(batches)[1:], _SIEVE_SEGMENT, _SIEVE_SEGMENT)
+    if need <= _BASE_CACHE_LIMIT:
+        yield from walk
+        return
+    # each uncached batch of base primes strikes every segment in turn, so
+    # all the segments' masks are kept until the last batch
+    segments = list(walk)
+    for batch in batches:
+        struck = _walk_segments(first, odd, batch, _SIEVE_SEGMENT, _SIEVE_SEGMENT)
+        for (_, mask), (_, more) in zip(segments, struck):
+            mask &= more
+    yield from segments
 
 
 def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[int]:
@@ -773,6 +835,8 @@ def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[i
     lo = max(lo, 2)
     if hi <= lo:
         return []
+    import numpy as np
+
     primes = [2] if lo == 2 else []
     for a, mask in _sieve_segments(lo, hi, config):
         primes.extend((a + 2 * np.flatnonzero(mask)).tolist())
@@ -785,6 +849,8 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
     lo = max(lo, 2)
     if hi <= lo:
         return 0
+    import numpy as np
+
     count = 1 if lo == 2 else 0
     for _, mask in _sieve_segments(lo, hi, config):
         count += int(np.count_nonzero(mask))

@@ -26,6 +26,7 @@ from .core import (
     CertifiedDecimalInterval,
     Config,
     PrimeChain,
+    decimal_length,
 )
 
 _LOG2_10 = 3.321928094887362
@@ -213,8 +214,8 @@ def prc_digits(
     p = chain.primes[-1]
     depth = chain.depth
     order = chain.exps.partial_product(depth)
-    # the bracket closes near 1/(order * p): len(str()) overshoots by a hair
-    estimate = len(str(p)) + len(str(order)) - 1
+    # the bracket closes near 1/(order * p): the digit count overshoots by a hair
+    estimate = decimal_length(p) + decimal_length(order) - 1
     d = min(estimate, max_digits) + 6
     prev_places = -1
     while True:

@@ -1,12 +1,13 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import prckit as pk
-from prckit.core import CertifiedDecimalInterval
+from prckit.core import CertifiedDecimalInterval, decimal_length
 
 
 class TestExponentSequences:
@@ -126,6 +127,40 @@ class TestGapPolicies:
 
     def test_theta_value(self):
         assert pk.THETA.numerator == 21 and pk.THETA.denominator == 40
+
+
+class TestDecimalLength:
+    @given(
+        st.one_of(
+            st.integers(0, 10**1200),
+            st.integers(1, 4000).flatmap(
+                lambda k: st.sampled_from([10**k - 1, 10**k, 2**k - 1, 2**k])
+            ),
+        )
+    )
+    def test_matches_str(self, n):
+        assert decimal_length(n) == len(str(n))
+
+    def test_both_ends_of_every_bit_length(self):
+        # the estimate from the bit length is closest to a wrong answer where
+        # bits * log10(2) nears an integer, e.g. at 2136 bits
+        powers = [10**k for k in range(1510)]
+        for bits in range(1, 5001):
+            for n in (1 << (bits - 1), (1 << bits) - 1):
+                d = decimal_length(n)
+                assert powers[d - 1] <= n < powers[d], bits
+
+    def test_past_the_int_to_str_limit(self):
+        # any int-to-str conversion of a number this long would raise here
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(640)
+        try:
+            assert decimal_length(10**4400 + 1) == 4401
+            assert decimal_length(10**4400 - 1) == 4400
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
 
 class TestCertifiedDecimalInterval:

@@ -361,6 +361,44 @@ class TestSieveKernel:
     def test_two_to_the_17(self):
         self._check(1 << 17)
 
+    def test_base_primes_past_the_cache_bound(self, monkeypatch):
+        # a tiny cache bound and segment: base primes above the bound come
+        # in several uncached batches (struck by uncached ones from 65^2 on),
+        # each striking many segments
+        monkeypatch.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 6)
+        monkeypatch.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
+        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        for limit in (63, 64, 65, 4224, 4225, 10**5, 997**2 + 2):
+            self._check(limit)
+        for lo, hi in ((1 << 20, (1 << 20) + 5000), ((1 << 23) - 200_000, 1 << 23)):
+            want = [n for n in range(lo | 1, hi, 2) if sympy.isprime(n)]
+            assert pk.primes_in_range(lo, hi) == want
+            assert pk.count_primes_in_range(lo, hi) == len(want)
+        assert primality._base_cache[0] == 1 << 6
+
+
+def test_base_primes_past_the_cache_bound_are_dropped():
+    """A count needing base primes to 10^8 keeps only those up to the cache
+    bound, and peaks far below one sieve of all of them (211 MB)."""
+    probe = """
+import resource, sys
+import numpy
+import prckit
+from prckit import primality
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+count = prckit.count_primes_in_range(10**16 - 1000, 10**16)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+limit, primes = primality._base_cache
+mb = grown / 2**20 if sys.platform == "darwin" else grown / 2**10  # bytes or KiB
+print(count, mb, limit, int(primes[-1]), primality._BASE_CACHE_LIMIT)
+"""
+    count, grown_mb, limit, largest, bound = run_probe(probe)[0].split()
+    want = sum(1 for n in range(10**16 - 999, 10**16, 2) if sympy.isprime(n))
+    assert int(count) == want == 30
+    assert float(grown_mb) < 50
+    assert int(largest) <= int(limit) <= int(bound)
+
 
 @given(st.integers(min_value=0, max_value=5000))
 @settings(max_examples=300, deadline=None)
@@ -555,6 +593,31 @@ print(threading.active_count() - 1, cpus)
     assert started <= min(4, cpus)
 
 
+def test_numpy_loads_on_first_enumeration(tmp_path):
+    """Import, ``--version`` and a refused ``verify`` load no numpy (nor
+    ctypes, nor concurrent.futures); the first ``primes_in_range`` does."""
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"primes": ["2"]}')
+    probe = f"""
+import contextlib, io, sys
+import prckit, prckit.cli
+
+print(*(name in sys.modules for name in ("numpy", "ctypes", "concurrent.futures")))
+with contextlib.redirect_stdout(io.StringIO()) as version:
+    try:
+        prckit.cli.main(["--version"])
+    except SystemExit as exc:
+        code = exc.code
+print(code, version.getvalue().strip() == prckit.__version__, "numpy" in sys.modules)
+code = prckit.cli.main(["verify", "--chain-file", {str(malformed)!r}])
+print(code, "numpy" in sys.modules)
+prckit.primes_in_range(10, 20)
+print("numpy" in sys.modules)
+"""
+    out = run_probe(probe)
+    assert out[:4] == ["False False False", "0 True False", "66 False", "True"]
+
+
 # ---------------------------------------------------------------------------
 # the strong Lucas test: one V-only ladder, in Python ints and on libgmp
 
@@ -731,6 +794,29 @@ class TestPool:
         verdict = scan_range(p, p + 3, descending=descending)
         assert verdict == pk.is_prime(first) and verdict.value == first
         assert sorted(tested[:2]) == [p, p + 2]
+
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("p", [(1 << 100) + 5635, 10**9 + 7])  # p and p + 2 are prime
+    def test_base_2_runs_once_per_found_prime(self, pooled_tests, monkeypatch, descending, p):
+        # from 2^64 the pooled base-2 test of the found prime is not repeated
+        # by the rest of its test; below, the whole 12-base set still runs
+        found = p + 2 if descending else p
+        expected = pk.is_prime(found)
+        sprp, bases = primality._sprp, []
+
+        def spy(n, a):
+            if n == found:
+                bases.append(a)
+            return sprp(n, a)
+
+        monkeypatch.setattr(primality, "_sprp", spy)
+        assert scan_range(p, p + 3, descending=descending) == expected
+        if p > TWO64:
+            assert expected.certainty == "probable:32"
+            assert bases.count(2) == 1 and len(bases) == 1 + 32
+        else:
+            assert expected.certainty == "deterministic"
+            assert bases == [2, *primality._MR_BASES_64]
 
     @pytest.mark.parametrize("descending", [False, True])
     def test_budget_exhaustion_identical_with_the_pool_off(self, monkeypatch, descending):
