@@ -26,6 +26,7 @@ from .core import (
     PrimeChain,
     Window,
     WindowSearchExhausted,
+    decimal_length,
 )
 from .primality import find_prime_in_range, is_prime, primes_in_range, window_prime
 from .radix import scaled_root_floor
@@ -345,17 +346,17 @@ def convergence_bound_check(
         return ConvergenceCheck(k, None, 0, 0, 0)
     p1a = p1**a
     # precision must at least resolve g's magnitude ~ 10^(-a/b * log10 p1)
-    d = (a * len(str(p1))) // b + 16
+    d = (a * decimal_length(p1)) // b + 16
     while True:
-        for value, order in ((pk1, ck1), (pk, ck), (pk + 1, ck), (p1a, b)):
-            bits = value.bit_length() + int(d * order * 3.322) + 2
-            if bits > config.radicand_bit_ceiling:
-                return ConvergenceCheck(k, None, d, 0, 0)
         pow10 = 10 ** d
-        s = scaled_root_floor(pk1, ck1, d)  # [s, s+1] encloses pk1^(1/Ck1)
-        t = scaled_root_floor(pk, ck, d)
-        u = scaled_root_floor(pk + 1, ck, d)
-        m = scaled_root_floor(p1a, b, d)  # [m, m+1] encloses p1^(a/b)
+        try:
+            # [s, s+1] encloses pk1^(1/Ck1), [m, m+1] encloses p1^(a/b)
+            s = scaled_root_floor(pk1, ck1, d, config)
+            t = scaled_root_floor(pk, ck, d, config)
+            u = scaled_root_floor(pk + 1, ck, d, config)
+            m = scaled_root_floor(p1a, b, d, config)
+        except BitCeilingError:
+            return ConvergenceCheck(k, None, d, 0, 0)
         # LHS <= (s + 1 - t)/10^d; RHS >= u / (m + 1), both scale-free here
         lhs_hi = (s + 1 - t) * (m + 1)
         rhs_lo = u * pow10

@@ -9,9 +9,10 @@ command with the same configuration reproduces stdout byte for byte.
 Exit codes: 0 success / all checks passed; 1 a verification check failed;
 2 refusal (budget or bit ceiling, including a chain file whose steps
 exceed the chain bit ceiling), with a partial artifact when one exists;
-64 usage error; 65 bad input data (composite seed); 66 missing or
-malformed input file (including integers that are not decimal strings and
-primes below 2).
+64 usage error (including out-of-range arguments); 65 bad input data
+(composite seed); 66 missing or malformed input file (including JSON that
+cannot be decoded, integers that are not decimal strings and primes below
+2).
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"cannot read chain file: {exc}\n")
         return EX_NOINPUT
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and the int-string limit are ValueErrors
         sys.stderr.write(f"chain file is not valid JSON: {exc}\n")
         return EX_NOINPUT
     chain = PrimeChain.from_json_dict(document)
@@ -315,6 +317,9 @@ def main(argv=None) -> int:
     except PrcError as exc:
         sys.stderr.write(f"error: {exc}\n")
         code = EX_DATAERR
+    except ValueError as exc:
+        sys.stderr.write(f"bad argument: {exc}\n")
+        code = EX_USAGE
     sys.stderr.write(f"elapsed_ms={int((time.monotonic() - started) * 1000)}\n")
     return code
 

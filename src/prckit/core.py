@@ -79,12 +79,7 @@ class Config:
     enumeration_cap      max window width for exhaustive enumeration
     rescan_cap           max candidates when re-verifying extremality
     chain_bit_ceiling    max bits of p^c while extending a chain
-    radicand_bit_ceiling max bits of the one-shot radicand p * 10^(d*C) when
-                         extracting roots; digits come from composed
-                         prime-order roots with far smaller radicands (the
-                         one-shot root is only their fallback), but the
-                         ceiling still bounds the equivalent one-shot size,
-                         so refusals do not depend on the path
+    radicand_bit_ceiling max bits of any radicand an exact root builds
     max_sieve_base       largest base-prime bound the segmented sieve will build
 
     Artifacts record every field in their manifest through ``to_json``.

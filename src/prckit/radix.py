@@ -8,10 +8,10 @@ radicands ``scaled_root_floor`` gets that same integer from composed
 prime-order roots: C is split into primes q and the q-th roots are taken
 one after another at fixed point, each on a radicand of about (d + guard)
 * q digits instead of d * C, with the one-shot root as the fallback when
-the composed bounds do not settle the floor.  The bit ceiling still bounds
-the equivalent one-shot radicand p * 10^(d*C), so refusals do not depend
-on which path runs.  No floating point is involved anywhere; 86 or 254
-certified decimal places cannot be had any other way at reasonable cost.
+the composed bounds do not settle the floor.  The bit ceiling bounds every
+radicand ``scaled_root_floor`` builds, checked before it is built.  No
+floating point is involved anywhere; 86 or 254 certified decimal places
+cannot be had any other way at reasonable cost.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-def scaled_root_floor(value: int, order: int, d: int) -> int:
+def scaled_root_floor(value: int, order: int, d: int, config: Config = DEFAULT_CONFIG) -> int:
     """floor(value^(1/order) * 10^d), exactly.
 
     The result always equals the one-shot root
@@ -116,6 +116,10 @@ def scaled_root_floor(value: int, order: int, d: int) -> int:
     chain adds one after every floor, so the two bracket
     value^(1/order) * 10^D exactly.  Their common floor at d digits is the
     answer; if they straddle a digit boundary the one-shot root decides.
+
+    Raises BitCeilingError before building a radicand above the ceiling:
+    composed steps need at most value.bit_length() + D*q*log2(10) + 2 bits
+    for the largest factor q; the one-shot root is checked when it runs.
 
     >>> scaled_root_floor(2, 2, 5)
     141421
@@ -131,6 +135,7 @@ def scaled_root_floor(value: int, order: int, d: int) -> int:
     if value.bit_length() + d * order * _LOG2_10 >= _COMPOSE_MIN_BITS:
         factors = _prime_factors(order)
         if len(factors) > 1:
+            _radicand_guard(value, d, factors[-1], _GUARD_DIGITS, config)
             scale = 10 ** (d + _GUARD_DIGITS)
             lo = nth_root_floor(value * scale ** factors[0], factors[0])
             hi = lo + 1
@@ -141,20 +146,19 @@ def scaled_root_floor(value: int, order: int, d: int) -> int:
             guard = 10**_GUARD_DIGITS
             if lo // guard == (hi - 1) // guard:
                 return lo // guard
+    _radicand_guard(value, d, order, 0, config)
     return nth_root_floor(value * 10 ** (d * order), order)
 
 
-def _radicand_guard(p: int, digits: int, order: int, config: Config) -> None:
-    bits_estimate = p.bit_length() + int(digits * order * _LOG2_10) + 2
-    if bits_estimate > config.radicand_bit_ceiling:
-        feasible = int(
-            (config.radicand_bit_ceiling - p.bit_length() - 2) / (order * _LOG2_10)
-        )
+def _radicand_guard(value: int, digits: int, order: int, guard: int, config: Config) -> None:
+    ceiling = config.radicand_bit_ceiling
+    bits_estimate = value.bit_length() + int((digits + guard) * order * _LOG2_10) + 2
+    if bits_estimate > ceiling:
+        feasible = int((ceiling - value.bit_length() - 2) / (order * _LOG2_10)) - guard
         raise BitCeilingError(
             f"radicand for {digits} digits at root order {order} needs about "
-            f"{bits_estimate} bits, above the ceiling "
-            f"{config.radicand_bit_ceiling}; at most ~{max(feasible, 0)} digits "
-            "are feasible",
+            f"{bits_estimate} bits, above the ceiling {ceiling}; at most "
+            f"~{max(feasible, 0)} digits are feasible",
             max_feasible_digits=max(feasible, 0),
         )
 
@@ -163,8 +167,7 @@ def point_root_enclosure(
     value: int, order: int, digits: int, config: Config = DEFAULT_CONFIG
 ) -> CertifiedDecimalInterval:
     """One-ulp decimal enclosure of value^(1/order) at the given precision."""
-    _radicand_guard(value, digits, order, config)
-    m = scaled_root_floor(value, order, digits)
+    m = scaled_root_floor(value, order, digits, config)
     return CertifiedDecimalInterval(m, m + 1, digits)
 
 
@@ -175,13 +178,13 @@ def certified_root_enclosure(
 
     The low mantissa is the exact floor of the scaled lower root; the high
     mantissa gets +1 after the floor because flooring truncates downward
-    and the raw value could undercover the upper endpoint.
+    and the raw value could undercover the upper endpoint.  p + 1 is rooted
+    first, so a refusal reports its (larger) radicand.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    _radicand_guard(p + 1, digits, order, config)
-    lo = scaled_root_floor(p, order, digits)
-    hi = scaled_root_floor(p + 1, order, digits) + 1
+    hi = scaled_root_floor(p + 1, order, digits, config) + 1
+    lo = scaled_root_floor(p, order, digits, config)
     return CertifiedDecimalInterval(lo, hi, digits)
 
 

@@ -315,6 +315,19 @@ class TestConvergenceBound:
         tiny = replace(pk.DEFAULT_CONFIG, radicand_bit_ceiling=256)
         assert pk.convergence_bound_check(powfact3_chain, 2, tiny).holds is None
 
+    def test_seed_past_the_int_string_limit(self):
+        # a 4301-digit seed: the precision estimate must not call str()
+        p1 = 10**4300 + 1
+        chain = PrimeChain(
+            exps=pk.parse_exponent_spec("const:3"),
+            primes=(p1, p1**3 + 5),
+            mode="min",
+            certainty=("probable:32",) * 2,
+            policy=pk.EMPIRICAL,
+            conditional=False,
+        )
+        assert pk.convergence_bound_check(chain, 1).holds is True
+
 
 class TestMonotoneApproximants:
     def test_built_chains(self, mills_chain, powfact3_chain, factorial_chain):

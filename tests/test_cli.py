@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +90,26 @@ class TestChainCommand:
         )
         assert code == 64 and "term 2" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chain", "--exps", "const:3", "--seed", "2", "--depth", "0"),
+            ("chain", "--exps", "const:3", "--seed", "2", "--depth", "100"),
+            ("chain", "--exps", "list:3", "--seed", "2", "--depth", "2"),
+            ("digits", "--exps", "const:3", "--seed", "2", "--depth", "2",
+             "--max-digits", "0"),
+            ("explore", "--exps", "const:3", "--seeds", "2:3", "--depth", "2",
+             "--gap-level", "5"),
+        ],
+        ids=["depth-0", "depth-100", "list-too-short", "max-digits-0", "gap-level-5"],
+    )
+    def test_out_of_range_arguments_exit_64(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == ""
+        message, elapsed = err.splitlines()
+        assert message.startswith("bad argument: ") and "Traceback" not in err
+        assert elapsed.startswith("elapsed_ms=")
+
 
 class TestDigitsCommand:
     def test_mills_prefix(self, capsys):
@@ -114,12 +135,15 @@ class TestDigitsCommand:
         assert lines[1].startswith("agreed_places=")
 
     def test_env_ceiling_refusal(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRC_BIT_CEILING", "4096")
-        code, out, err = run_cli(
-            capsys,
-            "digits", "--exps", "powfact:3", "--seed", "2", "--depth", "3",
-        )
+        # the composed cube roots of C = 729 build radicands of about 1.3k bits
+        argv = ("digits", "--exps", "powfact:3", "--seed", "2", "--depth", "3")
+        monkeypatch.setenv("PRC_BIT_CEILING", "1024")
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and "refused" in err
+        monkeypatch.setenv("PRC_BIT_CEILING", "4096")
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        golden = Path(__file__).parent / "golden" / "digits_powfact3_text.out"
+        assert code == 0 and out == golden.read_text()
 
 
 class TestVerifyCommand:
@@ -247,6 +271,26 @@ class TestVerifyCommand:
         assert code == 1 and report["passed"] is False
         assert report["steps"][0]["certainty"] == "deterministic"
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"primes": [' + b"7" * 5000 + b"]}",  # over the int-string limit
+            b"[" * 100_000,  # nested past the recursion limit
+            b"\xff\xfe{}",  # not UTF-8
+        ],
+        ids=["5000-digit-integer", "deep-nesting", "invalid-utf8"],
+    )
+    def test_undecodable_json_exits_66(self, capsys, tmp_path, content):
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_bytes(content)
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, "verify", "--chain-file", str(chain_file))
+        assert time.monotonic() - started < 1
+        assert code == 66 and out == ""
+        message, elapsed = err.splitlines()
+        assert message.startswith("chain file is not valid JSON: ")
+        assert elapsed.startswith("elapsed_ms=")
+
 
 class TestExploreCommand:
     def test_json_output(self, capsys):
@@ -288,17 +332,28 @@ class TestExploreCommand:
         assert code == 64
 
     def test_window_over_the_chain_ceiling_is_never_built(self, capsys):
-        # 3^30000000 (47.5M bits) once took 26 s to build before this refusal
+        # 3^30000000 (47.5M bits) once took 26 s to build before this refusal;
+        # 30000000 = 2^7 * 3 * 5^7 is rooted in small steps, and the root's
+        # window is refused, so its child count stays empty
+        started = time.monotonic()
+        code, doc, _ = run_json(
+            capsys, "explore", "--exps", "const:30000000", "--seeds", "2:2", "--depth", "1"
+        )
+        assert time.monotonic() - started < 2
+        assert code == 0
+        [root] = doc["forest"]["roots"]
+        assert root["prefix"] == ["2"] and root["child_count"] is None
+        # a prime order has only the one-shot root, which is refused
         started = time.monotonic()
         code, out, err = run_cli(
-            capsys, "explore", "--exps", "const:30000000", "--seeds", "2:2", "--depth", "1"
+            capsys, "explore", "--exps", "const:30000001", "--seeds", "2:2", "--depth", "1"
         )
         assert time.monotonic() - started < 2
         assert code == 2 and out == ""
         message, elapsed = err.splitlines()
         assert message == (
-            "refused: radicand for 6 digits at root order 30000000 needs about "
-            "597947061 bits, above the ceiling 16777216; at most ~0 digits are feasible"
+            "refused: radicand for 6 digits at root order 30000001 needs about "
+            "597947081 bits, above the ceiling 16777216; at most ~0 digits are feasible"
         )
         assert elapsed.startswith("elapsed_ms=")
 

@@ -58,6 +58,15 @@ CASES = [
     ("explore_refused_csv", 0, [
         "explore", "--exps", "const:3", "--seeds", "1000000:1000040", "--depth", "1",
         "--format", "csv"]),
+    # the ceiling bounds the radicands the composed roots build, not the
+    # one-shot radicand p * 10^(d*C): Mills depth 8 certifies 765 places,
+    # and an order of 2^7 * 3 * 5^7 is rooted in small steps
+    ("digits_mills_depth8_text", 0, [
+        "digits", "--exps", "const:3", "--seed", "2", "--depth", "8",
+        "--format", "text"]),
+    ("explore_composite_order_csv", 0, [
+        "explore", "--exps", "const:30000000", "--seeds", "2:2", "--depth", "1",
+        "--format", "csv"]),
 ]
 
 

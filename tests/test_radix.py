@@ -97,9 +97,48 @@ class TestScaledRootFloor:
         monkeypatch.setattr(radix, "nth_root_floor", spy)
         assert radix.scaled_root_floor(2**729 - 1, 729, 12) == 2 * 10**12 - 1
         assert (2**729 - 1) * 10 ** (12 * 729) in radicands
+        # the fallback's ~29.8k-bit radicand is refused under a 2^14 ceiling,
+        # after the composed steps ran
+        radicands.clear()
+        small = replace(pk.DEFAULT_CONFIG, radicand_bit_ceiling=1 << 14)
+        with pytest.raises(pk.BitCeilingError, match="root order 729 needs about"):
+            radix.scaled_root_floor(2**729 - 1, 729, 12, small)
+        assert radicands and max(radicands).bit_length() < 1000
         radicands.clear()
         assert radix.scaled_root_floor(value, 729, 12) == expected
         assert max(radicands).bit_length() < 1000  # one-shot needs ~29k bits
+
+    @given(
+        st.sampled_from(ORDERS + (83, 1009)),
+        st.integers(min_value=0, max_value=2**900),
+        st.integers(min_value=0, max_value=200),
+        st.integers(min_value=10, max_value=1 << 15),
+    )
+    @example(order=2187, value=2**842 + 1, d=12, ceiling=1 << 10)  # composed, refused
+    @example(order=729, value=2**729 - 1, d=12, ceiling=1 << 14)  # fallback, refused
+    @settings(max_examples=60, deadline=None)
+    def test_no_radicand_above_the_ceiling_is_built(self, order, value, d, ceiling):
+        from prckit import radix
+
+        config = replace(pk.DEFAULT_CONFIG, radicand_bit_ceiling=ceiling)
+        radicands = []
+        root = radix.nth_root_floor
+
+        def spy(n, r):
+            radicands.append(n.bit_length())
+            return root(n, r)
+
+        # hypothesis forbids function-scoped fixtures, so patch by hand
+        radix.nth_root_floor = spy
+        try:
+            got = radix.scaled_root_floor(value, order, d, config)
+        except pk.BitCeilingError:
+            got = None
+        finally:
+            radix.nth_root_floor = root
+        assert all(bits <= ceiling for bits in radicands)
+        if got is not None:
+            assert got == self.one_shot(value, order, d)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -146,10 +185,20 @@ class TestCertifiedRootEnclosure:
             assert 0 <= slack <= Fraction(2, 10**d)
 
     def test_bit_ceiling_refusal(self):
+        # the ceiling bounds the radicands actually built: a prime order is
+        # rooted one-shot (~28k bits), order 81 = 3^4 in cube roots (~1.1k)
         small = replace(pk.DEFAULT_CONFIG, radicand_bit_ceiling=1 << 12)
         with pytest.raises(pk.BitCeilingError) as err:
-            pk.certified_root_enclosure(11, 81, 100, small)
+            pk.certified_root_enclosure(11, 83, 100, small)
         assert err.value.max_feasible_digits is not None
+        assert err.value.max_feasible_digits < 100
+        one_shot = TestScaledRootFloor.one_shot
+        assert pk.certified_root_enclosure(11, 81, 100, small) == CertifiedDecimalInterval(
+            one_shot(11, 81, 100), one_shot(12, 81, 100) + 1, 100
+        )
+        tiny = replace(pk.DEFAULT_CONFIG, radicand_bit_ceiling=1 << 10)
+        with pytest.raises(pk.BitCeilingError) as err:
+            pk.certified_root_enclosure(11, 81, 100, tiny)
         assert err.value.max_feasible_digits < 100
 
 
@@ -209,6 +258,66 @@ class TestPrcDigits:
         root = mp.power(chain.primes[-1], mp.mpf(1) / 81)
         want = int(mp.floor(root * mp.mpf(10) ** res.agreed_places))
         assert int(res.digits.replace(".", "")) == want
+
+
+class TestDeepDigits:
+    """Chains past the old one-shot ceiling, rebuilt from recorded offsets."""
+
+    MILLS_MIN = (3, 30, 6, 80, 12, 450, 894)  # p_{k+1} = p_k^3 + offset
+    MILLS_MAX = (4, 17, 3, 101, 459, 961, 1123)  # p_{k+1} = (p_k + 1)^3 - offset
+    FACTORIAL = (1, 2, 22, 104, 700, 3710)  # p_k = p_{k-1}^k + offset
+
+    @staticmethod
+    def chain(spec, primes, mode):
+        return pk.PrimeChain(
+            exps=pk.parse_exponent_spec(spec),
+            primes=tuple(primes),
+            mode=mode,
+            certainty=("probable:32",) * len(primes),
+            policy=pk.EMPIRICAL,
+            conditional=False,
+        )
+
+    @staticmethod
+    def assert_matches_mpmath(chain, result):
+        # the digits truncate both bracket endpoints p^(1/C) and (p+1)^(1/C)
+        from mpmath import mp
+
+        order = chain.exps.partial_product(chain.depth)
+        places = result.agreed_places
+        mantissa = int(result.digits.replace(".", ""))
+        with mp.workdps(places + 40):
+            for p in (chain.primes[-1], chain.primes[-1] + 1):
+                root = mp.power(p, mp.mpf(1) / order)
+                assert int(mp.floor(root * mp.mpf(10) ** places)) == mantissa
+
+    def test_mills_depth_eight_min(self):
+        primes = [2]
+        for offset in self.MILLS_MIN:
+            primes.append(primes[-1] ** 3 + offset)
+        chain = self.chain("const:3", primes, "min")
+        result = pk.prc_digits(chain, 5000)
+        assert result.agreed_places == 765
+        assert result.digits.startswith("1.3063778838")
+        self.assert_matches_mpmath(chain, result)
+
+    def test_mills_depth_eight_max(self):
+        primes = [2]
+        for offset in self.MILLS_MAX:
+            primes.append((primes[-1] + 1) ** 3 - offset)
+        chain = self.chain("const:3", primes, "max")
+        result = pk.prc_digits(chain, 5000)
+        assert result.agreed_places == 1009
+        self.assert_matches_mpmath(chain, result)
+
+    def test_factorial_depth_seven(self):
+        primes = [2]
+        for k, offset in enumerate(self.FACTORIAL, start=2):
+            primes.append(primes[-1] ** k + offset)
+        chain = self.chain("factorial", primes, "min")
+        result = pk.prc_digits(chain, 5000)
+        assert result.agreed_places == 1770
+        self.assert_matches_mpmath(chain, result)
 
 
 class TestVerifyFloorRecovery:
