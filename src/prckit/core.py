@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -528,13 +529,19 @@ def _parse_decimal(text, what: str) -> int:
     """Inverse of ``to_json`` on a non-negative int: a string of ASCII digits.
 
     JSON numbers, signs, spaces and underscores are refused with a
-    SchemaError, as are strings too long for ``int`` to convert.
+    SchemaError, as are strings too long for ``int`` to convert, with a
+    message that gives the interpreter's digit limit.
     """
     if isinstance(text, str) and _DECIMAL.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # beyond the interpreter's int-string limit
-            pass
+            # only interpreters with the limit raise here; none need str(int)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            raise SchemaError(
+                f"{what} has {len(text)} digits, more than the interpreter's "
+                f"int-string limit of {limit}"
+            ) from None
     raise SchemaError(f"{what} must be a decimal string, got {text!r:.40}")
 
 

@@ -42,10 +42,13 @@ scans, and counts above the sieve bound) strikes each segment's multiples
 of the odd primes up to 2^17 and tests only the survivors, returning the
 ``is_prime`` verdict of the first prime; budgets count scan positions
 (every odd number, plus every integer below 3), struck or not.  Exact
-mode sieves with base primes to sqrt(hi) and either lists each segment's
-primes (``primes_in_range``) or only counts them
-(``count_primes_in_range``); base primes up to 2^23 stay cached once
-sieved, larger ones are sieved batch by batch and dropped.
+mode lists primes (``primes_in_range``) by sieving with the base primes
+to sqrt(hi).  A count (``count_primes_in_range``) strikes only the odd
+primes below t, about sqrt(hi)/8 and more than cbrt(hi - 1), and
+subtracts the products of two primes from t, found by binary search in
+the cached primes up to hi/t (Lehmer's P2 term); where those would not
+fit the cache it sieves as the listing does.  Base primes up to 2^23 stay
+cached once sieved, larger ones are sieved batch by batch and dropped.
 ``count_primes_in_window`` is the one rule for which windows are
 enumerated; the explorer's child counts use it.
 """
@@ -71,6 +74,7 @@ from .core import (
     WindowSearchExhausted,
     probable,
 )
+from .radix import nth_root_floor
 
 # ---------------------------------------------------------------------------
 # the sieve kernel: one striking loop and one segment walker
@@ -698,11 +702,18 @@ def count_primes_in_window(
 
     This is the one rule for which windows are enumerated.  Windows wider
     than ``config.enumeration_cap`` are refused.  Windows whose square root
-    fits under ``config.max_sieve_base`` are counted by segmented sieve
-    (deterministic), without listing the primes unless ``include_list``
-    asks for them.  Narrow windows beyond that bound fall back to testing
-    the scan's sieve survivors, and the weakest certainty tier encountered
-    is reported; wider ones are refused.
+    fits under ``config.max_sieve_base`` are counted exactly
+    (deterministic): ``count_primes_in_range`` sieves by the base primes
+    below about sqrt(hi)/8 and subtracts the products of two larger
+    primes, and only ``include_list`` runs the full listing sieve.  Narrow
+    windows beyond that bound fall back to testing the scan's sieve
+    survivors, and the weakest certainty tier encountered is reported;
+    wider ones are refused.
+
+    A frontier window of a const:3 forest:
+
+    >>> count_primes_in_window(Window.from_parent(1361, 3))
+    WindowCount(count=256666, primes=None, certainty='deterministic')
     """
     cap = config.enumeration_cap
     if window.width > cap:
@@ -785,16 +796,16 @@ def primes_upto(limit: int) -> list[int]:
 
 
 _SEGMENT_WIDTH_LIMIT = 50_000_000
+# A count strikes only the base primes below about sqrt(hi) / this and
+# subtracts the products of two larger primes (``count_primes_in_range``).
+_ROUGH_DIVISOR = 8
 # Odd positions per segment of the exact sieve: a 1 MiB mask.
 _SIEVE_SEGMENT = 1 << 20
 
 
-def _sieve_segments(lo: int, hi: int, config: Config):
-    """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi) exactly.
-
-    ``mask`` marks the primes among a, a + 2, ...; base primes run to
-    sqrt(hi), refused above ``config.max_sieve_base``.  Callers add 2.
-    """
+def _sieve_bound(lo: int, hi: int, config: Config) -> int:
+    """isqrt(hi - 1), the largest base prime an exact sieve of [lo, hi)
+    needs, after the refusals every exact sieve makes first."""
     # bounds in bits: lo, hi and the width may be too long to print
     need = isqrt(hi - 1)
     if need > config.max_sieve_base:
@@ -810,6 +821,16 @@ def _sieve_segments(lo: int, hi: int, config: Config):
             f"segment of {width.bit_length()}-bit width exceeds {_SEGMENT_WIDTH_LIMIT}",
             _SEGMENT_WIDTH_LIMIT,
         )
+    return need
+
+
+def _sieve_segments(lo: int, hi: int, config: Config):
+    """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi) exactly.
+
+    ``mask`` marks the primes among a, a + 2, ...; base primes run to
+    sqrt(hi), refused above ``config.max_sieve_base``.  Callers add 2.
+    """
+    need = _sieve_bound(lo, hi, config)
     _, first, odd = _scan_layout(lo, hi)
     batches = _base_batches(need)
     walk = _walk_segments(first, odd, next(batches)[1:], _SIEVE_SEGMENT, _SIEVE_SEGMENT)
@@ -845,16 +866,40 @@ def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[i
 
 def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> int:
     """len(primes_in_range(lo, hi, config)), refusals included, without
-    building the list: each segment's primes are only counted."""
+    building the list.
+
+    With t = max(cbrt(hi - 1) + 1, sqrt(hi - 1) / _ROUGH_DIVISOR, 3), only
+    the odd primes below t strike.  As t^3 > hi - 1, the odd composites
+    left standing are exactly the products p*q of primes t <= p <= q, and
+    for each p up to sqrt(hi - 1) the q are counted by binary search in the
+    cached primes up to (hi - 1) / t (Lehmer's P2 term).  Where t exceeds
+    sqrt(hi - 1), or those primes would not fit the cache, every base prime
+    to sqrt(hi - 1) strikes, as in ``primes_in_range``.
+    """
     lo = max(lo, 2)
     if hi <= lo:
         return 0
     import numpy as np
 
+    need = _sieve_bound(lo, hi, config)
     count = 1 if lo == 2 else 0
-    for _, mask in _sieve_segments(lo, hi, config):
+    top = hi - 1
+    t = max(nth_root_floor(top, 3) + 1, need // _ROUGH_DIVISOR, 3)
+    if t > need or top // t > _BASE_CACHE_LIMIT:
+        for _, mask in _sieve_segments(lo, hi, config):
+            count += int(np.count_nonzero(mask))
+        return count
+    table = _base_primes(top // t)  # every q of a p*q <= top with p >= t
+    below = int(np.searchsorted(table, t))  # the primes below t
+    _, first, odd = _scan_layout(lo, hi)
+    for _, mask in _walk_segments(first, odd, table[1:below], _SIEVE_SEGMENT, _SIEVE_SEGMENT):
         count += int(np.count_nonzero(mask))
-    return count
+    ps = table[below : np.searchsorted(table, need, side="right")]
+    # per p, the primes q from max(p, ceil(lo/p)) to top // p: q_lo <= q_hi,
+    # as lo <= top gives ceil(lo/p) <= top // p + 1
+    q_lo = np.searchsorted(table, np.maximum(ps, -(-lo // ps)))
+    q_hi = np.searchsorted(table, top // ps, side="right")
+    return count - int((q_hi - q_lo).sum())
 
 
 # Width of the ranges the sieve-only oracles below sieve at a time.

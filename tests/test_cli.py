@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -217,6 +218,25 @@ class TestVerifyCommand:
         message, elapsed = err.splitlines()  # one message, then the timing line
         prefix = "refused: " if code == 2 else "chain file schema mismatch: "
         assert message.startswith(prefix) and elapsed.startswith("elapsed_ms=")
+
+    def test_prime_past_the_int_string_limit_exits_66(self, capsys, tmp_path):
+        # a decimal string, just too long for int(): the message says so
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string limit")
+        code, out, _ = run_cli(capsys, *CHAIN_ARGS)
+        doc = json.loads(out)
+        doc["primes"][-1] = "1" + "0" * limit
+        chain_file = tmp_path / "long.json"
+        chain_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--chain-file", str(chain_file))
+        assert code == 66 and out == ""
+        message, elapsed = err.splitlines()
+        assert message == (
+            f"chain file schema mismatch: prime has {limit + 1} digits, more than "
+            f"the interpreter's int-string limit of {limit}"
+        )
+        assert elapsed.startswith("elapsed_ms=")
 
     @pytest.mark.parametrize(
         "tier", ["banana", "probable:", "probable:032", "probable:-1", "Deterministic"]

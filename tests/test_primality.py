@@ -255,6 +255,18 @@ class TestScanEngine:
             pk.find_prime_in_range(0, 3, budget=2)
 
 
+def rough_bound(hi: int) -> int:
+    """t of ``count_primes_in_range(lo, hi)``: max(cbrt(hi - 1) + 1,
+    isqrt(hi - 1) // _ROUGH_DIVISOR, 3), the cube root by plain search."""
+    top = hi - 1
+    c = round(top ** (1 / 3))
+    while c**3 > top:
+        c -= 1
+    while (c + 1) ** 3 <= top:
+        c += 1
+    return max(c + 1, isqrt(top) // primality._ROUGH_DIVISOR, 3)
+
+
 class TestCountOnly:
     @pytest.mark.parametrize(
         "lo,hi",
@@ -284,6 +296,88 @@ class TestCountOnly:
         assert pk.count_primes_in_range(lo, lo + width) == len(
             pk.primes_in_range(lo, lo + width)
         )
+
+    # The count strikes only the odd primes below t and subtracts the
+    # products p*q of primes t <= p <= q; ``primes_in_range`` strikes every
+    # base prime, so it is the oracle here.
+
+    @given(st.integers(10**9, 10**12), st.integers(0, 3 * 10**5))
+    @settings(max_examples=30, deadline=None)
+    def test_high_windows(self, lo, width):
+        assert pk.count_primes_in_range(lo, lo + width) == len(
+            pk.primes_in_range(lo, lo + width)
+        )
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 11, 29, 47, 61, 64, 100, 1361])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_top_at_a_cube(self, m, shift):
+        # hi - 1 = m^3 + shift: for a prime m up to 61, t = m + 1 exactly when
+        # m^3 is in range, and a t one too small would count m^3 as a prime
+        hi = m**3 + shift + 1
+        for lo in {max(2, hi - 50_000), m**3 - 3, m**3 - 1, m**3}:
+            if lo < hi:
+                assert pk.count_primes_in_range(lo, hi) == len(pk.primes_in_range(lo, hi))
+
+    @pytest.mark.parametrize("top", [47**3 - 1, (8 * 101) ** 2, (8 * 509) ** 2 + 5])
+    def test_products_at_the_bound(self, top):
+        # t is prime here: windows starting around t^2, t*q and p^2 for the
+        # next primes p, q, where ceil(lo/p) and q >= p decide each term
+        hi = top + 1
+        t = rough_bound(hi)
+        p = sympy.nextprime(t)
+        q = sympy.nextprime(p)
+        assert sympy.isprime(t)
+        for x in (t * t, t * p, p * p, p * q):
+            for lo in (x - 1, x, x + 1):
+                assert pk.count_primes_in_range(lo, hi) == len(pk.primes_in_range(lo, hi))
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (0, 9), (2, 9), (3, 8), (4, 10), (2, 10), (2, 27), (2, 28), (3, 28),
+            (5, 2000), (17, 5000), (2, 262_145), (3, 10**6),
+        ],
+    )
+    def test_low_windows(self, lo, hi):
+        # lo below t, lo = 2, and t above sqrt(hi - 1) (hi up to 9)
+        want = len(sieve_list(hi - 1)) - len(sieve_list(lo - 1))
+        assert pk.count_primes_in_range(lo, hi) == want
+
+    def test_smallest_explore_window(self):
+        # [4, 8): a t of 2 would subtract the even products 2*2 and 2*3
+        w = Window.from_parent(2, 2)
+        assert pk.count_primes_in_window(w).count == 2
+        assert pk.count_primes_in_range(4, 10) == 2  # t = 3 = sqrt(9)
+
+    def test_full_sieve_past_the_cache_bound(self, monkeypatch):
+        # with a tiny cache bound the primes to (hi - 1)/t no longer fit,
+        # so the count strikes every base prime, as the listing does
+        monkeypatch.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 10)
+        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        full = []
+        sieve = primality._sieve_segments
+        monkeypatch.setattr(
+            primality, "_sieve_segments", lambda *args: full.append(args) or sieve(*args)
+        )
+        for lo, hi, rough in ((10**6, 10**6 + 5000, False), (4000, 5000, True)):
+            full.clear()
+            assert pk.count_primes_in_range(lo, hi) == len(primes_between(lo, hi))
+            assert bool(full) != rough
+
+    def test_explore_window_walks_only_primes_below_t(self, monkeypatch):
+        lo, hi = 1361**3, 1362**3
+        walked = []
+        walk = primality._walk_segments
+        monkeypatch.setattr(
+            primality,
+            "_walk_segments",
+            lambda first, count, base, *args: walked.append(base.copy())
+            or walk(first, count, base, *args),
+        )
+        assert pk.count_primes_in_range(lo, hi) == 256666
+        t = rough_bound(hi)
+        assert len(walked) == 1 and walked[0].tolist() == sieve_list(t - 1)[1:]
+        assert sympy.primepi(hi - 1) - sympy.primepi(lo - 1) == 256666
 
 
 class TestSieves:
