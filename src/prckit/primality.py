@@ -35,7 +35,10 @@ pool.
 Every prime enumeration runs through one numpy sieve kernel over odd
 numbers: ``_odd_mask`` is the one loop that strikes multiples and
 ``_walk_segments`` the one segment walker; ``_sieve_odd`` builds the base
-primes with them.  The kernel functions import numpy on their first call,
+primes with them.  A mask whose base primes begin 3, 5, 7, 11, 13 starts
+from a wheel: the pattern of the odd numbers coprime to 15015, built on
+first use by the plain loop and sliced to the segment, so only the primes
+from 17 strike.  The kernel functions import numpy on their first call,
 so importing this module loads neither numpy nor ctypes, and
 ``is_prime`` never needs numpy.  Scan mode (``scan_range``: min and max
 scans, and counts above the sieve bound) strikes each segment's multiples
@@ -44,11 +47,12 @@ of the odd primes up to 2^17 and tests only the survivors, returning the
 (every odd number, plus every integer below 3), struck or not.  Exact
 mode lists primes (``primes_in_range``) by sieving with the base primes
 to sqrt(hi).  A count (``count_primes_in_range``) strikes only the odd
-primes below t, about sqrt(hi)/8 and more than cbrt(hi - 1), and
-subtracts the products of two primes from t, found by binary search in
-the cached primes up to hi/t (Lehmer's P2 term); where those would not
-fit the cache it sieves as the listing does.  Base primes up to 2^23 stay
-cached once sieved, larger ones are sieved batch by batch and dropped.
+primes below t, the least t >= 3 with t^3 > hi - 1 whose table of the
+primes up to hi/t fits the base-prime cache, and subtracts the products
+of two primes from t in the window, found by binary search in that table
+(Lehmer's P2 term); where t passes sqrt(hi) (past about 2^46) it sieves
+as the listing does.  Base primes up to 2^23 stay cached once sieved,
+larger ones are sieved batch by batch and dropped.
 ``count_primes_in_window`` is the one rule for which windows are
 enumerated; the explorer's child counts use it.
 """
@@ -97,18 +101,68 @@ def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
     return r
 
 
+# The odd primes of the wheel, their product (the period of their pattern
+# over odd numbers: a and a + 2 * _WHEEL_PERIOD share every residue), and
+# that pattern, built on first use: entry j is True exactly when 2j + 1 is
+# coprime to all five.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)  # 15015
+_wheel = None
+
+
+def _wheel_mask(a: int, length: int) -> np.ndarray:
+    """The wheel pattern of the odd numbers a, a + 2, ..., a + 2*(length - 1):
+    a slice of the cached pattern, doubled in place past one period."""
+    import numpy as np
+
+    global _wheel
+    if _wheel is None:
+        # the plain path of five primes alone; no wheel prime lies in the
+        # segment, which starts past 13^2 at pattern index 0
+        primes = np.array(_WHEEL_PRIMES, dtype=np.int64)
+        start = 2 * _WHEEL_PERIOD + 1
+        _wheel = _odd_mask(start, _WHEEL_PERIOD, primes, start % primes)
+    r = (a // 2) % _WHEEL_PERIOD  # a = 2r + 1 modulo 2 * _WHEEL_PERIOD
+    head = min(length, _WHEEL_PERIOD - r)
+    mask = np.empty(length, dtype=bool)
+    mask[:head] = _wheel[r : r + head]
+    done = min(length, _WHEEL_PERIOD)
+    mask[head:done] = _wheel[: done - head]
+    while done < length:  # done is a multiple of the period from here on
+        step = min(done, length - done)
+        mask[done : done + step] = mask[:step]
+        done += step
+    return mask
+
+
 def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Sieve mask of the odd numbers a, a + 2, ..., a + 2*(length - 1).
 
     ``a`` is odd and at least 3, ``base`` holds ascending odd primes and
     ``res`` is a mod each of them.  An entry is False exactly when its
-    number has a factor in ``base`` other than itself.
+    number is p*m with p in ``base`` and m >= p: when it has a factor in
+    ``base`` other than itself, for a base holding every odd prime up to
+    its last (every base but an uncached batch of ``_base_batches``).
+
+    When ``base`` begins 3, 5, 7, 11, 13 and goes on (ascending odd primes
+    whose fifth is 13), the mask starts from the wheel pattern of those
+    five and only the rest strike; five primes alone take the plain path,
+    which is how the pattern itself is built.
     """
     import numpy as np
 
-    mask = np.ones(length, dtype=bool)
-    if not base.size:
-        return mask
+    k = len(_WHEEL_PRIMES)
+    if base.size > k and int(base[k - 1]) == _WHEEL_PRIMES[-1]:
+        mask = _wheel_mask(a, length)
+        if a <= 13:  # the wheel primes in the segment are prime
+            for p in _WHEEL_PRIMES:
+                if a <= p < a + 2 * length:
+                    mask[(p - a) // 2] = True
+        base, res = base[k:], res[k:]
+    else:
+        mask = np.ones(length, dtype=bool)
+        if not base.size:
+            return mask
     t = (base - res) % base  # p divides a + t
     start = (t + (t & 1) * base) // 2  # first odd multiple is a + 2*start
     if a <= int(base[-1]) ** 2:
@@ -152,7 +206,13 @@ def _sieve_odd(limit: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     base = _sieve_odd(isqrt(limit))[1:]
     mask = _odd_mask(3, (limit - 1) // 2, base, 3 % base)
-    return np.concatenate((np.array([2], dtype=np.int64), 3 + 2 * np.flatnonzero(mask)))
+    # written in place into one array: 2, then 3 + 2 * index
+    primes = np.empty(int(np.count_nonzero(mask)) + 1, dtype=np.int64)
+    primes[0] = 2
+    odd = primes[1:]
+    np.multiply(np.flatnonzero(mask), 2, out=odd)
+    odd += 3
+    return primes
 
 
 # Strong-pseudoprime witness set (the primes 2..37) proven exhaustive for
@@ -704,11 +764,11 @@ def count_primes_in_window(
     than ``config.enumeration_cap`` are refused.  Windows whose square root
     fits under ``config.max_sieve_base`` are counted exactly
     (deterministic): ``count_primes_in_range`` sieves by the base primes
-    below about sqrt(hi)/8 and subtracts the products of two larger
-    primes, and only ``include_list`` runs the full listing sieve.  Narrow
-    windows beyond that bound fall back to testing the scan's sieve
-    survivors, and the weakest certainty tier encountered is reported;
-    wider ones are refused.
+    below about cbrt(hi) (below hi/2^23 from about 2.4 * 10^10) and
+    subtracts the products of two larger primes, and only ``include_list``
+    runs the full listing sieve.  Narrow windows beyond that bound fall
+    back to testing the scan's sieve survivors, and the weakest certainty
+    tier encountered is reported; wider ones are refused.
 
     A frontier window of a const:3 forest:
 
@@ -796,9 +856,6 @@ def primes_upto(limit: int) -> list[int]:
 
 
 _SEGMENT_WIDTH_LIMIT = 50_000_000
-# A count strikes only the base primes below about sqrt(hi) / this and
-# subtracts the products of two larger primes (``count_primes_in_range``).
-_ROUGH_DIVISOR = 8
 # Odd positions per segment of the exact sieve: a 1 MiB mask.
 _SIEVE_SEGMENT = 1 << 20
 
@@ -868,13 +925,14 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
     """len(primes_in_range(lo, hi, config)), refusals included, without
     building the list.
 
-    With t = max(cbrt(hi - 1) + 1, sqrt(hi - 1) / _ROUGH_DIVISOR, 3), only
-    the odd primes below t strike.  As t^3 > hi - 1, the odd composites
-    left standing are exactly the products p*q of primes t <= p <= q, and
-    for each p up to sqrt(hi - 1) the q are counted by binary search in the
-    cached primes up to (hi - 1) / t (Lehmer's P2 term).  Where t exceeds
-    sqrt(hi - 1), or those primes would not fit the cache, every base prime
-    to sqrt(hi - 1) strikes, as in ``primes_in_range``.
+    With t = max(cbrt(hi - 1) + 1, (hi - 1) // _BASE_CACHE_LIMIT + 1, 3),
+    only the odd primes below t strike.  As t^3 > hi - 1, the odd
+    composites left standing are exactly the products p*q of primes
+    t <= p <= q, and for each p up to sqrt(hi - 1) with such a product in
+    the window the q are counted by binary search in the cached primes up
+    to (hi - 1) / t (Lehmer's P2 term); the second term of t makes those
+    fit the cache.  Where t exceeds sqrt(hi - 1) (past about 2^46), every
+    base prime to sqrt(hi - 1) strikes, as in ``primes_in_range``.
     """
     lo = max(lo, 2)
     if hi <= lo:
@@ -884,8 +942,8 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
     need = _sieve_bound(lo, hi, config)
     count = 1 if lo == 2 else 0
     top = hi - 1
-    t = max(nth_root_floor(top, 3) + 1, need // _ROUGH_DIVISOR, 3)
-    if t > need or top // t > _BASE_CACHE_LIMIT:
+    t = max(nth_root_floor(top, 3) + 1, top // _BASE_CACHE_LIMIT + 1, 3)
+    if t > need:
         for _, mask in _sieve_segments(lo, hi, config):
             count += int(np.count_nonzero(mask))
         return count
@@ -895,10 +953,12 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
     for _, mask in _walk_segments(first, odd, table[1:below], _SIEVE_SEGMENT, _SIEVE_SEGMENT):
         count += int(np.count_nonzero(mask))
     ps = table[below : np.searchsorted(table, need, side="right")]
-    # per p, the primes q from max(p, ceil(lo/p)) to top // p: q_lo <= q_hi,
-    # as lo <= top gives ceil(lo/p) <= top // p + 1
-    q_lo = np.searchsorted(table, np.maximum(ps, -(-lo // ps)))
-    q_hi = np.searchsorted(table, top // ps, side="right")
+    # per p, the primes q from max(p, ceil(lo/p)) to top // p, for the p
+    # with a multiple in [lo, top] (p <= top // p, as p <= sqrt(top))
+    q_lo, q_hi = np.maximum(ps, -(-lo // ps)), top // ps
+    hit = q_lo <= q_hi
+    q_lo = np.searchsorted(table, q_lo[hit])
+    q_hi = np.searchsorted(table, q_hi[hit], side="right")
     return count - int((q_hi - q_lo).sum())
 
 

@@ -257,14 +257,14 @@ class TestScanEngine:
 
 def rough_bound(hi: int) -> int:
     """t of ``count_primes_in_range(lo, hi)``: max(cbrt(hi - 1) + 1,
-    isqrt(hi - 1) // _ROUGH_DIVISOR, 3), the cube root by plain search."""
+    (hi - 1) // _BASE_CACHE_LIMIT + 1, 3), the cube root by plain search."""
     top = hi - 1
     c = round(top ** (1 / 3))
     while c**3 > top:
         c -= 1
     while (c + 1) ** 3 <= top:
         c += 1
-    return max(c + 1, isqrt(top) // primality._ROUGH_DIVISOR, 3)
+    return max(c + 1, top // primality._BASE_CACHE_LIMIT + 1, 3)
 
 
 class TestCountOnly:
@@ -320,14 +320,14 @@ class TestCountOnly:
 
     @pytest.mark.parametrize("top", [47**3 - 1, (8 * 101) ** 2, (8 * 509) ** 2 + 5])
     def test_products_at_the_bound(self, top):
-        # t is prime here: windows starting around t^2, t*q and p^2 for the
-        # next primes p, q, where ceil(lo/p) and q >= p decide each term
+        # windows starting around r^2, r*p, p^2 and p*q for the least primes
+        # r < p < q from t (r = t at 47^3 - 1), where ceil(lo/p) and q >= p
+        # decide each term
         hi = top + 1
-        t = rough_bound(hi)
-        p = sympy.nextprime(t)
+        r = sympy.nextprime(rough_bound(hi) - 1)
+        p = sympy.nextprime(r)
         q = sympy.nextprime(p)
-        assert sympy.isprime(t)
-        for x in (t * t, t * p, p * p, p * q):
+        for x in (r * r, r * p, p * p, p * q):
             for lo in (x - 1, x, x + 1):
                 assert pk.count_primes_in_range(lo, hi) == len(pk.primes_in_range(lo, hi))
 
@@ -350,8 +350,9 @@ class TestCountOnly:
         assert pk.count_primes_in_range(4, 10) == 2  # t = 3 = sqrt(9)
 
     def test_full_sieve_past_the_cache_bound(self, monkeypatch):
-        # with a tiny cache bound the primes to (hi - 1)/t no longer fit,
-        # so the count strikes every base prime, as the listing does
+        # with a tiny cache bound, t = (hi - 1) // bound + 1 passes
+        # sqrt(hi - 1) near 2 * 10^6 (as it does past 2^46 with 2^23), so
+        # the count strikes every base prime, as the listing does
         monkeypatch.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 10)
         monkeypatch.setattr(primality, "_base_cache", (0, None))
         full = []
@@ -359,7 +360,8 @@ class TestCountOnly:
         monkeypatch.setattr(
             primality, "_sieve_segments", lambda *args: full.append(args) or sieve(*args)
         )
-        for lo, hi, rough in ((10**6, 10**6 + 5000, False), (4000, 5000, True)):
+        for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
+            assert (rough_bound(hi) <= isqrt(hi - 1)) == rough
             full.clear()
             assert pk.count_primes_in_range(lo, hi) == len(primes_between(lo, hi))
             assert bool(full) != rough
@@ -376,8 +378,32 @@ class TestCountOnly:
         )
         assert pk.count_primes_in_range(lo, hi) == 256666
         t = rough_bound(hi)
-        assert len(walked) == 1 and walked[0].tolist() == sieve_list(t - 1)[1:]
+        assert t == 1362 and len(walked) == 1
+        assert walked[0].tolist() == sieve_list(t - 1)[1:] and len(walked[0]) == 217
         assert sympy.primepi(hi - 1) - sympy.primepi(lo - 1) == 256666
+
+    @pytest.mark.parametrize("height", [10**12, 4 * 10**12, 10**13])
+    @pytest.mark.parametrize("width", [10**4, 10**5])
+    def test_rough_count_up_to_2_to_the_46(self, height, width):
+        # t = (hi - 1) // _BASE_CACHE_LIMIT + 1 here, below sqrt(hi - 1)
+        hi = height + width
+        assert rough_bound(hi) <= isqrt(hi - 1)
+        assert pk.count_primes_in_range(height, hi) == len(pk.primes_in_range(height, hi))
+
+    def test_p2_terms_with_one_multiple_or_none(self):
+        # p from t to sqrt(top) with its only multiple p*q at lo, at top or
+        # outside the window; q prime, so each p*q must be subtracted
+        p = sympy.nextprime(5 * 10**5)
+        q = sympy.nextprime(2 * 10**6)
+        assert rough_bound(p * q + 1) < p < 10**4 + p < isqrt(p * q) and q > p
+        windows = (
+            (p * q, p * q + 10**4),  # at lo
+            (p * q - 10**4 + 1, p * q + 1),  # at top
+            (p * q + 1, p * (q + 1)),  # none: the window lies between two
+            (p * q - 10**4, p * q),  # none, ending just below p*q
+        )
+        for lo, hi in windows:
+            assert pk.count_primes_in_range(lo, hi) == len(pk.primes_in_range(lo, hi))
 
 
 class TestSieves:
@@ -469,6 +495,80 @@ class TestSieveKernel:
             assert pk.primes_in_range(lo, hi) == want
             assert pk.count_primes_in_range(lo, hi) == len(want)
         assert primality._base_cache[0] == 1 << 6
+
+
+ODD_PRIMES = sieve_list(2000)[1:]
+
+
+@st.composite
+def mask_args(draw):
+    """(a, length, base) for ``_odd_mask``: odd a from 3 up, small ones
+    (around the wheel primes, and a <= p^2 for base primes p) drawn often;
+    lengths up to three wheel periods and more; bases that begin at 3 (the
+    wheel) or further on (the plain path)."""
+    a = 2 * draw(st.one_of(st.integers(1, 12), st.integers(1, 2000), st.integers(1, 2**69))) + 1
+    length = draw(st.one_of(st.integers(1, 40), st.integers(1, 3 * 15015 + 7)))
+    first = draw(st.one_of(st.just(0), st.integers(0, len(ODD_PRIMES))))
+    size = draw(st.integers(0, 60))
+    return a, length, np.array(ODD_PRIMES[first : first + size], dtype=np.int64)
+
+
+def trial_division_mask(a: int, length: int, base: np.ndarray) -> np.ndarray:
+    """Entry i is False exactly when a + 2i = p*m with p in ``base`` and
+    m >= p, tested for each p at every entry."""
+    index = np.arange(length)
+    mask = np.ones(length, dtype=bool)
+    for p in base.tolist():
+        divides = (a % p + 2 * index) % p == 0
+        mask &= ~(divides & (index >= (p * p - a + 1) // 2))
+    return mask
+
+
+@given(mask_args())
+@settings(max_examples=200, deadline=None)
+def test_odd_mask_matches_trial_division(args):
+    # with every odd prime up to its last in ``base`` (so with the wheel),
+    # that is: False exactly when the number has a factor in base other
+    # than itself
+    a, length, base = args
+    got = primality._odd_mask(a, length, base, primality._residues(a, base))
+    assert np.array_equal(got, trial_division_mask(a, length, base))
+
+
+def test_wheel_pattern_is_built_on_first_use():
+    """Import builds no wheel; the first mask with a base from 3 past 13
+    builds it once, as the odd numbers coprime to 3*5*7*11*13."""
+    probe = """
+import prckit
+from prckit import primality
+
+print(primality._wheel is None)
+prckit.primes_in_range(10**6, 10**6 + 100)
+wheel = primality._wheel
+prckit.count_primes_in_range(1361**3, 1362**3)
+print(wheel.size, wheel is primality._wheel, "".join("01"[b] for b in wheel[:12].tolist()))
+"""
+    out = run_probe(probe)
+    # 2j + 1 for j = 0..11: 1 3 5 7 9 11 13 15 17 19 21 23
+    assert out[:2] == ["True", "15015 True 100000001101"]
+
+
+def test_count_cache_build_peak():
+    """The base-prime table an explore-window count builds (the primes to
+    (hi - 1) / t, about 1.8 * 10^6) grows the peak RSS by under 8 MB."""
+    probe = """
+import resource, sys
+import numpy
+import prckit
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+count = prckit.count_primes_in_range(1361**3, 1362**3)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(count, grown / 2**20 if sys.platform == "darwin" else grown / 2**10)  # bytes or KiB
+"""
+    count, grown_mb = run_probe(probe)[0].split()
+    assert int(count) == 256666
+    assert float(grown_mb) < 8
 
 
 def test_base_primes_past_the_cache_bound_are_dropped():
