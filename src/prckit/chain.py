@@ -28,7 +28,13 @@ from .core import (
     WindowSearchExhausted,
     decimal_length,
 )
-from .primality import find_prime_in_range, is_prime, primes_in_range, window_prime
+from .primality import (
+    _scan_layout,
+    find_prime_in_range,
+    is_prime,
+    primes_in_range,
+    window_prime,
+)
 from .radix import scaled_root_floor
 
 
@@ -220,7 +226,8 @@ def _step_exponents(chain: PrimeChain, config: Config) -> list[int]:
 
 
 def _rescan(lo: int, hi: int, config: Config, descending: bool) -> str:
-    if (hi - lo + 1) // 2 > config.rescan_cap:
+    small, _, odd = _scan_layout(lo, hi)  # the scan positions the budget counts
+    if small + odd > config.rescan_cap:
         return "budget"
     try:
         found = find_prime_in_range(

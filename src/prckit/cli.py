@@ -8,8 +8,9 @@ command with the same configuration reproduces stdout byte for byte.
 
 Exit codes: 0 success / all checks passed; 1 a verification check failed;
 2 refusal (budget or bit ceiling, including a chain file whose steps
-exceed the chain bit ceiling), with a partial artifact when one exists;
-64 usage error (including out-of-range arguments); 65 bad input data
+exceed the chain bit ceiling and an output integer past the interpreter's
+int-string limit), with a partial artifact when one exists; 64 usage
+error (including out-of-range arguments); 65 bad input data
 (composite seed); 66 missing or malformed input file (including JSON that
 cannot be decoded, integers that are not decimal strings and primes below
 2).
@@ -117,8 +118,11 @@ def _config(args):
     env_ceiling = os.environ.get("PRC_BIT_CEILING")
     if env_ceiling:
         kwargs["radicand_bit_ceiling"] = int(env_ceiling)
-    if getattr(args, "window_budget", None):
-        kwargs["window_budget"] = args.window_budget
+    budget = getattr(args, "window_budget", None)
+    if budget is not None:
+        if budget < 1:
+            raise ValueError(f"--window-budget must be at least 1, got {budget}")
+        kwargs["window_budget"] = budget
     return replace(DEFAULT_CONFIG, **kwargs) if kwargs else DEFAULT_CONFIG
 
 

@@ -30,7 +30,9 @@ class CompositeSeedError(PrcError, ValueError):
 
 
 class BitCeilingError(PrcError, RuntimeError):
-    """An exact computation would exceed the configured bit ceiling."""
+    """An exact computation would exceed the configured bit ceiling, or an
+    integer to be written in decimal exceeds the interpreter's int-string
+    limit."""
 
     def __init__(self, message: str, max_feasible_digits: int | None = None):
         super().__init__(message)
@@ -322,11 +324,12 @@ class CertifiedDecimalInterval:
         Returns (digits, places) where ``digits`` looks like "1.3052" and
         ``places`` counts agreed digits after the point.  Every real in the
         interval starts with the returned prefix.  If even the integer parts
-        disagree the result is ("", 0).
+        disagree the result is ("", 0).  A mantissa past the interpreter's
+        int-string limit is a BitCeilingError.
         """
         d = self.digits_after_point
-        lo = str(self.lo_mantissa)
-        hi = str(self.hi_mantissa)
+        lo = _decimal_str(self.lo_mantissa)
+        hi = _decimal_str(self.hi_mantissa)
         width = max(len(lo), len(hi), d + 1)
         lo = lo.zfill(width)
         hi = hi.zfill(width)
@@ -495,7 +498,8 @@ def to_json(value):
     and gap policies their name.  A dataclass becomes a dict of its fields
     in declaration order (properties are not fields and are skipped);
     tuples and lists become lists, dicts keep their keys, and None and
-    strings pass through.  Encoding an encoded value changes nothing.
+    strings pass through.  Encoding an encoded value changes nothing.  An
+    integer past the interpreter's int-string limit is a BitCeilingError.
 
     >>> to_json({"n": 10**20, "ok": True, "f": Fraction(14, 2), "c": None})
     {'n': '100000000000000000000', 'ok': True, 'f': '7', 'c': None}
@@ -504,7 +508,7 @@ def to_json(value):
     """
     kind = type(value)  # exact types, so a bool is never taken for an int
     if kind is int or kind is Fraction:
-        return str(value)
+        return _decimal_str(value)
     if value is None or kind is bool or kind is str:
         return value
     if kind is tuple or kind is list:
@@ -519,6 +523,21 @@ def to_json(value):
     if names is not None:
         return {name: to_json(getattr(value, name)) for name in names}
     raise TypeError(f"no JSON encoding for {kind.__name__}")
+
+
+def _decimal_str(value: int | Fraction) -> str:
+    """str(value), or BitCeilingError, giving the digit count and the limit,
+    when the interpreter's int-string limit refuses it."""
+    try:
+        return str(value)
+    except ValueError:
+        # only interpreters with the limit raise here
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = decimal_length(max(abs(value.numerator), value.denominator))
+        raise BitCeilingError(
+            f"a {digits}-digit integer exceeds the interpreter's int-string "
+            f"limit of {limit} digits"
+        ) from None
 
 
 _DECIMAL = re.compile(r"[0-9]+")

@@ -34,25 +34,22 @@ pool.
 
 Every prime enumeration runs through one numpy sieve kernel over odd
 numbers: ``_odd_mask`` is the one loop that strikes multiples and
-``_walk_segments`` the one segment walker; ``_sieve_odd`` builds the base
-primes with them.  A mask whose base primes begin 3, 5, 7, 11, 13 starts
-from a wheel: the pattern of the odd numbers coprime to 15015, built on
-first use by the plain loop and sliced to the segment, so only the primes
-from 17 strike.  The kernel functions import numpy on their first call,
-so importing this module loads neither numpy nor ctypes, and
+``_walk_segments`` the one segment walker.  A mask whose base primes
+begin 3, 5, 7, 11, 13 starts from a wheel: the pattern of the odd numbers
+coprime to 15015, built on first use by the plain loop, so only the
+primes from 17 strike.  The kernel functions import numpy on their first
+call, so importing this module loads neither numpy nor ctypes, and
 ``is_prime`` never needs numpy.  Scan mode (``scan_range``: min and max
 scans, and counts above the sieve bound) strikes each segment's multiples
 of the odd primes up to 2^17 and tests only the survivors, returning the
 ``is_prime`` verdict of the first prime; budgets count scan positions
 (every odd number, plus every integer below 3), struck or not.  Exact
-mode lists primes (``primes_in_range``) by sieving with the base primes
-to sqrt(hi).  A count (``count_primes_in_range``) strikes only the odd
-primes below t, the least t >= 3 with t^3 > hi - 1 whose table of the
-primes up to hi/t fits the base-prime cache, and subtracts the products
-of two primes from t in the window, found by binary search in that table
-(Lehmer's P2 term); where t passes sqrt(hi) (past about 2^46) it sieves
-as the listing does.  Base primes up to 2^23 stay cached once sieved,
-larger ones are sieved batch by batch and dropped.
+primes come two ways: ``_primes_from`` yields those of a range segment by
+segment, which fills the base-prime cache (to 2^23) and yields the base
+primes past it uncached, and ``_sieve_segments`` strikes a window with
+the base primes up to a bound: sqrt(hi) for a listing
+(``primes_in_range``), a t from cbrt(hi) for a count
+(``count_primes_in_range``, which adds Lehmer's P2 term).
 ``count_primes_in_window`` is the one rule for which windows are
 enumerated; the explorer's child counts use it.
 """
@@ -112,7 +109,7 @@ _wheel = None
 
 def _wheel_mask(a: int, length: int) -> np.ndarray:
     """The wheel pattern of the odd numbers a, a + 2, ..., a + 2*(length - 1):
-    a slice of the cached pattern, doubled in place past one period."""
+    the cached pattern, rotated to a and repeated to ``length``."""
     import numpy as np
 
     global _wheel
@@ -123,15 +120,13 @@ def _wheel_mask(a: int, length: int) -> np.ndarray:
         start = 2 * _WHEEL_PERIOD + 1
         _wheel = _odd_mask(start, _WHEEL_PERIOD, primes, start % primes)
     r = (a // 2) % _WHEEL_PERIOD  # a = 2r + 1 modulo 2 * _WHEEL_PERIOD
-    head = min(length, _WHEEL_PERIOD - r)
+    rotated = np.concatenate((_wheel[r:], _wheel[:r]))
+    # copied into a mask of exact size: np.tile or np.resize would keep up
+    # to a period (15 KB) alive behind each view, even for 256 entries
+    whole = length - length % _WHEEL_PERIOD
     mask = np.empty(length, dtype=bool)
-    mask[:head] = _wheel[r : r + head]
-    done = min(length, _WHEEL_PERIOD)
-    mask[head:done] = _wheel[: done - head]
-    while done < length:  # done is a multiple of the period from here on
-        step = min(done, length - done)
-        mask[done : done + step] = mask[:step]
-        done += step
+    mask[:whole].reshape(-1, _WHEEL_PERIOD)[:] = rotated
+    mask[whole:] = rotated[: length - whole]
     return mask
 
 
@@ -142,7 +137,7 @@ def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndar
     ``res`` is a mod each of them.  An entry is False exactly when its
     number is p*m with p in ``base`` and m >= p: when it has a factor in
     ``base`` other than itself, for a base holding every odd prime up to
-    its last (every base but an uncached batch of ``_base_batches``).
+    its last (every base but an uncached batch of ``_primes_from``).
 
     When ``base`` begins 3, 5, 7, 11, 13 and goes on (ascending odd primes
     whose fifth is 13), the mask starts from the wheel pattern of those
@@ -195,24 +190,6 @@ def _walk_segments(
         done += length
         a_prev = a
         length = min(2 * length, cap)
-
-
-def _sieve_odd(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (odd-only sieve of Eratosthenes;
-    the striking primes up to sqrt(limit) come from a recursive call)."""
-    import numpy as np
-
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    base = _sieve_odd(isqrt(limit))[1:]
-    mask = _odd_mask(3, (limit - 1) // 2, base, 3 % base)
-    # written in place into one array: 2, then 3 + 2 * index
-    primes = np.empty(int(np.count_nonzero(mask)) + 1, dtype=np.int64)
-    primes[0] = 2
-    odd = primes[1:]
-    np.multiply(np.flatnonzero(mask), 2, out=odd)
-    odd += 3
-    return primes
 
 
 # Strong-pseudoprime witness set (the primes 2..37) proven exhaustive for
@@ -818,39 +795,40 @@ _base_cache: tuple = (0, None)
 
 
 def _base_primes(limit: int) -> np.ndarray:
-    """The primes up to min(limit, _BASE_CACHE_LIMIT), from the cache."""
+    """The primes up to min(limit, _BASE_CACHE_LIMIT), from the cache; a
+    cache too short grows by the primes past its old bound."""
     import numpy as np
 
     global _base_cache
     limit = min(limit, _BASE_CACHE_LIMIT)
     cached, primes = _base_cache
     if primes is None or limit > cached:
-        cached = min(max(limit, 2 * cached, 1 << 16), _BASE_CACHE_LIMIT)
-        primes = _sieve_odd(cached)
-        _base_cache = (cached, primes)
+        grown = min(max(limit, 2 * cached, 1 << 16), _BASE_CACHE_LIMIT)
+        old = () if primes is None else (primes,)
+        primes = np.concatenate((*old, *_primes_from(cached + 1, grown)))
+        _base_cache = (grown, primes)
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-def _base_batches(limit: int):
-    """Yield the primes up to ``limit`` as ascending int64 arrays: the cached
-    ones, then those above _BASE_CACHE_LIMIT one exact-sieve segment at a
-    time, never cached (their striking primes, up to sqrt(limit), come from
-    a recursive call)."""
+def _primes_from(first: int, limit: int):
+    """Yield the primes in [first, limit] as ascending int64 arrays, one exact-sieve
+    segment at a time, struck by the primes to sqrt(limit) of a recursive call."""
     import numpy as np
 
-    yield _base_primes(limit)
-    first = _BASE_CACHE_LIMIT + 1
-    if limit >= first:
-        base = np.concatenate(tuple(_base_batches(isqrt(limit))))[1:]
-        count = (limit - first) // 2 + 1
-        for a, mask in _walk_segments(first, count, base, _SIEVE_SEGMENT, _SIEVE_SEGMENT):
-            yield a + 2 * np.flatnonzero(mask)
+    if first <= 2 <= limit:
+        yield np.array([2], dtype=np.int64)
+    _, start, odd = _scan_layout(first, limit + 1)
+    if odd:
+        base = np.concatenate((np.empty(0, np.int64), *_primes_from(3, isqrt(limit))))
+        for a, mask in _walk_segments(start, odd, base, _SIEVE_SEGMENT, _SIEVE_SEGMENT):
+            i = np.flatnonzero(mask)  # a + 2i in place: no temporary per segment
+            yield np.add(np.multiply(i, 2, out=i), a, out=i)
 
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit (exact sieve)."""
-    primes = []
-    for batch in _base_batches(limit):
+    primes = _base_primes(limit).tolist()
+    for batch in _primes_from(_BASE_CACHE_LIMIT + 1, limit):  # past the cache
         primes += batch.tolist()
     return primes
 
@@ -881,26 +859,28 @@ def _sieve_bound(lo: int, hi: int, config: Config) -> int:
     return need
 
 
-def _sieve_segments(lo: int, hi: int, config: Config):
-    """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi) exactly.
+def _sieve_segments(lo: int, hi: int, config: Config, strike: int | None = None):
+    """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi).
 
-    ``mask`` marks the primes among a, a + 2, ...; base primes run to
-    sqrt(hi), refused above ``config.max_sieve_base``.  Callers add 2.
+    ``mask`` marks the numbers among a, a + 2, ... with no odd prime
+    factor up to ``strike`` but themselves; ``strike`` defaults to, and is
+    capped at, sqrt(hi - 1), where these are exactly the primes.  Windows
+    with sqrt(hi - 1) above ``config.max_sieve_base`` are refused.
+    Callers add 2.
     """
     need = _sieve_bound(lo, hi, config)
+    strike = need if strike is None else min(strike, need)
     _, first, odd = _scan_layout(lo, hi)
-    batches = _base_batches(need)
-    walk = _walk_segments(first, odd, next(batches)[1:], _SIEVE_SEGMENT, _SIEVE_SEGMENT)
-    if need <= _BASE_CACHE_LIMIT:
-        yield from walk
-        return
-    # each uncached batch of base primes strikes every segment in turn, so
-    # all the segments' masks are kept until the last batch
-    segments = list(walk)
-    for batch in batches:
-        struck = _walk_segments(first, odd, batch, _SIEVE_SEGMENT, _SIEVE_SEGMENT)
-        for (_, mask), (_, more) in zip(segments, struck):
-            mask &= more
+    base = _base_primes(strike)[1:]
+    segments = _walk_segments(first, odd, base, _SIEVE_SEGMENT, _SIEVE_SEGMENT)
+    if strike > _BASE_CACHE_LIMIT:
+        # each uncached batch of base primes strikes every segment in turn,
+        # so all the segments' masks are kept until the last batch
+        segments = list(segments)
+        for batch in _primes_from(_BASE_CACHE_LIMIT + 1, strike):
+            struck = _walk_segments(first, odd, batch, _SIEVE_SEGMENT, _SIEVE_SEGMENT)
+            for (_, mask), (_, more) in zip(segments, struck):
+                mask &= more
     yield from segments
 
 
@@ -925,14 +905,15 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
     """len(primes_in_range(lo, hi, config)), refusals included, without
     building the list.
 
-    With t = max(cbrt(hi - 1) + 1, (hi - 1) // _BASE_CACHE_LIMIT + 1, 3),
-    only the odd primes below t strike.  As t^3 > hi - 1, the odd
-    composites left standing are exactly the products p*q of primes
-    t <= p <= q, and for each p up to sqrt(hi - 1) with such a product in
-    the window the q are counted by binary search in the cached primes up
-    to (hi - 1) / t (Lehmer's P2 term); the second term of t makes those
-    fit the cache.  Where t exceeds sqrt(hi - 1) (past about 2^46), every
-    base prime to sqrt(hi - 1) strikes, as in ``primes_in_range``.
+    With t = min(max(cbrt(hi - 1) + 1, (hi - 1) // _BASE_CACHE_LIMIT + 1,
+    3), sqrt(hi - 1) + 1), ``_sieve_segments`` strikes only the odd primes
+    below t.  As t^3 > hi - 1, the odd composites left standing are
+    exactly the products p*q of primes t <= p <= q, and for each p up to
+    sqrt(hi - 1) with such a product in the window the q are counted by
+    binary search in the cached primes up to (hi - 1) / t (Lehmer's P2
+    term); the second term of t makes those fit the cache.  Where the cap
+    applies (past about 2^46) there is no such p and every base prime
+    strikes, as in ``primes_in_range``.
     """
     lo = max(lo, 2)
     if hi <= lo:
@@ -940,19 +921,16 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
     import numpy as np
 
     need = _sieve_bound(lo, hi, config)
-    count = 1 if lo == 2 else 0
     top = hi - 1
-    t = max(nth_root_floor(top, 3) + 1, top // _BASE_CACHE_LIMIT + 1, 3)
-    if t > need:
-        for _, mask in _sieve_segments(lo, hi, config):
-            count += int(np.count_nonzero(mask))
-        return count
+    t = min(max(nth_root_floor(top, 3) + 1, top // _BASE_CACHE_LIMIT + 1, 3), need + 1)
     table = _base_primes(top // t)  # every q of a p*q <= top with p >= t
-    below = int(np.searchsorted(table, t))  # the primes below t
-    _, first, odd = _scan_layout(lo, hi)
-    for _, mask in _walk_segments(first, odd, table[1:below], _SIEVE_SEGMENT, _SIEVE_SEGMENT):
+    count = 1 if lo == 2 else 0
+    for _, mask in _sieve_segments(lo, hi, config, t - 1):
         count += int(np.count_nonzero(mask))
-    ps = table[below : np.searchsorted(table, need, side="right")]
+        # dropped before the next is built: two 1 MiB masks alive can pass
+        # malloc's heap trim threshold, and each mask then faults in afresh
+        del mask
+    ps = table[np.searchsorted(table, t) : np.searchsorted(table, need, side="right")]
     # per p, the primes q from max(p, ceil(lo/p)) to top // p, for the p
     # with a multiple in [lo, top] (p <= top // p, as p <= sqrt(top))
     q_lo, q_hi = np.maximum(ps, -(-lo // ps)), top // ps

@@ -8,6 +8,7 @@ tests something to disagree with.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -63,3 +64,14 @@ def factorial_digits(factorial_chain):
 @pytest.fixture(scope="session")
 def mills_chain():
     return pk.build_chain(pk.parse_exponent_spec("const:3"), 2, 4, "min", pk.EMPIRICAL)
+
+
+@pytest.fixture
+def int_limit_640():
+    """The interpreter's int-string limit lowered to 640 digits for one test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)

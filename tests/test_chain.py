@@ -175,6 +175,15 @@ class TestVerifyChain:
         assert report.passed  # unverified-by-budget is not a failure
         assert any(s.extremality == "budget" for s in report.steps)
 
+    def test_rescan_cap_counts_scan_positions(self):
+        # step 1 rescans [8, 11): one scan position, 9, within a cap of one
+        chain = pk.build_chain(pk.parse_exponent_spec("const:3"), 2, 3)
+        tiny = replace(pk.DEFAULT_CONFIG, rescan_cap=1)
+        report = pk.verify_chain(chain, tiny)
+        assert chain.primes[:2] == (2, 11)
+        assert report.steps[0].extremality == "verified"
+        assert pk.find_prime_in_range(8, 11, budget=1) is None
+
     def test_certainty_recomputed_not_echoed(self, powfact3_chain, mills_chain):
         for chain in (powfact3_chain, mills_chain):
             report = pk.verify_chain(chain)

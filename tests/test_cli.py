@@ -76,6 +76,21 @@ class TestChainCommand:
         assert doc["manifest"]["config"]["window_budget"] == "1"
         assert len(doc["primes"]) < 3
 
+    @pytest.mark.parametrize("command", ["chain", "digits"])
+    def test_int_string_limit_exits_2(self, capsys, int_limit_640, command):
+        # the depth-8 Mills prime has 762 digits, its digits' mantissas 772
+        code, out, err = run_cli(
+            capsys, command, "--exps", "const:3", "--seed", "2", "--depth", "8"
+        )
+        assert code == 2 and out == ""
+        message, elapsed = err.splitlines()
+        digits = 762 if command == "chain" else 772
+        assert message == (
+            f"refused: a {digits}-digit integer exceeds the interpreter's "
+            "int-string limit of 640 digits"
+        )
+        assert elapsed.startswith("elapsed_ms=")
+
     def test_bad_flags_exit_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chain", "--exps", "const:3"])  # missing required flags
@@ -101,8 +116,18 @@ class TestChainCommand:
              "--max-digits", "0"),
             ("explore", "--exps", "const:3", "--seeds", "2:3", "--depth", "2",
              "--gap-level", "5"),
+            ("chain", "--exps", "const:3", "--seed", "2", "--depth", "3",
+             "--window-budget", "0"),
+            ("chain", "--exps", "const:3", "--seed", "2", "--depth", "3",
+             "--window-budget", "-3"),
+            ("verify", "--chain-file",
+             str(Path(__file__).parent / "golden" / "tampered_chain.json"),
+             "--window-budget", "0"),
         ],
-        ids=["depth-0", "depth-100", "list-too-short", "max-digits-0", "gap-level-5"],
+        ids=[
+            "depth-0", "depth-100", "list-too-short", "max-digits-0", "gap-level-5",
+            "window-budget-0", "window-budget-negative", "verify-window-budget-0",
+        ],
     )
     def test_out_of_range_arguments_exit_64(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

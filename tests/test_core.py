@@ -163,6 +163,18 @@ class TestDecimalLength:
                 sys.set_int_max_str_digits(limit)
 
 
+def test_past_the_int_string_limit_is_a_refusal(int_limit_640):
+    # the message gives the digit count (by decimal_length) and the limit
+    message = "a 701-digit integer exceeds the interpreter's int-string limit of 640 digits"
+    for value in (10**700, -(10**700), pk.core.Fraction(1, 10**700), [{"p": 10**700}]):
+        with pytest.raises(pk.BitCeilingError) as exc:
+            pk.to_json(value)
+        assert str(exc.value) == message
+    with pytest.raises(pk.BitCeilingError, match=message):
+        CertifiedDecimalInterval(10**700, 10**700 + 1, 700).agreed_digits()
+    assert pk.to_json(10**639) == "1" + "0" * 639
+
+
 class TestCertifiedDecimalInterval:
     def test_agreed_digits_basic(self):
         enc = CertifiedDecimalInterval(13052, 13054, 4)

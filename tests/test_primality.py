@@ -351,23 +351,31 @@ class TestCountOnly:
 
     def test_full_sieve_past_the_cache_bound(self, monkeypatch):
         # with a tiny cache bound, t = (hi - 1) // bound + 1 passes
-        # sqrt(hi - 1) near 2 * 10^6 (as it does past 2^46 with 2^23), so
-        # the count strikes every base prime, as the listing does
+        # sqrt(hi - 1) near 2 * 10^6 (as it does past 2^46 with 2^23), so t
+        # is capped at sqrt(hi - 1) + 1 and every base prime strikes, as in
+        # the listing
         monkeypatch.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 10)
         monkeypatch.setattr(primality, "_base_cache", (0, None))
-        full = []
+        strikes = []
         sieve = primality._sieve_segments
         monkeypatch.setattr(
-            primality, "_sieve_segments", lambda *args: full.append(args) or sieve(*args)
+            primality,
+            "_sieve_segments",
+            lambda lo, hi, config, strike=None: strikes.append(strike)
+            or sieve(lo, hi, config, strike),
         )
         for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
-            assert (rough_bound(hi) <= isqrt(hi - 1)) == rough
-            full.clear()
+            need = isqrt(hi - 1)
+            assert (rough_bound(hi) <= need) == rough
+            strikes.clear()
             assert pk.count_primes_in_range(lo, hi) == len(primes_between(lo, hi))
-            assert bool(full) != rough
+            assert strikes == [rough_bound(hi) - 1 if rough else need]
+            assert (strikes[0] < need) == rough
 
     def test_explore_window_walks_only_primes_below_t(self, monkeypatch):
         lo, hi = 1361**3, 1362**3
+        # a first count fills the base-prime cache, whose fill walks too
+        assert pk.count_primes_in_range(lo, hi) == 256666
         walked = []
         walk = primality._walk_segments
         monkeypatch.setattr(
@@ -453,16 +461,24 @@ class TestSieves:
 
 
 class TestSieveKernel:
-    """``_sieve_odd`` (and so ``_odd_mask``, the one striking loop) and the
-    cached ``primes_upto`` against a plain bytearray sieve."""
+    """``_primes_from`` (and so ``_odd_mask``, the one striking loop), the
+    cached ``_base_primes`` and ``primes_upto`` against a plain bytearray
+    sieve."""
 
     ORACLE = sieve_list(997**2 + 2)
     ORACLE_ARRAY = np.array(ORACLE, dtype=np.int64)
 
     def _check(self, limit):
         count = bisect.bisect_right(self.ORACLE, limit)
-        got = primality._sieve_odd(limit)
-        assert got.dtype == np.int64 and np.array_equal(got, self.ORACLE_ARRAY[:count]), limit
+        for first in (0, limit // 2):
+            batches = list(primality._primes_from(first, limit))
+            assert all(b.dtype == np.int64 for b in batches), limit
+            got = np.concatenate([np.empty(0, np.int64), *batches])
+            skip = bisect.bisect_left(self.ORACLE, first)
+            assert np.array_equal(got, self.ORACLE_ARRAY[skip:count]), (first, limit)
+        cached = bisect.bisect_right(self.ORACLE, primality._BASE_CACHE_LIMIT)
+        got = primality._base_primes(limit)
+        assert np.array_equal(got, self.ORACLE_ARRAY[: min(count, cached)]), limit
         assert pk.primes_upto(limit) == self.ORACLE[:count], limit
 
     def test_trial_primes_are_the_primes_below_1000(self):
@@ -495,6 +511,32 @@ class TestSieveKernel:
             assert pk.primes_in_range(lo, hi) == want
             assert pk.count_primes_in_range(lo, hi) == len(want)
         assert primality._base_cache[0] == 1 << 6
+
+    def test_cache_grown_in_steps_equals_one_fill(self, monkeypatch):
+        # each step sieves only the primes past the old bound, over several
+        # segments, and the result equals a fill from an empty cache
+        monkeypatch.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
+        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        fills = []
+        primes_from = primality._primes_from
+        monkeypatch.setattr(
+            primality,
+            "_primes_from",
+            lambda first, limit: fills.append((first, limit)) or primes_from(first, limit),
+        )
+        for limit in (10, 1 << 16, 70_000, 300_000, 1 << 20):
+            primality._base_primes(limit)
+        stepped = primality._base_cache
+        # the recursive calls for striking primes start at 3
+        assert [fill for fill in fills if fill[0] != 3] == [
+            (1, 1 << 16), ((1 << 16) + 1, 1 << 17), ((1 << 17) + 1, 300_000),
+            (300_001, 1 << 20),
+        ]
+        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        primality._base_primes(1 << 20)
+        assert primality._base_cache[0] == stepped[0] == 1 << 20
+        assert np.array_equal(primality._base_cache[1], stepped[1])
+        assert stepped[1].tolist() == sieve_list(1 << 20)
 
 
 ODD_PRIMES = sieve_list(2000)[1:]
