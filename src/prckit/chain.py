@@ -37,6 +37,11 @@ from .primality import (
 )
 from .radix import scaled_root_floor
 
+# Max bits of p^c while extending a chain, and of any step verified.
+CHAIN_BIT_CEILING = 1 << 20
+# Max scan positions when re-verifying a step's extremality.
+RESCAN_CAP = 10_000_000
+
 
 def build_chain(
     exps: ExponentSequence,
@@ -58,7 +63,7 @@ def build_chain(
         raise ValueError("depth must be positive")
     if depth > exps.max_depth:
         raise ValueError(f"depth {depth} beyond sequence max depth {exps.max_depth}")
-    verdict = is_prime(seed, config)
+    verdict = is_prime(seed)
     if not verdict.is_prime:
         raise CompositeSeedError(f"seed {seed} is composite")
     primes = [seed]
@@ -69,20 +74,20 @@ def build_chain(
     for k in range(1, depth):
         c = exps.term(k + 1)
         p = primes[-1]
-        if _over_ceiling(p, exps, k + 1, config.chain_bit_ceiling):
+        if _over_ceiling(p, exps, k + 1):
             truncated = True
             reason = (
                 f"step {k}: {p.bit_length()}-bit prime to the power {c} exceeds "
-                f"the {config.chain_bit_ceiling}-bit chain ceiling; reachable "
+                f"the {CHAIN_BIT_CEILING}-bit chain ceiling; reachable "
                 f"depth {len(primes)}"
             )
             break
         window = Window.from_parent(p, c)
-        if window.lo.bit_length() > config.chain_bit_ceiling:
+        if window.lo.bit_length() > CHAIN_BIT_CEILING:
             truncated = True
             reason = (
                 f"step {k}: window floor has {window.lo.bit_length()} bits, above "
-                f"the {config.chain_bit_ceiling}-bit chain ceiling; reachable "
+                f"the {CHAIN_BIT_CEILING}-bit chain ceiling; reachable "
                 f"depth {len(primes)}"
             )
             break
@@ -109,23 +114,23 @@ def build_chain(
     )
 
 
-def _over_ceiling(p: int, exps: ExponentSequence, k: int, ceiling: int) -> bool:
-    """The chain bit-ceiling test (p.bit_length() - 1) * c_k >= ceiling.
+def _over_ceiling(p: int, exps: ExponentSequence, k: int) -> bool:
+    """The chain bit-ceiling test (p.bit_length() - 1) * c_k >= CHAIN_BIT_CEILING.
 
     A powfact term b^(k! - (k-1)!) is never built when its exponent alone
     decides the test: for p >= 2 and b >= 2 the left side is then at least
-    2^(bits of ceiling).
+    2^(bits of the ceiling).
     """
     if exps.kind == "powfact" and k > 1 and p >= 2:
         exponent = math.factorial(k) - math.factorial(k - 1)
-        if exponent * (exps.base.bit_length() - 1) >= ceiling.bit_length():
+        if exponent * (exps.base.bit_length() - 1) >= CHAIN_BIT_CEILING.bit_length():
             return True
-    return (p.bit_length() - 1) * exps.term(k) >= ceiling
+    return (p.bit_length() - 1) * exps.term(k) >= CHAIN_BIT_CEILING
 
 
-def seed_candidates(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[int]:
+def seed_candidates(lo: int, hi: int) -> list[int]:
     """Primes in [lo, hi] eligible as chain seeds (exact sieve)."""
-    return primes_in_range(lo, hi + 1, config)
+    return primes_in_range(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -162,22 +167,22 @@ class ChainReport:
         return self.seed_ok and self.conditional_ok and all(s.passed for s in self.steps)
 
 
-def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainReport:
+def verify_chain(chain: PrimeChain) -> ChainReport:
     """Re-check every chain invariant; failures are report entries, not errors.
 
     Window membership, primality and the certainty tier are re-tested for
     every prime; a recorded tier that differs from the recomputed one fails
     that prime's check.  For min and max chains, extremality is re-verified
     by rescanning the window up to the claimed prime; rescans longer than
-    the configured cap are reported as "budget" (unverified), which is not
-    a failure.
+    ``RESCAN_CAP`` scan positions are reported as "budget" (unverified),
+    which is not a failure.
 
     Before any power is built, every step must pass the chain bit-ceiling
     test that ``build_chain`` applies; a step that fails it raises
     BitCeilingError, so a hostile exponent cannot start an unbounded power.
     """
-    exponents = _step_exponents(chain, config)
-    seed_verdict = is_prime(chain.primes[0], config)
+    exponents = _step_exponents(chain)
+    seed_verdict = is_prime(chain.primes[0])
     invoked = any(chain.policy.covers(c) for c in exponents)
     conditional_ok = chain.conditional == (chain.policy.conditional and invoked)
     steps = []
@@ -185,13 +190,13 @@ def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainRep
         p, q = chain.primes[k - 1], chain.primes[k]
         window = Window.from_parent(p, c)
         window_ok = q in window
-        verdict = is_prime(q, config)
+        verdict = is_prime(q)
         if chain.mode == "explicit" or not window_ok:
             extremality = "not-applicable"
         elif chain.mode == "min":
-            extremality = _rescan(window.lo, q, config, descending=False)
+            extremality = _rescan(window.lo, q, descending=False)
         else:
-            extremality = _rescan(q + 1, window.hi_exclusive, config, descending=True)
+            extremality = _rescan(q + 1, window.hi_exclusive, descending=True)
         steps.append(
             StepCheck(
                 k=k,
@@ -209,30 +214,27 @@ def verify_chain(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ChainRep
     )
 
 
-def _step_exponents(chain: PrimeChain, config: Config) -> list[int]:
+def _step_exponents(chain: PrimeChain) -> list[int]:
     """c_2, ..., c_K of the chain's steps, or BitCeilingError as soon as a
     step fails the chain bit-ceiling test that ``build_chain`` applies."""
-    ceiling = config.chain_bit_ceiling
     exponents = []
     for k in range(1, chain.depth):
         p = chain.primes[k - 1]
-        if _over_ceiling(p, chain.exps, k + 1, ceiling):
+        if _over_ceiling(p, chain.exps, k + 1):
             raise BitCeilingError(
                 f"step {k}: {p.bit_length()}-bit prime to the power c_{k + 1} "
-                f"exceeds the {ceiling}-bit chain ceiling"
+                f"exceeds the {CHAIN_BIT_CEILING}-bit chain ceiling"
             )
         exponents.append(chain.exps.term(k + 1))
     return exponents
 
 
-def _rescan(lo: int, hi: int, config: Config, descending: bool) -> str:
+def _rescan(lo: int, hi: int, descending: bool) -> str:
     small, _, odd = _scan_layout(lo, hi)  # the scan positions the budget counts
-    if small + odd > config.rescan_cap:
+    if small + odd > RESCAN_CAP:
         return "budget"
     try:
-        found = find_prime_in_range(
-            lo, hi, config, budget=config.rescan_cap, descending=descending
-        )
+        found = find_prime_in_range(lo, hi, budget=RESCAN_CAP, descending=descending)
     except WindowSearchExhausted:
         return "budget"
     return "verified" if found is None else "failed"
@@ -280,7 +282,7 @@ def theta_window_report(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> T
     """
     side = "right" if chain.mode == "max" else "left"
     records = []
-    for k, c in enumerate(_step_exponents(chain, config), start=1):
+    for k, c in enumerate(_step_exponents(chain), start=1):
         if c < 3:
             continue
         p, q = chain.primes[k - 1], chain.primes[k]

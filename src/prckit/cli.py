@@ -5,11 +5,14 @@ codec: every integer is a decimal string (84-digit primes do not survive
 float-parsing consumers), flags are JSON booleans and fractions "a/b".
 Diagnostics, including wall-clock time, go to stderr so that re-running a
 command with the same configuration reproduces stdout byte for byte.
+The configuration is ``--window-budget`` and ``PRC_BIT_CEILING``; each
+manifest also records the fixed limits of ``primality`` and ``chain``.
 
 Exit codes: 0 success / all checks passed; 1 a verification check failed;
 2 refusal (budget or bit ceiling, including a chain file whose steps
 exceed the chain bit ceiling and an output integer past the interpreter's
-int-string limit), with a partial artifact when one exists; 64 usage
+int-string limit), with a partial artifact when one exists (a truncated
+chain refuses after its artifact, even where a check failed); 64 usage
 error (including out-of-range arguments); 65 bad input data
 (composite seed); 66 missing or malformed input file (including JSON that
 cannot be decoded, integers that are not decimal strings and primes below
@@ -25,7 +28,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import __version__
+from . import __version__, chain as chain_module, primality
 from .chain import build_chain, verify_chain
 from .core import (
     DEFAULT_CONFIG,
@@ -82,7 +85,6 @@ def _build_parser() -> _Parser:
             dest="gap_policy",
         )
         p.add_argument("--window-budget", type=int, default=None, dest="window_budget")
-        p.add_argument("--fixture-dir", default=None, dest="fixture_dir")
 
     p_chain = sub.add_parser("chain", help="build a min/max prime chain")
     common(p_chain)
@@ -94,8 +96,6 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="re-check a chain JSON file")
     p_verify.add_argument("--chain-file", required=True, dest="chain_file")
-    p_verify.add_argument("--window-budget", type=int, default=None, dest="window_budget")
-    p_verify.add_argument("--fixture-dir", default=None, dest="fixture_dir")
 
     p_explore = sub.add_parser("explore", help="expand the cylinder tree over a seed range")
     p_explore.add_argument("--exps", required=True)
@@ -103,7 +103,6 @@ def _build_parser() -> _Parser:
     p_explore.add_argument("--depth", required=True, type=int)
     p_explore.add_argument("--format", choices=("json", "csv"), default="json")
     p_explore.add_argument("--gap-level", type=int, default=None, dest="gap_level")
-    p_explore.add_argument("--fixture-dir", default=None, dest="fixture_dir")
 
     p_approx = sub.add_parser("approx", help="certified rational separation scan")
     common(p_approx)
@@ -127,34 +126,36 @@ def _config(args):
 
 
 def _manifest(command, config, **fields) -> dict:
-    # "wheel" names a removed scan option; artifact bytes are frozen, so it stays false
-    config_doc = {**to_json(config), "wheel": False}
+    # artifact bytes are frozen: the manifest keeps the fixed limits and
+    # "wheel", a removed scan option that is always false
+    limits = {
+        "mr_rounds": primality.MR_ROUNDS,
+        "enumeration_cap": primality.ENUMERATION_CAP,
+        "rescan_cap": chain_module.RESCAN_CAP,
+        "chain_bit_ceiling": chain_module.CHAIN_BIT_CEILING,
+        "max_sieve_base": primality.MAX_SIEVE_BASE,
+    }
+    config_doc = {**to_json(config), **to_json(limits), "wheel": False}
     return {"command": command, "version": __version__, "config": config_doc, **fields}
 
 
-def _fixture_name(manifest) -> str:
-    parts = [manifest["command"]]
-    for key in ("exps", "seed", "depth", "mode", "gap_policy", "seeds", "max_den"):
-        if key in manifest:
-            parts.append(to_json(manifest[key]).replace(":", "_").replace(",", "-"))
-    return "-".join(parts) + ".json"
-
-
-def _emit(text: str, args) -> None:
+def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
-    fixture_dir = getattr(args, "fixture_dir", None)
-    if fixture_dir:
-        os.makedirs(fixture_dir, exist_ok=True)
-        name = getattr(args, "_fixture_name", "artifact.json")
-        with open(os.path.join(fixture_dir, name), "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_json(artifact: dict, args) -> None:
-    args._fixture_name = _fixture_name(artifact.get("manifest", {"command": "artifact"}))
-    _emit(json.dumps(to_json(artifact), indent=2, sort_keys=True), args)
+def _json_text(artifact: dict) -> str:
+    return json.dumps(to_json(artifact), indent=2, sort_keys=True)
+
+
+def _emit_chain_result(text: str, chain: PrimeChain, code: int = EX_OK) -> int:
+    """Emit the artifact of a built chain; a truncated chain then refuses."""
+    _emit(text)
+    if chain.truncated:
+        sys.stderr.write(f"refused: {chain.truncation_reason}\n")
+        return EX_REFUSAL
+    return code
 
 
 def _build_from_args(args, config) -> PrimeChain:
@@ -182,11 +183,7 @@ def _chain_artifact(command, args, config, chain, **fields) -> dict:
 def cmd_chain(args) -> int:
     config = _config(args)
     chain = _build_from_args(args, config)
-    _emit_json(_chain_artifact("chain", args, config, chain), args)
-    if chain.truncated:
-        sys.stderr.write(f"refused: {chain.truncation_reason}\n")
-        return EX_REFUSAL
-    return EX_OK
+    return _emit_chain_result(_json_text(_chain_artifact("chain", args, config, chain)), chain)
 
 
 def cmd_digits(args) -> int:
@@ -196,14 +193,10 @@ def cmd_digits(args) -> int:
     artifact = _chain_artifact("digits", args, config, chain, max_digits=args.max_digits)
     artifact.update(to_json(result))
     if args.format == "text":
-        args._fixture_name = _fixture_name(artifact["manifest"]).replace(".json", ".txt")
-        _emit(f"{result.digits}\nagreed_places={result.agreed_places}", args)
+        text = f"{result.digits}\nagreed_places={result.agreed_places}"
     else:
-        _emit_json(artifact, args)
-    if chain.truncated:
-        sys.stderr.write(f"refused: {chain.truncation_reason}\n")
-        return EX_REFUSAL
-    return EX_OK
+        text = _json_text(artifact)
+    return _emit_chain_result(text, chain)
 
 
 def cmd_verify(args) -> int:
@@ -219,12 +212,12 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"chain file is not valid JSON: {exc}\n")
         return EX_NOINPUT
     chain = PrimeChain.from_json_dict(document)
-    report = verify_chain(chain, config)
+    report = verify_chain(chain)
     manifest = _manifest(
         "verify", config, exps=chain.exps, mode=chain.mode, gap_policy=chain.policy
     )
     artifact = {"manifest": manifest, **to_json(report), "passed": report.passed}
-    _emit_json(artifact, args)
+    _emit(_json_text(artifact))
     return EX_OK if report.passed else EX_CHECK_FAILED
 
 
@@ -238,13 +231,12 @@ def cmd_explore(args) -> int:
         return EX_USAGE
     forest = explore_tree(exps, (lo, hi), args.depth, config)
     violations = validate_forest(forest)
-    manifest = _manifest(
-        "explore", config, exps=args.exps, seeds=args.seeds, depth=args.depth
-    )
     if args.format == "csv":
-        args._fixture_name = _fixture_name(manifest).replace(".json", ".csv")
-        _emit(forest_to_csv(forest), args)
+        _emit(forest_to_csv(forest))
     else:
+        manifest = _manifest(
+            "explore", config, exps=args.exps, seeds=args.seeds, depth=args.depth
+        )
         artifact = {
             "manifest": manifest,
             "forest": forest_to_json(forest),
@@ -263,12 +255,14 @@ def cmd_explore(args) -> int:
                 }
                 for g in gaps
             ]
-        _emit_json(artifact, args)
+        _emit(_json_text(artifact))
     return EX_CHECK_FAILED if violations else EX_OK
 
 
 def cmd_approx(args) -> int:
     config = _config(args)
+    if args.max_den < 1:
+        raise ValueError(f"--max-den must be at least 1, got {args.max_den}")
     chain = _build_from_args(args, config)
     result = prc_digits(chain, args.max_digits, config)
     try:
@@ -287,8 +281,10 @@ def cmd_approx(args) -> int:
         max_den=args.max_den,
     )
     artifact = {"manifest": manifest, "enclosure": result.enclosure, "records": records}
-    _emit_json(artifact, args)
-    return EX_CHECK_FAILED if any(r.inside for r in records) else EX_OK
+    undecided = any(r.inside for r in records)
+    return _emit_chain_result(
+        _json_text(artifact), chain, EX_CHECK_FAILED if undecided else EX_OK
+    )
 
 
 _COMMANDS = {

@@ -5,7 +5,8 @@ A prime-representing constant (PRC) for an integer exponent sequence
 for every k.  Everything here is exact: sequences produce exact terms and
 partial products, windows are exact integer intervals, and decimal
 enclosures carry integer mantissas so that later comparisons never touch
-floating point.
+floating point.  ``Config`` holds only what a caller may choose: the
+window search budget and the radicand bit ceiling.
 """
 
 from __future__ import annotations
@@ -74,27 +75,19 @@ THETA = Fraction(21, 40)
 
 @dataclass(frozen=True)
 class Config:
-    """Budgets and ceilings shared across modules.
+    """The two settings a caller chooses.
 
-    mr_rounds            extra Miller-Rabin rounds on top of the BPSW test
-                         for values at or above 2^64
     window_budget        max candidates tested per window search
-    enumeration_cap      max window width for exhaustive enumeration
-    rescan_cap           max candidates when re-verifying extremality
-    chain_bit_ceiling    max bits of p^c while extending a chain
     radicand_bit_ceiling max bits of any radicand an exact root builds
-    max_sieve_base       largest base-prime bound the segmented sieve will build
 
-    Artifacts record every field in their manifest through ``to_json``.
+    Fixed limits live as constants in the module that reads them:
+    ``primality`` (Miller-Rabin rounds, enumeration cap, sieve base bound)
+    and ``chain`` (rescan cap, chain bit ceiling).  Artifacts record both
+    fields and those limits in their manifest.
     """
 
-    mr_rounds: int = 32
     window_budget: int = 1_000_000
-    enumeration_cap: int = 10_000_000
-    rescan_cap: int = 10_000_000
-    chain_bit_ceiling: int = 1 << 20
     radicand_bit_ceiling: int = 1 << 24
-    max_sieve_base: int = 100_000_000
 
 
 DEFAULT_CONFIG = Config()

@@ -103,8 +103,8 @@ def explore_tree(
         raise ValueError("depth must be positive")
     if depth > exps.max_depth:
         raise ValueError(f"depth {depth} beyond sequence max depth {exps.max_depth}")
-    seeds = primes_in_range(lo, hi + 1, config)
-    bare_roots = [_expand(exps, (p,), depth, config) for p in seeds]
+    seeds = primes_in_range(lo, hi + 1)
+    bare_roots = [_expand(exps, (p,), depth) for p in seeds]
     display = _display_digits(exps, bare_roots, config)
     roots = tuple(_attach(exps, node, display, config) for node in bare_roots)
     return Forest(
@@ -118,21 +118,19 @@ def explore_tree(
     )
 
 
-def _expand(exps, prefix, depth, config) -> CylinderNode:
+def _expand(exps, prefix, depth) -> CylinderNode:
     level = len(prefix)
     expandable = level < depth
     counted = None  # stays None when the sequence ends here or the window is refused
     # the chain bit ceiling refuses a window before its power is built
-    if level < exps.max_depth and not _over_ceiling(
-        prefix[-1], exps, level + 1, config.chain_bit_ceiling
-    ):
+    if level < exps.max_depth and not _over_ceiling(prefix[-1], exps, level + 1):
         window = Window.from_parent(prefix[-1], exps.term(level + 1))
         with contextlib.suppress(EnumerationCapError):
-            counted = count_primes_in_window(window, config, include_list=expandable)
+            counted = count_primes_in_window(window, include_list=expandable)
     children = None
     if expandable:
         primes = () if counted is None else counted.primes
-        children = tuple(_expand(exps, prefix + (q,), depth, config) for q in primes)
+        children = tuple(_expand(exps, prefix + (q,), depth) for q in primes)
     return CylinderNode(
         prefix=tuple(prefix),
         depth=level,

@@ -4,8 +4,8 @@ Verdicts carry an explicit certainty tier: ``deterministic`` for complete
 trial division, sieve enumeration, or the fixed Miller-Rabin witness set
 below 2^64; ``probable:<rounds>`` for larger values, which get a
 Baillie-PSW test (strong base-2 probable prime plus strong Lucas) followed
-by the configured number of extra Miller-Rabin rounds.  Composite verdicts
-are always exact.  Everything here is pure and deterministic: the extra
+by ``MR_ROUNDS`` extra Miller-Rabin rounds.  Composite verdicts are
+always exact.  Everything here is pure and deterministic: the extra
 rounds draw their bases from a PRNG seeded by the value under test, so
 identical inputs always produce identical outputs.
 
@@ -51,7 +51,10 @@ the base primes up to a bound: sqrt(hi) for a listing
 (``primes_in_range``), a t from cbrt(hi) for a count
 (``count_primes_in_range``, which adds Lehmer's P2 term).
 ``count_primes_in_window`` is the one rule for which windows are
-enumerated; the explorer's child counts use it.
+enumerated; the explorer's child counts use it.  The fixed limits
+``MR_ROUNDS``, ``ENUMERATION_CAP`` and ``MAX_SIEVE_BASE`` are module
+constants read at call time; only the scans take a ``Config``, for its
+``window_budget``.
 """
 
 from __future__ import annotations
@@ -207,6 +210,9 @@ _TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 _TRIAL_COMPLETE_LIMIT = 1009 * 1009
 
 _BASE_SALT = 0x9E3779B97F4A7C15  # seeds the per-value PRNG for extra rounds
+
+# Extra Miller-Rabin rounds on top of BPSW for values of at least 2^64.
+MR_ROUNDS = 32
 
 
 # Shared-library names tried in order, on the first big odd modulus.
@@ -506,10 +512,10 @@ def _all_pass(n: int, tests) -> bool:
             f.cancel()
 
 
-def is_prime(n: int, config: Config = DEFAULT_CONFIG) -> PrimalityVerdict:
+def is_prime(n: int) -> PrimalityVerdict:
     """Primality verdict with certainty tier.
 
-    Deterministic below 2^64; Baillie-PSW plus ``config.mr_rounds`` extra
+    Deterministic below 2^64; Baillie-PSW plus ``MR_ROUNDS`` extra
     Miller-Rabin rounds above.  Composite verdicts are exact at every size.
     """
     if n < 2:
@@ -525,20 +531,20 @@ def is_prime(n: int, config: Config = DEFAULT_CONFIG) -> PrimalityVerdict:
         return PrimalityVerdict(n, ok, DETERMINISTIC)
     if not _sprp(n, 2):
         return PrimalityVerdict(n, False, DETERMINISTIC)
-    return _past_base_2(n, config)
+    return _past_base_2(n)
 
 
-def _past_base_2(n: int, config: Config) -> PrimalityVerdict:
-    """``is_prime(n, config)`` for n >= 2^64 with no factor up to 997 that
+def _past_base_2(n: int) -> PrimalityVerdict:
+    """``is_prime(n)`` for n >= 2^64 with no factor up to 997 that
     is a strong probable prime to base 2: the rest of its test."""
     r = isqrt(n)
     if r * r == n:
         return PrimalityVerdict(n, False, DETERMINISTIC)
     rng = random.Random(n ^ _BASE_SALT)
-    rounds = [(_sprp, n, rng.randrange(2, n - 1)) for _ in range(config.mr_rounds)]
+    rounds = [(_sprp, n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS)]
     if not _all_pass(n, [(_strong_lucas_prp, n), *rounds]):
         return PrimalityVerdict(n, False, DETERMINISTIC)
-    return PrimalityVerdict(n, True, probable(config.mr_rounds))
+    return PrimalityVerdict(n, True, probable(MR_ROUNDS))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +657,7 @@ def scan_range(
     with contextlib.closing(candidates):
         for n in candidates:
             # survivors from 2^64 have no factor up to 997; pooled ones passed base 2
-            verdict = _past_base_2(n, config) if pool and n >= _TWO64 else is_prime(n, config)
+            verdict = _past_base_2(n) if pool and n >= _TWO64 else is_prime(n)
             if verdict.is_prime:
                 return verdict
     small, _, odd = _scan_layout(lo, hi)
@@ -730,16 +736,12 @@ class WindowCount:
     certainty: str
 
 
-def count_primes_in_window(
-    window: Window,
-    config: Config = DEFAULT_CONFIG,
-    include_list: bool = False,
-) -> WindowCount:
+def count_primes_in_window(window: Window, include_list: bool = False) -> WindowCount:
     """Exact prime count of a window, or EnumerationCapError.
 
     This is the one rule for which windows are enumerated.  Windows wider
-    than ``config.enumeration_cap`` are refused.  Windows whose square root
-    fits under ``config.max_sieve_base`` are counted exactly
+    than ``ENUMERATION_CAP`` are refused.  Windows whose square root fits
+    under ``MAX_SIEVE_BASE`` are counted exactly
     (deterministic): ``count_primes_in_range`` sieves by the base primes
     below about cbrt(hi) (below hi/2^23 from about 2.4 * 10^10) and
     subtracts the products of two larger primes, and only ``include_list``
@@ -752,28 +754,28 @@ def count_primes_in_window(
     >>> count_primes_in_window(Window.from_parent(1361, 3))
     WindowCount(count=256666, primes=None, certainty='deterministic')
     """
-    cap = config.enumeration_cap
-    if window.width > cap:
+    if window.width > ENUMERATION_CAP:
         # in bits: the width itself may be too long to print
         raise EnumerationCapError(
-            f"window of {window.width.bit_length()}-bit width exceeds enumeration cap {cap}",
-            cap,
+            f"window of {window.width.bit_length()}-bit width exceeds enumeration cap "
+            f"{ENUMERATION_CAP}",
+            ENUMERATION_CAP,
         )
-    if isqrt(window.hi_exclusive - 1) <= config.max_sieve_base:
+    if isqrt(window.hi_exclusive - 1) <= MAX_SIEVE_BASE:
         if not include_list:
-            count = count_primes_in_range(window.lo, window.hi_exclusive, config)
+            count = count_primes_in_range(window.lo, window.hi_exclusive)
             return WindowCount(count, None, DETERMINISTIC)
-        ps = primes_in_range(window.lo, window.hi_exclusive, config)
+        ps = primes_in_range(window.lo, window.hi_exclusive)
         return WindowCount(len(ps), tuple(ps), DETERMINISTIC)
-    if window.width > 10_000:
+    if window.width > _PER_CANDIDATE_WIDTH_LIMIT:
         raise EnumerationCapError(
             "window too high for sieving and too wide for per-candidate "
             f"enumeration (width {window.width})",
-            10_000,
+            _PER_CANDIDATE_WIDTH_LIMIT,
         )
     ps, worst = [], DETERMINISTIC
     for n in _survivors(window.lo, window.hi_exclusive, False, window.width):
-        v = is_prime(n, config)
+        v = is_prime(n)
         if v.is_prime:
             ps.append(n)
             if v.certainty != DETERMINISTIC:
@@ -833,22 +835,29 @@ def primes_upto(limit: int) -> list[int]:
     return primes
 
 
+# Widest window an exact enumeration takes: wider ones are refused.
+ENUMERATION_CAP = 10_000_000
+# Largest base prime an exact sieve builds: windows with sqrt(hi) above it
+# are refused, or tested candidate by candidate when narrow.
+MAX_SIEVE_BASE = 100_000_000
 _SEGMENT_WIDTH_LIMIT = 50_000_000
+# Widest window above MAX_SIEVE_BASE^2 enumerated by testing each candidate.
+_PER_CANDIDATE_WIDTH_LIMIT = 10_000
 # Odd positions per segment of the exact sieve: a 1 MiB mask.
 _SIEVE_SEGMENT = 1 << 20
 
 
-def _sieve_bound(lo: int, hi: int, config: Config) -> int:
+def _sieve_bound(lo: int, hi: int) -> int:
     """isqrt(hi - 1), the largest base prime an exact sieve of [lo, hi)
     needs, after the refusals every exact sieve makes first."""
     # bounds in bits: lo, hi and the width may be too long to print
     need = isqrt(hi - 1)
-    if need > config.max_sieve_base:
+    if need > MAX_SIEVE_BASE:
         raise EnumerationCapError(
             f"sieving below a {hi.bit_length()}-bit bound needs "
             f"{need.bit_length()}-bit base primes, above the configured bound "
-            f"{config.max_sieve_base}",
-            config.max_sieve_base,
+            f"{MAX_SIEVE_BASE}",
+            MAX_SIEVE_BASE,
         )
     width = hi - lo
     if width > _SEGMENT_WIDTH_LIMIT:
@@ -859,16 +868,15 @@ def _sieve_bound(lo: int, hi: int, config: Config) -> int:
     return need
 
 
-def _sieve_segments(lo: int, hi: int, config: Config, strike: int | None = None):
+def _sieve_segments(lo: int, hi: int, strike: int | None = None):
     """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi).
 
     ``mask`` marks the numbers among a, a + 2, ... with no odd prime
     factor up to ``strike`` but themselves; ``strike`` defaults to, and is
     capped at, sqrt(hi - 1), where these are exactly the primes.  Windows
-    with sqrt(hi - 1) above ``config.max_sieve_base`` are refused.
-    Callers add 2.
+    with sqrt(hi - 1) above ``MAX_SIEVE_BASE`` are refused.  Callers add 2.
     """
-    need = _sieve_bound(lo, hi, config)
+    need = _sieve_bound(lo, hi)
     strike = need if strike is None else min(strike, need)
     _, first, odd = _scan_layout(lo, hi)
     base = _base_primes(strike)[1:]
@@ -884,11 +892,11 @@ def _sieve_segments(lo: int, hi: int, config: Config, strike: int | None = None)
     yield from segments
 
 
-def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[int]:
+def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes in [lo, hi) by segmented sieve — exact, no probabilistic step.
 
     Needs base primes up to sqrt(hi); refuses when that exceeds
-    ``config.max_sieve_base`` (values around 10^16 with the default).
+    ``MAX_SIEVE_BASE`` (values around 10^16).
     """
     lo = max(lo, 2)
     if hi <= lo:
@@ -896,13 +904,13 @@ def primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> list[i
     import numpy as np
 
     primes = [2] if lo == 2 else []
-    for a, mask in _sieve_segments(lo, hi, config):
+    for a, mask in _sieve_segments(lo, hi):
         primes.extend((a + 2 * np.flatnonzero(mask)).tolist())
     return primes
 
 
-def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> int:
-    """len(primes_in_range(lo, hi, config)), refusals included, without
+def count_primes_in_range(lo: int, hi: int) -> int:
+    """len(primes_in_range(lo, hi)), refusals included, without
     building the list.
 
     With t = min(max(cbrt(hi - 1) + 1, (hi - 1) // _BASE_CACHE_LIMIT + 1,
@@ -920,12 +928,12 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
         return 0
     import numpy as np
 
-    need = _sieve_bound(lo, hi, config)
+    need = _sieve_bound(lo, hi)
     top = hi - 1
     t = min(max(nth_root_floor(top, 3) + 1, top // _BASE_CACHE_LIMIT + 1, 3), need + 1)
     table = _base_primes(top // t)  # every q of a p*q <= top with p >= t
     count = 1 if lo == 2 else 0
-    for _, mask in _sieve_segments(lo, hi, config, t - 1):
+    for _, mask in _sieve_segments(lo, hi, t - 1):
         count += int(np.count_nonzero(mask))
         # dropped before the next is built: two 1 MiB masks alive can pass
         # malloc's heap trim threshold, and each mask then faults in afresh
@@ -944,25 +952,25 @@ def count_primes_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> 
 _ORACLE_SEGMENT = 1 << 17
 
 
-def first_prime_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> int | None:
+def first_prime_in_range(lo: int, hi: int) -> int | None:
     """Least prime in [lo, hi) via segmented sieve only (oracle-grade)."""
     seg_lo = max(lo, 2)
     while seg_lo < hi:
         seg_hi = min(seg_lo + _ORACLE_SEGMENT, hi)
-        ps = primes_in_range(seg_lo, seg_hi, config)
+        ps = primes_in_range(seg_lo, seg_hi)
         if ps:
             return ps[0]
         seg_lo = seg_hi
     return None
 
 
-def last_prime_in_range(lo: int, hi: int, config: Config = DEFAULT_CONFIG) -> int | None:
+def last_prime_in_range(lo: int, hi: int) -> int | None:
     """Greatest prime in [lo, hi) via segmented sieve only (oracle-grade)."""
     seg_hi = hi
     floor = max(lo, 2)
     while seg_hi > floor:
         seg_lo = max(seg_hi - _ORACLE_SEGMENT, floor)
-        ps = primes_in_range(seg_lo, seg_hi, config)
+        ps = primes_in_range(seg_lo, seg_hi)
         if ps:
             return ps[-1]
         seg_hi = seg_lo

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp
 
 import prckit as pk
+from prckit import chain as chain_module
 from prckit.chain import _over_ceiling
 from prckit.core import PrimeChain
 
@@ -105,12 +106,15 @@ class TestVerifyChain:
         with pytest.raises(pk.BitCeilingError):
             pk.verify_chain(chain)
 
-    def test_powfact_ceiling_decided_from_the_exponent(self):
+    def test_powfact_ceiling_decided_from_the_exponent(self, monkeypatch):
         # c_20 = 3^(20! - 19!) could never be built; the test needs only 20! - 19!
         exps = pk.parse_exponent_spec("powfact:3")
-        assert _over_ceiling(2, exps, 20, pk.DEFAULT_CONFIG.chain_bit_ceiling)
+        assert _over_ceiling(2, exps, 20)
         # below the shortcut the exact test decides: 1 * 3^4 against 81 and 82
-        assert _over_ceiling(2, exps, 3, 81) and not _over_ceiling(2, exps, 3, 82)
+        monkeypatch.setattr(chain_module, "CHAIN_BIT_CEILING", 81)
+        assert _over_ceiling(2, exps, 3)
+        monkeypatch.setattr(chain_module, "CHAIN_BIT_CEILING", 82)
+        assert not _over_ceiling(2, exps, 3)
 
     def test_extremality_failure(self):
         # 13 is prime and in [8, 26), but 11 is smaller
@@ -169,17 +173,17 @@ class TestVerifyChain:
         report = pk.verify_chain(tampered)
         assert not report.conditional_ok and not report.passed
 
-    def test_rescan_budget_reported(self, mills_chain):
-        tiny = replace(pk.DEFAULT_CONFIG, rescan_cap=1)
-        report = pk.verify_chain(mills_chain, tiny)
+    def test_rescan_budget_reported(self, monkeypatch, mills_chain):
+        monkeypatch.setattr(chain_module, "RESCAN_CAP", 1)
+        report = pk.verify_chain(mills_chain)
         assert report.passed  # unverified-by-budget is not a failure
         assert any(s.extremality == "budget" for s in report.steps)
 
-    def test_rescan_cap_counts_scan_positions(self):
+    def test_rescan_cap_counts_scan_positions(self, monkeypatch):
         # step 1 rescans [8, 11): one scan position, 9, within a cap of one
         chain = pk.build_chain(pk.parse_exponent_spec("const:3"), 2, 3)
-        tiny = replace(pk.DEFAULT_CONFIG, rescan_cap=1)
-        report = pk.verify_chain(chain, tiny)
+        monkeypatch.setattr(chain_module, "RESCAN_CAP", 1)
+        report = pk.verify_chain(chain)
         assert chain.primes[:2] == (2, 11)
         assert report.steps[0].extremality == "verified"
         assert pk.find_prime_in_range(8, 11, budget=1) is None
@@ -376,7 +380,7 @@ MILLS5_DOC = {
 }
 # bounded rescans: a moved prime must not send an example over millions
 # of positions
-FUZZ_CONFIG = replace(pk.DEFAULT_CONFIG, rescan_cap=10_000)
+FUZZ_RESCAN_CAP = 10_000
 ODD_VALUES = ([], {}, ["2"], None, True, 0, 2.5, "", "x", "2")
 TIERS = ("deterministic", "probable:32", "probable:1", "banana", "probable:032", "")
 METADATA = ("truncated", "truncation_reason", "requested_depth")
@@ -474,16 +478,27 @@ def mutated_documents(draw):
     return doc
 
 
+def _verify_fuzzed(chain):
+    """verify_chain under the fuzz rescan cap; hypothesis forbids
+    function-scoped fixtures, so the cap is patched by hand."""
+    cap = chain_module.RESCAN_CAP
+    chain_module.RESCAN_CAP = FUZZ_RESCAN_CAP
+    try:
+        return pk.verify_chain(chain)
+    finally:
+        chain_module.RESCAN_CAP = cap
+
+
 class TestVerifyFuzz:
     def test_unmutated_document_passes(self):
         chain = PrimeChain.from_json_dict(copy.deepcopy(MILLS5_DOC))
-        assert pk.verify_chain(chain, FUZZ_CONFIG).passed
+        assert _verify_fuzzed(chain).passed
 
     @given(mutated_documents())
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_report_or_prc_error(self, doc):
         try:
-            report = pk.verify_chain(PrimeChain.from_json_dict(doc), FUZZ_CONFIG)
+            report = _verify_fuzzed(PrimeChain.from_json_dict(doc))
         except pk.PrcError:
             report = None
         else:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from prckit.cli import main
+from prckit.core import Config
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +21,9 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
 
+
+# stderr of an out-of-range argument: one message, then the timing line
+BAD_ARGUMENT = r"bad argument: .*\nelapsed_ms=\d+\n"
 
 CHAIN_ARGS = (
     "chain",
@@ -107,34 +113,56 @@ class TestChainCommand:
         assert code == 64 and "term 2" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,stderr",
         [
-            ("chain", "--exps", "const:3", "--seed", "2", "--depth", "0"),
-            ("chain", "--exps", "const:3", "--seed", "2", "--depth", "100"),
-            ("chain", "--exps", "list:3", "--seed", "2", "--depth", "2"),
-            ("digits", "--exps", "const:3", "--seed", "2", "--depth", "2",
-             "--max-digits", "0"),
-            ("explore", "--exps", "const:3", "--seeds", "2:3", "--depth", "2",
-             "--gap-level", "5"),
-            ("chain", "--exps", "const:3", "--seed", "2", "--depth", "3",
-             "--window-budget", "0"),
-            ("chain", "--exps", "const:3", "--seed", "2", "--depth", "3",
-             "--window-budget", "-3"),
-            ("verify", "--chain-file",
-             str(Path(__file__).parent / "golden" / "tampered_chain.json"),
-             "--window-budget", "0"),
-        ],
-        ids=[
-            "depth-0", "depth-100", "list-too-short", "max-digits-0", "gap-level-5",
-            "window-budget-0", "window-budget-negative", "verify-window-budget-0",
+            pytest.param(
+                ("chain", "--exps", "const:3", "--seed", "2", "--depth", "0"),
+                BAD_ARGUMENT, id="depth-0"),
+            pytest.param(
+                ("chain", "--exps", "const:3", "--seed", "2", "--depth", "100"),
+                BAD_ARGUMENT, id="depth-100"),
+            pytest.param(
+                ("chain", "--exps", "list:3", "--seed", "2", "--depth", "2"),
+                BAD_ARGUMENT, id="list-too-short"),
+            pytest.param(
+                ("digits", "--exps", "const:3", "--seed", "2", "--depth", "2",
+                 "--max-digits", "0"),
+                BAD_ARGUMENT, id="max-digits-0"),
+            pytest.param(
+                ("explore", "--exps", "const:3", "--seeds", "2:3", "--depth", "2",
+                 "--gap-level", "5"),
+                BAD_ARGUMENT, id="gap-level-5"),
+            pytest.param(
+                ("chain", "--exps", "const:3", "--seed", "2", "--depth", "3",
+                 "--window-budget", "0"),
+                BAD_ARGUMENT, id="window-budget-0"),
+            pytest.param(
+                ("chain", "--exps", "const:3", "--seed", "2", "--depth", "3",
+                 "--window-budget", "-3"),
+                BAD_ARGUMENT, id="window-budget-negative"),
+            # verify has no budget to set: argparse refuses the flag
+            pytest.param(
+                ("verify", "--chain-file",
+                 str(Path(__file__).parent / "golden" / "tampered_chain.json"),
+                 "--window-budget", "0"),
+                r"usage: .*\nprckit: error: unrecognized arguments: --window-budget 0\n",
+                id="verify-window-budget-0"),
+            # refused before any chain is built
+            pytest.param(
+                ("approx", "--exps", "const:3", "--seed", "2", "--depth", "3",
+                 "--max-den", "0"),
+                r"bad argument: --max-den must be at least 1, got 0\nelapsed_ms=\d+\n",
+                id="max-den-0"),
         ],
     )
-    def test_out_of_range_arguments_exit_64(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+    def test_out_of_range_arguments_exit_64(self, capsys, argv, stderr):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
         assert code == 64 and out == ""
-        message, elapsed = err.splitlines()
-        assert message.startswith("bad argument: ") and "Traceback" not in err
-        assert elapsed.startswith("elapsed_ms=")
+        assert re.fullmatch(stderr, err), err
 
 
 class TestDigitsCommand:
@@ -418,6 +446,30 @@ class TestApproxCommand:
         num, den = map(int, r10["separation"].split("/"))
         assert num * 10000 >= 52 * den  # separation >= 0.0052
 
+    @pytest.mark.parametrize(
+        "argv,undecided,reason",
+        [
+            # the budget runs out in the window of step 4: no fraction inside
+            (("--exps", "const:3", "--depth", "6", "--max-den", "3",
+              "--window-budget", "30"), False,
+             "refused: step 4: no prime found in [16022236204009818131831320103, "
+             "16022236223076275564393283071) after 30 candidates; reachable depth 4"),
+            # the depth-3 bracket holds 74/33 and 83/37: the truncation still wins
+            (("--exps", "factorial", "--depth", "4", "--max-den", "40",
+              "--window-budget", "5"), True,
+             "refused: step 3: no prime found in [260144641, 268435455) after 5 "
+             "candidates; reachable depth 3"),
+        ],
+        ids=["separated", "undecided"],
+    )
+    def test_truncated_chain_refuses_after_the_artifact(self, capsys, argv, undecided, reason):
+        code, out, err = run_cli(capsys, "approx", "--seed", "2", *argv)
+        assert code == 2
+        doc = json.loads(out)
+        assert any(r["inside"] for r in doc["records"]) == undecided
+        message, elapsed = err.splitlines()
+        assert message == reason and elapsed.startswith("elapsed_ms=")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -435,11 +487,23 @@ class TestDeterminism:
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 and out1 == out2
 
-    def test_fixture_dir(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, *CHAIN_ARGS, "--fixture-dir", str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        assert files[0].read_text() == out
+
+def test_config_holds_only_the_settings_a_caller_sets(capsys, monkeypatch):
+    # every Config field is written into every manifest, so each one must be
+    # a setting the command line reaches; fixed limits are module constants
+    assert [f.name for f in dataclasses.fields(Config)] == [
+        "window_budget", "radicand_bit_ceiling"
+    ]
+    golden = Path(__file__).parent / "golden" / "chain_mills.out"
+    default = json.loads(golden.read_text())["manifest"]["config"]
+    argv = ("chain", "--exps", "const:3", "--seed", "2", "--depth", "2")
+    _, doc, _ = run_json(capsys, *argv)
+    assert len(default) == 8 and doc["manifest"]["config"] == default
+    _, doc, _ = run_json(capsys, *argv, "--window-budget", "7")
+    assert doc["manifest"]["config"] == {**default, "window_budget": "7"}
+    monkeypatch.setenv("PRC_BIT_CEILING", "4096")
+    _, doc, _ = run_json(capsys, *argv)
+    assert doc["manifest"]["config"] == {**default, "radicand_bit_ceiling": "4096"}
 
 
 def _only_string_leaves(value):

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 import prckit as pk
+from prckit import primality
 from prckit.core import CertifiedDecimalInterval
 from prckit.explorer import CylinderNode, Forest, _attach
 
@@ -70,9 +71,9 @@ class TestExploreTree:
             assert root.children[0].value > w_lo
             assert root.children[-1].value + 1 < w_top
 
-    def test_truncation_on_tiny_cap(self):
-        tiny = replace(pk.DEFAULT_CONFIG, enumeration_cap=10)
-        forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 2, tiny)
+    def test_truncation_on_tiny_cap(self, monkeypatch):
+        monkeypatch.setattr(primality, "ENUMERATION_CAP", 10)
+        forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 2)
         assert forest.truncated
         assert forest.roots[0].truncated and forest.roots[0].children == ()
 
@@ -127,9 +128,9 @@ class TestGapIntervals:
         gaps = pk.gap_intervals(forest, 1)
         assert [(g.left.value, g.right.value) for g in gaps] == [(8, 11), (12, 27)]
 
-    def test_truncated_forest_refused(self):
-        tiny = replace(pk.DEFAULT_CONFIG, enumeration_cap=10)
-        forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 2, tiny)
+    def test_truncated_forest_refused(self, monkeypatch):
+        monkeypatch.setattr(primality, "ENUMERATION_CAP", 10)
+        forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 2)
         with pytest.raises(pk.EnumerationCapError):
             pk.gap_intervals(forest, 1)
 
@@ -267,26 +268,28 @@ def _nodes(forest):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "limits",
     [
-        pk.DEFAULT_CONFIG,
-        replace(pk.DEFAULT_CONFIG, enumeration_cap=60),
-        replace(pk.DEFAULT_CONFIG, max_sieve_base=30),
-        replace(pk.DEFAULT_CONFIG, enumeration_cap=1000, max_sieve_base=100),
+        {},
+        {"ENUMERATION_CAP": 60},
+        {"MAX_SIEVE_BASE": 30},
+        {"ENUMERATION_CAP": 1000, "MAX_SIEVE_BASE": 100},
     ],
     ids=["default", "cap60", "base30", "cap1000-base100"],
 )
-def test_child_counts_follow_the_engine(config):
+def test_child_counts_follow_the_engine(monkeypatch, limits):
     # every node's child count is the engine's count of its window, and
     # None exactly where the engine refuses; refused nodes above the
     # frontier, and only those, are truncated
+    for name, value in limits.items():
+        monkeypatch.setattr(primality, name, value)
     exps = pk.parse_exponent_spec("const:3")
-    forest = pk.explore_tree(exps, (2, 7), 2, config)
+    forest = pk.explore_tree(exps, (2, 7), 2)
     refused = 0
     for node in _nodes(forest):
         window = pk.Window.from_parent(node.value, exps.term(node.depth + 1))
         try:
-            expect = pk.count_primes_in_window(window, config).count
+            expect = pk.count_primes_in_window(window).count
         except pk.EnumerationCapError:
             expect = None
             refused += 1
@@ -297,15 +300,15 @@ def test_child_counts_follow_the_engine(config):
                 window.lo, window.hi_exclusive
             )
     assert forest.truncated == any(n.truncated for n in _nodes(forest))
-    assert (refused > 0) == (config != pk.DEFAULT_CONFIG)
+    assert (refused > 0) == bool(limits)
 
 
-def test_narrow_windows_above_the_sieve_base_are_counted():
+def test_narrow_windows_above_the_sieve_base_are_counted(monkeypatch):
     # with base primes only to 1000, the roots' windows (hi above 1000^2)
     # fall back to testing sieve survivors; the frontier windows, about
     # 2 * 10^6 wide, are refused
-    small = replace(pk.DEFAULT_CONFIG, max_sieve_base=1000)
-    forest = pk.explore_tree(pk.parse_exponent_spec("const:2"), (1000, 1040), 2, small)
+    monkeypatch.setattr(primality, "MAX_SIEVE_BASE", 1000)
+    forest = pk.explore_tree(pk.parse_exponent_spec("const:2"), (1000, 1040), 2)
     assert [r.value for r in forest.roots] == [1009, 1013, 1019, 1021, 1031, 1033, 1039]
     assert forest.roots[0].child_count == 151
     assert not forest.truncated
@@ -318,13 +321,13 @@ def test_narrow_windows_above_the_sieve_base_are_counted():
 
 
 @pytest.mark.parametrize("depth", [1, 2])
-def test_windows_past_the_sieve_width_limit_are_refused(depth):
+def test_windows_past_the_sieve_width_limit_are_refused(monkeypatch, depth):
     # windows about 6 * 10^7 wide fit under this cap but not under the exact
     # sieve's 5 * 10^7 width limit: the engine refuses them, so the roots
     # are truncated (depth 2) or uncounted (depth 1) instead of an error
-    wide = replace(pk.DEFAULT_CONFIG, enumeration_cap=10**8)
+    monkeypatch.setattr(primality, "ENUMERATION_CAP", 10**8)
     exps = pk.parse_exponent_spec("const:2")
-    forest = pk.explore_tree(exps, (30_000_000, 30_000_100), depth, wide)
+    forest = pk.explore_tree(exps, (30_000_000, 30_000_100), depth)
     assert forest.roots
     assert all(r.child_count is None for r in forest.roots)
     assert forest.truncated == (depth == 2)

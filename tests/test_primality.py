@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from math import isqrt
 from pathlib import Path
 
@@ -45,13 +44,13 @@ class TestIsPrime:
         ]
         assert mismatches == []
 
-    def test_certainty_tiers(self):
+    def test_certainty_tiers(self, monkeypatch):
         assert pk.is_prime((1 << 61) - 1).certainty == "deterministic"  # Mersenne prime
         big = 11**81 + 140
         v = pk.is_prime(big)
         assert v.is_prime and v.certainty == "probable:32"
-        rounds = replace(pk.DEFAULT_CONFIG, mr_rounds=40)
-        assert pk.is_prime(big, rounds).certainty == "probable:40"
+        monkeypatch.setattr(primality, "MR_ROUNDS", 40)
+        assert pk.is_prime(big).certainty == "probable:40"
         # composite verdicts are exact at any size
         assert pk.is_prime(11**81 + 141).certainty == "deterministic"
 
@@ -217,13 +216,14 @@ class TestScanEngine:
         assert pk.find_prime_in_range(p + 1, q) is None
         assert pk.first_prime_in_range(p + 1, q + 1) == q
 
-    def test_count_fallback_matches_sieve(self):
-        # a low max_sieve_base forces testing of the sieve survivors over
+    def test_count_fallback_matches_sieve(self, monkeypatch):
+        # a low MAX_SIEVE_BASE forces testing of the sieve survivors over
         # 5000 odd positions, several scan segments
-        low = replace(pk.DEFAULT_CONFIG, max_sieve_base=1000)
         for lo in (10**7 + 1, 10**12, 2**40 - 5000):
             fake = Window(parent_prime=2, exponent=2, lo=lo, hi_exclusive=lo + 10_000)
-            got = pk.count_primes_in_window(fake, low, include_list=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(primality, "MAX_SIEVE_BASE", 1000)
+                got = pk.count_primes_in_window(fake, include_list=True)
             assert got.primes == tuple(pk.primes_in_range(lo, lo + 10_000))
 
     @pytest.mark.parametrize("descending", [False, True])
@@ -280,15 +280,15 @@ class TestCountOnly:
     def test_matches_listing(self, lo, hi):
         assert pk.count_primes_in_range(lo, hi) == len(pk.primes_in_range(lo, hi))
 
-    def test_near_sieve_base_refusal(self):
-        small = replace(pk.DEFAULT_CONFIG, max_sieve_base=1000)
+    def test_near_sieve_base_refusal(self, monkeypatch):
+        monkeypatch.setattr(primality, "MAX_SIEVE_BASE", 1000)
         # sqrt(hi - 1) may reach 1000 exactly; one more and both refuse
         lo, hi = 1001**2 - 30_000, 1001**2
-        got = pk.count_primes_in_range(lo, hi, small)
-        assert got == len(pk.primes_in_range(lo, hi, small)) == len(primes_between(lo, hi))
+        got = pk.count_primes_in_range(lo, hi)
+        assert got == len(pk.primes_in_range(lo, hi)) == len(primes_between(lo, hi))
         for fn in (pk.count_primes_in_range, pk.primes_in_range):
             with pytest.raises(pk.EnumerationCapError):
-                fn(lo, hi + 1, small)
+                fn(lo, hi + 1)
 
     @given(st.integers(0, 10**7), st.integers(0, 5000))
     @settings(max_examples=60, deadline=None)
@@ -361,8 +361,7 @@ class TestCountOnly:
         monkeypatch.setattr(
             primality,
             "_sieve_segments",
-            lambda lo, hi, config, strike=None: strikes.append(strike)
-            or sieve(lo, hi, config, strike),
+            lambda lo, hi, strike=None: strikes.append(strike) or sieve(lo, hi, strike),
         )
         for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
             need = isqrt(hi - 1)
