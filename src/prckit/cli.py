@@ -16,7 +16,14 @@ chain refuses after its artifact, even where a check failed); 64 usage
 error (including out-of-range arguments); 65 bad input data
 (composite seed); 66 missing or malformed input file (including JSON that
 cannot be decoded, integers that are not decimal strings and primes below
-2).
+2).  ``digits --format text`` writes no prime, so only its JSON output
+meets the int-string limit; ``approx`` on a truncated chain whose bracket
+is too wide to scan names the truncation after the width refusal.
+
+Importing this module loads no other prckit module: the parser and
+``main`` load ``core``, and each command imports the modules it runs
+when it runs, so ``--version`` and malformed ``verify`` inputs load only
+``core``.
 """
 
 from __future__ import annotations
@@ -26,33 +33,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from . import __version__, chain as chain_module, primality
-from .chain import build_chain, verify_chain
-from .core import (
-    DEFAULT_CONFIG,
-    GAP_POLICIES,
-    BitCeilingError,
-    CompositeSeedError,
-    EnumerationCapError,
-    ExponentSpecError,
-    PrcError,
-    PrimeChain,
-    SchemaError,
-    WindowSearchExhausted,
-    parse_exponent_spec,
-    to_json,
-)
-from .explorer import (
-    branching_stats,
-    explore_tree,
-    forest_to_csv,
-    forest_to_json,
-    gap_intervals,
-    validate_forest,
-)
-from .radix import prc_digits, rational_approx_scan
+from . import __version__
+
+if TYPE_CHECKING:
+    from .core import PrimeChain
 
 EX_OK = 0
 EX_CHECK_FAILED = 1
@@ -69,6 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    from .core import GAP_POLICIES
+
     parser = _Parser(prog="prckit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,6 +101,10 @@ def _build_parser() -> _Parser:
 
 
 def _config(args):
+    from dataclasses import replace
+
+    from .core import DEFAULT_CONFIG
+
     kwargs = {}
     env_ceiling = os.environ.get("PRC_BIT_CEILING")
     if env_ceiling:
@@ -126,13 +118,16 @@ def _config(args):
 
 
 def _manifest(command, config, **fields) -> dict:
+    from . import chain, primality
+    from .core import to_json
+
     # artifact bytes are frozen: the manifest keeps the fixed limits and
     # "wheel", a removed scan option that is always false
     limits = {
         "mr_rounds": primality.MR_ROUNDS,
         "enumeration_cap": primality.ENUMERATION_CAP,
-        "rescan_cap": chain_module.RESCAN_CAP,
-        "chain_bit_ceiling": chain_module.CHAIN_BIT_CEILING,
+        "rescan_cap": chain.RESCAN_CAP,
+        "chain_bit_ceiling": chain.CHAIN_BIT_CEILING,
         "max_sieve_base": primality.MAX_SIEVE_BASE,
     }
     config_doc = {**to_json(config), **to_json(limits), "wheel": False}
@@ -146,6 +141,8 @@ def _emit(text: str) -> None:
 
 
 def _json_text(artifact: dict) -> str:
+    from .core import to_json
+
     return json.dumps(to_json(artifact), indent=2, sort_keys=True)
 
 
@@ -159,6 +156,9 @@ def _emit_chain_result(text: str, chain: PrimeChain, code: int = EX_OK) -> int:
 
 
 def _build_from_args(args, config) -> PrimeChain:
+    from .chain import build_chain
+    from .core import GAP_POLICIES, parse_exponent_spec
+
     exps = parse_exponent_spec(args.exps)
     policy = GAP_POLICIES[args.gap_policy]
     return build_chain(exps, args.seed, args.depth, args.mode, policy, config)
@@ -187,19 +187,24 @@ def cmd_chain(args) -> int:
 
 
 def cmd_digits(args) -> int:
+    from .core import to_json
+    from .radix import prc_digits
+
     config = _config(args)
     chain = _build_from_args(args, config)
     result = prc_digits(chain, args.max_digits, config)
-    artifact = _chain_artifact("digits", args, config, chain, max_digits=args.max_digits)
-    artifact.update(to_json(result))
-    if args.format == "text":
+    if args.format == "text":  # the text output writes no prime, so builds no artifact
         text = f"{result.digits}\nagreed_places={result.agreed_places}"
     else:
+        artifact = _chain_artifact("digits", args, config, chain, max_digits=args.max_digits)
+        artifact.update(to_json(result))
         text = _json_text(artifact)
     return _emit_chain_result(text, chain)
 
 
 def cmd_verify(args) -> int:
+    from .core import PrimeChain, to_json
+
     config = _config(args)
     try:
         with open(args.chain_file) as fh:
@@ -212,6 +217,8 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"chain file is not valid JSON: {exc}\n")
         return EX_NOINPUT
     chain = PrimeChain.from_json_dict(document)
+    from .chain import verify_chain  # loaded, with primality and radix, once it decodes
+
     report = verify_chain(chain)
     manifest = _manifest(
         "verify", config, exps=chain.exps, mode=chain.mode, gap_policy=chain.policy
@@ -222,6 +229,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from .core import parse_exponent_spec
+    from .explorer import (
+        branching_stats,
+        explore_tree,
+        forest_to_csv,
+        forest_to_json,
+        gap_intervals,
+        validate_forest,
+    )
+
     config = _config(args)
     exps = parse_exponent_spec(args.exps)
     try:
@@ -260,6 +277,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from .radix import prc_digits, rational_approx_scan
+
     config = _config(args)
     if args.max_den < 1:
         raise ValueError(f"--max-den must be at least 1, got {args.max_den}")
@@ -269,6 +288,8 @@ def cmd_approx(args) -> int:
         records = rational_approx_scan(result.enclosure, args.max_den)
     except ValueError as exc:
         sys.stderr.write(f"refused: {exc}\n")
+        if chain.truncated:  # a bracket from a truncated chain: say where it stopped
+            sys.stderr.write(f"refused: {chain.truncation_reason}\n")
         return EX_REFUSAL
     manifest = _manifest(
         "approx",
@@ -297,6 +318,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    from .core import (
+        BitCeilingError,
+        CompositeSeedError,
+        EnumerationCapError,
+        ExponentSpecError,
+        PrcError,
+        SchemaError,
+        WindowSearchExhausted,
+    )
+
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()

@@ -905,7 +905,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
     primes = [2] if lo == 2 else []
     for a, mask in _sieve_segments(lo, hi):
-        primes.extend((a + 2 * np.flatnonzero(mask)).tolist())
+        i = np.flatnonzero(mask)  # a + 2i in place, as in _primes_from
+        primes += np.add(np.multiply(i, 2, out=i), a, out=i).tolist()
+        del mask, i  # dropped before the next mask is built, as in count_primes_in_range
     return primes
 
 

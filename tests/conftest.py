@@ -8,11 +8,24 @@ tests something to disagree with.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import prckit as pk
+
+
+def run_probe(probe: str) -> list[str]:
+    """Stdout lines of ``probe`` run in a fresh interpreter on this prckit."""
+    src = str(Path(pk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout.split("\n")
 
 
 def trial_is_prime(n: int) -> bool:

@@ -188,6 +188,15 @@ class TestDigitsCommand:
         assert lines[0].startswith("1.3063")
         assert lines[1].startswith("agreed_places=")
 
+    def test_text_format_writes_no_prime(self, capsys, int_limit_640):
+        # the depth-8 Mills prime has 762 digits; only its JSON artifact writes it
+        argv = ("digits", "--exps", "const:3", "--seed", "2", "--depth", "8", "--max-digits", "10")
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert code == 0 and out == "1.3063778838\nagreed_places=10\n"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("refused: a 762-digit integer exceeds")
+
     def test_env_ceiling_refusal(self, capsys, monkeypatch):
         # the composed cube roots of C = 729 build radicands of about 1.3k bits
         argv = ("digits", "--exps", "powfact:3", "--seed", "2", "--depth", "3")
@@ -469,6 +478,26 @@ class TestApproxCommand:
         assert any(r["inside"] for r in doc["records"]) == undecided
         message, elapsed = err.splitlines()
         assert message == reason and elapsed.startswith("elapsed_ms=")
+
+
+    def test_too_wide_bracket_of_a_truncated_chain_names_the_truncation(self, capsys):
+        # the budget runs out in the window of step 2: the depth-2 bracket is too wide
+        code, out, err = run_cli(
+            capsys,
+            "approx", "--exps", "const:3", "--seed", "2", "--depth", "4",
+            "--window-budget", "3", "--max-den", "3",
+        )
+        assert code == 2 and out == ""
+        width, truncation, elapsed = err.splitlines()
+        assert width == (
+            "refused: enclosure width 63403742090413/5000000000000000 is too wide "
+            "for a meaningful scan (need < 1/100)"
+        )
+        assert truncation == (
+            "refused: step 2: no prime found in [1331, 1727) after 3 candidates; "
+            "reachable depth 2"
+        )
+        assert elapsed.startswith("elapsed_ms=")
 
 
 class TestDeterminism:

@@ -1,13 +1,10 @@
 import bisect
-import os
 import random
-import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +16,7 @@ from prckit import primality
 from prckit.core import Window
 from prckit.primality import scan_range
 
-from conftest import primes_between, sieve_list, trial_is_prime
+from conftest import primes_between, run_probe, sieve_list, trial_is_prime
 
 
 class TestIsPrime:
@@ -765,16 +762,6 @@ class TestModexp:
         )
         assert [(v.is_prime, v.certainty) for v in with_gmp] == expected
         assert [p.bit_length() for p in big] == [282, 844, 2530]
-
-
-def run_probe(probe: str) -> list[str]:
-    """Stdout lines of ``probe`` run in a fresh interpreter on this prckit."""
-    src = str(Path(pk.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    ).stdout.split("\n")
 
 
 def test_libgmp_loads_lazily():
