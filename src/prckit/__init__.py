@@ -82,7 +82,6 @@ _EXPORTS = {
         "approximants_monotone",
         "build_chain",
         "convergence_bound_check",
-        "seed_candidates",
         "theta_window_report",
         "verify_chain",
     ),

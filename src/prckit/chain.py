@@ -28,13 +28,7 @@ from .core import (
     WindowSearchExhausted,
     decimal_length,
 )
-from .primality import (
-    _scan_layout,
-    find_prime_in_range,
-    is_prime,
-    primes_in_range,
-    window_prime,
-)
+from .primality import find_prime_in_range, is_prime, window_prime
 from .radix import scaled_root_floor
 
 # Max bits of p^c while extending a chain, and of any step verified.
@@ -94,7 +88,7 @@ def build_chain(
         if policy.covers(c):
             invoked = True
         try:
-            found = window_prime(window, config, descending=mode == "max")
+            found = window_prime(window, config.window_budget, descending=mode == "max")
         except WindowSearchExhausted as exc:
             truncated = True
             reason = f"step {k}: {exc}; reachable depth {len(primes)}"
@@ -126,11 +120,6 @@ def _over_ceiling(p: int, exps: ExponentSequence, k: int) -> bool:
         if exponent * (exps.base.bit_length() - 1) >= CHAIN_BIT_CEILING.bit_length():
             return True
     return (p.bit_length() - 1) * exps.term(k) >= CHAIN_BIT_CEILING
-
-
-def seed_candidates(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi] eligible as chain seeds (exact sieve)."""
-    return primes_in_range(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -173,9 +162,12 @@ def verify_chain(chain: PrimeChain) -> ChainReport:
     Window membership, primality and the certainty tier are re-tested for
     every prime; a recorded tier that differs from the recomputed one fails
     that prime's check.  For min and max chains, extremality is re-verified
-    by rescanning the window up to the claimed prime; rescans longer than
-    ``RESCAN_CAP`` scan positions are reported as "budget" (unverified),
-    which is not a failure.
+    by scanning the window from its edge towards the claimed prime: a
+    prime met before it fails the step, and a scan that reaches it is
+    "verified".  A scan whose ``RESCAN_CAP`` scan positions run out first
+    is reported as "budget" (unverified), which is not a failure; as the
+    scan stops at the first prime, a far-claimed prime fails as soon as a
+    prime lies within the cap of the edge.
 
     Before any power is built, every step must pass the chain bit-ceiling
     test that ``build_chain`` applies; a step that fails it raises
@@ -230,9 +222,6 @@ def _step_exponents(chain: PrimeChain) -> list[int]:
 
 
 def _rescan(lo: int, hi: int, descending: bool) -> str:
-    small, _, odd = _scan_layout(lo, hi)  # the scan positions the budget counts
-    if small + odd > RESCAN_CAP:
-        return "budget"
     try:
         found = find_prime_in_range(lo, hi, budget=RESCAN_CAP, descending=descending)
     except WindowSearchExhausted:

@@ -40,10 +40,10 @@ coprime to 15015, built on first use by the plain loop, so only the
 primes from 17 strike.  The kernel functions import numpy on their first
 call, so importing this module loads neither numpy nor ctypes, and
 ``is_prime`` never needs numpy.  Scan mode (``scan_range``: min and max
-scans, and counts above the sieve bound) strikes each segment's multiples
-of the odd primes up to 2^17 and tests only the survivors, returning the
-``is_prime`` verdict of the first prime; budgets count scan positions
-(every odd number, plus every integer below 3), struck or not.  Exact
+scans) strikes each segment's multiples of the odd primes up to 2^17 and
+tests only the survivors, returning the ``is_prime`` verdict of the
+first prime; budgets count scan positions (every odd number, plus every
+integer below 3), struck or not.  Exact
 primes come two ways: ``_primes_from`` yields those of a range segment by
 segment, which fills the base-prime cache (to 2^23) and yields the base
 primes past it uncached, and ``_sieve_segments`` strikes a window with
@@ -53,8 +53,9 @@ the base primes up to a bound: sqrt(hi) for a listing
 ``count_primes_in_window`` is the one rule for which windows are
 enumerated; the explorer's child counts use it.  The fixed limits
 ``MR_ROUNDS``, ``ENUMERATION_CAP`` and ``MAX_SIEVE_BASE`` are module
-constants read at call time; only the scans take a ``Config``, for its
-``window_budget``.
+constants read at call time; no function here takes a ``Config``: the
+scans take a ``budget`` of scan positions, by default
+``DEFAULT_CONFIG.window_budget``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from math import gcd, isqrt
 from .core import (
     DEFAULT_CONFIG,
     DETERMINISTIC,
-    Config,
     EnumerationCapError,
     PrimalityVerdict,
     Window,
@@ -634,8 +634,7 @@ def _passing_base_2(pool, candidates):
 def scan_range(
     lo: int,
     hi: int,
-    config: Config = DEFAULT_CONFIG,
-    budget: int | None = None,
+    budget: int = DEFAULT_CONFIG.window_budget,
     descending: bool = False,
 ) -> PrimalityVerdict | None:
     """Verdict of the first prime in [lo, hi), scanning from the chosen end.
@@ -647,8 +646,6 @@ def scan_range(
     scan positions (every integer below 3 and every odd integer, struck by
     the sieve or not) runs out first, never returning a non-extremal value.
     """
-    if budget is None:
-        budget = config.window_budget
     limit = max(budget, 0)
     candidates = _survivors(lo, hi, descending, limit)
     pool = _pool_for(max(lo, 2))
@@ -673,8 +670,7 @@ def scan_range(
 def find_prime_in_range(
     lo: int,
     hi: int,
-    config: Config = DEFAULT_CONFIG,
-    budget: int | None = None,
+    budget: int = DEFAULT_CONFIG.window_budget,
     descending: bool = False,
 ) -> int | None:
     """First prime in [lo, hi), scanning from the chosen end.
@@ -683,14 +679,13 @@ def find_prime_in_range(
     Raises WindowSearchExhausted when the candidate budget runs out first
     (never silently returns a non-extremal value).
     """
-    verdict = scan_range(lo, hi, config, budget, descending)
+    verdict = scan_range(lo, hi, budget, descending)
     return None if verdict is None else verdict.value
 
 
 def window_prime(
     window: Window,
-    config: Config = DEFAULT_CONFIG,
-    budget: int | None = None,
+    budget: int = DEFAULT_CONFIG.window_budget,
     descending: bool = False,
 ) -> PrimalityVerdict:
     """Verdict of the least (or, descending, the greatest) prime in the window.
@@ -698,7 +693,7 @@ def window_prime(
     Raises WindowSearchExhausted with ``scanned_all`` set when the window
     holds no prime, as well as when the budget runs out.
     """
-    found = scan_range(window.lo, window.hi_exclusive, config, budget, descending)
+    found = scan_range(window.lo, window.hi_exclusive, budget, descending)
     if found is None:
         raise WindowSearchExhausted(
             f"window [{window.lo}, {window.hi_exclusive}) contains no prime "
@@ -709,9 +704,7 @@ def window_prime(
     return found
 
 
-def min_prime_in_window(
-    window: Window, config: Config = DEFAULT_CONFIG, budget: int | None = None
-) -> int:
+def min_prime_in_window(window: Window, budget: int = DEFAULT_CONFIG.window_budget) -> int:
     """Least prime in the window; ascending scan, so the true minimum.
 
     >>> min_prime_in_window(Window.from_parent(2, 3))
@@ -719,40 +712,36 @@ def min_prime_in_window(
     >>> min_prime_in_window(Window.from_parent(127, 4))
     260144663
     """
-    return window_prime(window, config, budget).value
+    return window_prime(window, budget).value
 
 
-def max_prime_in_window(
-    window: Window, config: Config = DEFAULT_CONFIG, budget: int | None = None
-) -> int:
+def max_prime_in_window(window: Window, budget: int = DEFAULT_CONFIG.window_budget) -> int:
     """Greatest prime in the window; descending scan from the top."""
-    return window_prime(window, config, budget, descending=True).value
+    return window_prime(window, budget, descending=True).value
 
 
 @dataclass(frozen=True)
 class WindowCount:
     count: int
     primes: tuple[int, ...] | None
-    certainty: str
 
 
 def count_primes_in_window(window: Window, include_list: bool = False) -> WindowCount:
     """Exact prime count of a window, or EnumerationCapError.
 
     This is the one rule for which windows are enumerated.  Windows wider
-    than ``ENUMERATION_CAP`` are refused.  Windows whose square root fits
-    under ``MAX_SIEVE_BASE`` are counted exactly
-    (deterministic): ``count_primes_in_range`` sieves by the base primes
-    below about cbrt(hi) (below hi/2^23 from about 2.4 * 10^10) and
-    subtracts the products of two larger primes, and only ``include_list``
-    runs the full listing sieve.  Narrow windows beyond that bound fall
-    back to testing the scan's sieve survivors, and the weakest certainty
-    tier encountered is reported; wider ones are refused.
+    than ``ENUMERATION_CAP`` are refused, and so is every window the exact
+    sieve refuses (sqrt(hi) above ``MAX_SIEVE_BASE``), though no
+    ``Window.from_parent`` within the cap is one: its sqrt(hi) is at most
+    5 * 10^6, reached at p = 5 * 10^6 and c = 2.  ``count_primes_in_range``
+    sieves by the base primes below about cbrt(hi) (below hi/2^23 from
+    about 2.4 * 10^10) and subtracts the products of two larger primes,
+    and only ``include_list`` runs the full listing sieve.
 
     A frontier window of a const:3 forest:
 
     >>> count_primes_in_window(Window.from_parent(1361, 3))
-    WindowCount(count=256666, primes=None, certainty='deterministic')
+    WindowCount(count=256666, primes=None)
     """
     if window.width > ENUMERATION_CAP:
         # in bits: the width itself may be too long to print
@@ -761,26 +750,10 @@ def count_primes_in_window(window: Window, include_list: bool = False) -> Window
             f"{ENUMERATION_CAP}",
             ENUMERATION_CAP,
         )
-    if isqrt(window.hi_exclusive - 1) <= MAX_SIEVE_BASE:
-        if not include_list:
-            count = count_primes_in_range(window.lo, window.hi_exclusive)
-            return WindowCount(count, None, DETERMINISTIC)
-        ps = primes_in_range(window.lo, window.hi_exclusive)
-        return WindowCount(len(ps), tuple(ps), DETERMINISTIC)
-    if window.width > _PER_CANDIDATE_WIDTH_LIMIT:
-        raise EnumerationCapError(
-            "window too high for sieving and too wide for per-candidate "
-            f"enumeration (width {window.width})",
-            _PER_CANDIDATE_WIDTH_LIMIT,
-        )
-    ps, worst = [], DETERMINISTIC
-    for n in _survivors(window.lo, window.hi_exclusive, False, window.width):
-        v = is_prime(n)
-        if v.is_prime:
-            ps.append(n)
-            if v.certainty != DETERMINISTIC:
-                worst = v.certainty
-    return WindowCount(len(ps), tuple(ps) if include_list else None, worst)
+    if not include_list:
+        return WindowCount(count_primes_in_range(window.lo, window.hi_exclusive), None)
+    ps = primes_in_range(window.lo, window.hi_exclusive)
+    return WindowCount(len(ps), tuple(ps))
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +811,9 @@ def primes_upto(limit: int) -> list[int]:
 # Widest window an exact enumeration takes: wider ones are refused.
 ENUMERATION_CAP = 10_000_000
 # Largest base prime an exact sieve builds: windows with sqrt(hi) above it
-# are refused, or tested candidate by candidate when narrow.
+# are refused.
 MAX_SIEVE_BASE = 100_000_000
 _SEGMENT_WIDTH_LIMIT = 50_000_000
-# Widest window above MAX_SIEVE_BASE^2 enumerated by testing each candidate.
-_PER_CANDIDATE_WIDTH_LIMIT = 10_000
 # Odd positions per segment of the exact sieve: a 1 MiB mask.
 _SIEVE_SEGMENT = 1 << 20
 

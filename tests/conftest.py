@@ -79,6 +79,18 @@ def mills_chain():
     return pk.build_chain(pk.parse_exponent_spec("const:3"), 2, 4, "min", pk.EMPIRICAL)
 
 
+def far_claimed_prime(chain: pk.PrimeChain) -> int:
+    """A prime in the window of ``chain``'s last step, 3 * RESCAN_CAP from
+    the edge its mode scans from: 1.5 * RESCAN_CAP odd positions away, so
+    a claim of it is refuted only by a rescan that stops at the first prime."""
+    p, c = chain.primes[-2], chain.exps.term(chain.depth)
+    window = pk.Window.from_parent(p, c)
+    offset = 3 * pk.chain.RESCAN_CAP
+    if chain.mode == "min":
+        return pk.find_prime_in_range(window.lo + offset, window.hi_exclusive)
+    return pk.find_prime_in_range(window.lo, window.hi_exclusive - offset, descending=True)
+
+
 @pytest.fixture
 def int_limit_640():
     """The interpreter's int-string limit lowered to 640 digits for one test."""

@@ -13,6 +13,8 @@ from prckit import chain as chain_module
 from prckit.chain import _over_ceiling
 from prckit.core import PrimeChain
 
+from conftest import far_claimed_prime
+
 F_P4 = 127**4 + 22
 F_P5 = F_P4**5 + 104
 F_P6 = F_P5**6 + 700
@@ -80,7 +82,10 @@ class TestBuildChain:
         assert chain.truncated and chain.depth < 3
 
     def test_seed_candidates(self):
-        assert pk.seed_candidates(2, 11) == [2, 3, 5, 7, 11]
+        # a seed range is closed: the explorer's roots are the primes in [2, 11]
+        forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 11), 1)
+        assert [r.value for r in forest.roots] == [2, 3, 5, 7, 11]
+        assert not hasattr(pk, "seed_candidates")
 
 
 class TestVerifyChain:
@@ -187,6 +192,20 @@ class TestVerifyChain:
         assert chain.primes[:2] == (2, 11)
         assert report.steps[0].extremality == "verified"
         assert pk.find_prime_in_range(8, 11, budget=1) is None
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_far_claimed_extreme_prime_fails(self, mode):
+        # the claimed p5 lies past the rescan cap from the window's edge, yet
+        # the rescan meets a prime near the edge long before its cap
+        built = pk.build_chain(pk.parse_exponent_spec("const:3"), 2, 5, mode)
+        q = far_claimed_prime(built)
+        tiers = built.certainty[:4] + (pk.is_prime(q).certainty,)
+        claimed = replace(built, primes=built.primes[:4] + (q,), certainty=tiers)
+        report = pk.verify_chain(claimed)
+        assert not report.passed
+        step = report.steps[3]
+        assert step.window_ok and step.prime_ok and step.extremality == "failed"
+        assert [s.extremality for s in report.steps[:3]] == ["verified"] * 3
 
     def test_certainty_recomputed_not_echoed(self, powfact3_chain, mills_chain):
         for chain in (powfact3_chain, mills_chain):

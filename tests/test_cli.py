@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from prckit.cli import main
-from prckit.core import Config
+from prckit.core import Config, PrimeChain
+from prckit.primality import is_prime
+
+from conftest import far_claimed_prime
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +231,21 @@ class TestVerifyCommand:
         code, report, _ = run_json(capsys, "verify", "--chain-file", str(chain_file))
         assert code == 1 and report["passed"] is False
         assert report["steps"][0]["extremality"] == "failed"
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_far_claimed_extreme_prime_fails(self, capsys, tmp_path, mode):
+        argv = ("chain", "--exps", "const:3", "--seed", "2", "--depth", "5", "--mode", mode)
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+        built = PrimeChain.from_json_dict(doc)
+        q = far_claimed_prime(built)
+        doc["primes"][4] = str(q)
+        doc["certainty"][4] = is_prime(q).certainty
+        chain_file = tmp_path / "far.json"
+        chain_file.write_text(json.dumps(doc))
+        code, report, _ = run_json(capsys, "verify", "--chain-file", str(chain_file))
+        assert code == 1 and report["passed"] is False
+        assert report["steps"][3]["extremality"] == "failed"
 
     def test_missing_file_exits_66(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--chain-file", "/nonexistent.json")

@@ -3,7 +3,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-import sympy
 
 import prckit as pk
 from prckit import primality
@@ -303,31 +302,24 @@ def test_child_counts_follow_the_engine(monkeypatch, limits):
     assert (refused > 0) == bool(limits)
 
 
-def test_narrow_windows_above_the_sieve_base_are_counted(monkeypatch):
-    # with base primes only to 1000, the roots' windows (hi above 1000^2)
-    # fall back to testing sieve survivors; the frontier windows, about
-    # 2 * 10^6 wide, are refused
-    monkeypatch.setattr(primality, "MAX_SIEVE_BASE", 1000)
-    forest = pk.explore_tree(pk.parse_exponent_spec("const:2"), (1000, 1040), 2)
-    assert [r.value for r in forest.roots] == [1009, 1013, 1019, 1021, 1031, 1033, 1039]
-    assert forest.roots[0].child_count == 151
-    assert not forest.truncated
-    for root in forest.roots:
-        lo, hi = root.value**2, (root.value + 1) ** 2 - 1
-        assert root.child_count == sympy.primepi(hi - 1) - sympy.primepi(lo - 1)
-        assert [c.value for c in root.children] == list(sympy.primerange(lo, hi))
-        assert all(c.child_count is None and not c.truncated for c in root.children)
-    assert pk.validate_forest(forest) == []
-
-
-@pytest.mark.parametrize("depth", [1, 2])
-def test_windows_past_the_sieve_width_limit_are_refused(monkeypatch, depth):
-    # windows about 6 * 10^7 wide fit under this cap but not under the exact
-    # sieve's 5 * 10^7 width limit: the engine refuses them, so the roots
-    # are truncated (depth 2) or uncounted (depth 1) instead of an error
-    monkeypatch.setattr(primality, "ENUMERATION_CAP", 10**8)
+@pytest.mark.parametrize(
+    "limit,value,seeds,depth",
+    [
+        # windows about 6 * 10^7 wide fit under this cap but not under the
+        # exact sieve's 5 * 10^7 width limit
+        pytest.param("ENUMERATION_CAP", 10**8, (30_000_000, 30_000_100), 1, id="1"),
+        pytest.param("ENUMERATION_CAP", 10**8, (30_000_000, 30_000_100), 2, id="2"),
+        # windows about 2000 wide whose sqrt(hi) passes base primes to 1000
+        pytest.param("MAX_SIEVE_BASE", 1000, (1000, 1040), 2, id="base1000"),
+    ],
+)
+def test_windows_past_the_sieve_width_limit_are_refused(monkeypatch, limit, value, seeds, depth):
+    # windows the exact sieve refuses are refused by the engine, so the
+    # roots are truncated (depth 2) or uncounted (depth 1) instead of an error
+    monkeypatch.setattr(primality, limit, value)
     exps = pk.parse_exponent_spec("const:2")
-    forest = pk.explore_tree(exps, (30_000_000, 30_000_100), depth)
+    forest = pk.explore_tree(exps, seeds, depth)
     assert forest.roots
     assert all(r.child_count is None for r in forest.roots)
     assert forest.truncated == (depth == 2)
+    assert pk.validate_forest(forest) == []

@@ -36,7 +36,7 @@ EXPORTS = {
     "chain": {
         "ChainReport", "ConvergenceCheck", "StepCheck", "ThetaRecord", "ThetaReport",
         "approximants_monotone", "build_chain", "convergence_bound_check",
-        "seed_candidates", "theta_window_report", "verify_chain",
+        "theta_window_report", "verify_chain",
     },
     "explorer": {
         "BranchingStats", "CylinderNode", "Forest", "Gap", "GapEndpoint", "LevelStats",
@@ -53,8 +53,8 @@ def _submodule(module):
 
 class TestExportSurface:
     def test_all_is_the_exported_names_and_the_version(self):
-        assert len(NAMES) == 71
-        assert len(prckit.__all__) == 72
+        assert len(NAMES) == 70
+        assert len(prckit.__all__) == 71
         assert set(prckit.__all__) == NAMES | {"__version__"}
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))

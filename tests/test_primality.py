@@ -87,7 +87,6 @@ class TestWindowScans:
         got = pk.count_primes_in_window(pk.Window.from_parent(5, 2), include_list=True)
         # sieve of [25, 34]: {29, 31}
         assert got.primes == (29, 31) and got.count == 2
-        assert got.certainty == "deterministic"
 
     @pytest.mark.parametrize("p,c", [(2, 3), (3, 2), (7, 3), (13, 2), (31, 3)])
     def test_scans_match_trial_division(self, p, c):
@@ -117,16 +116,34 @@ class TestWindowScans:
             ) == pk.last_prime_in_range(lo, hi)
 
     def test_count_fallback_above_sieve_base(self):
-        # narrow window too high to sieve: per-candidate testing kicks in
+        # a window too high to sieve is refused, however narrow: no window
+        # of Window.from_parent within the cap is one (test below)
         lo = 10**18 + 9
-        fake = Window(parent_prime=2, exponent=2, lo=lo, hi_exclusive=lo + 500)
-        got = pk.count_primes_in_window(fake, include_list=True)
-        want = tuple(n for n in range(lo, lo + 500) if sympy.isprime(n))
-        assert got.primes == want and got.count == len(want)
-        assert got.certainty == "deterministic"  # still below 2^64
-        too_wide = Window(parent_prime=2, exponent=2, lo=lo, hi_exclusive=lo + 20_001)
-        with pytest.raises(pk.EnumerationCapError):
-            pk.count_primes_in_window(too_wide)
+        for width in (500, 20_001):
+            fake = Window(parent_prime=2, exponent=2, lo=lo, hi_exclusive=lo + width)
+            for include_list in (False, True):
+                with pytest.raises(pk.EnumerationCapError, match="base primes"):
+                    pk.count_primes_in_window(fake, include_list=include_list)
+
+    def test_windows_within_the_cap_need_base_primes_to_five_million(self):
+        # the widest window of exponent c grows with p, so the largest p whose
+        # window fits under ENUMERATION_CAP gives each c's largest sqrt(hi);
+        # past c = 14 not even p = 2 fits
+        cap, worst = primality.ENUMERATION_CAP, []
+        for c in range(2, 200):
+            if pk.Window.from_parent(2, c).width > cap:
+                continue
+            lo, hi = 2, 2
+            while pk.Window.from_parent(hi, c).width <= cap:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:  # width(lo) <= cap < width(hi)
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if pk.Window.from_parent(mid, c).width <= cap else (lo, mid)
+            w = pk.Window.from_parent(lo, c)
+            worst.append((isqrt(w.hi_exclusive - 1), lo, c))
+        assert max(worst) == (5_000_000, 5_000_000, 2)
+        assert [c for _, _, c in worst] == list(range(2, 15))
+        assert max(worst)[0] <= primality.MAX_SIEVE_BASE
 
     def test_budget_exhaustion(self):
         w = pk.Window.from_parent(127, 4)
@@ -212,16 +229,6 @@ class TestScanEngine:
         assert pk.find_prime_in_range(p, q, descending=True) == p
         assert pk.find_prime_in_range(p + 1, q) is None
         assert pk.first_prime_in_range(p + 1, q + 1) == q
-
-    def test_count_fallback_matches_sieve(self, monkeypatch):
-        # a low MAX_SIEVE_BASE forces testing of the sieve survivors over
-        # 5000 odd positions, several scan segments
-        for lo in (10**7 + 1, 10**12, 2**40 - 5000):
-            fake = Window(parent_prime=2, exponent=2, lo=lo, hi_exclusive=lo + 10_000)
-            with monkeypatch.context() as patch:
-                patch.setattr(primality, "MAX_SIEVE_BASE", 1000)
-                got = pk.count_primes_in_window(fake, include_list=True)
-            assert got.primes == tuple(pk.primes_in_range(lo, lo + 10_000))
 
     @pytest.mark.parametrize("descending", [False, True])
     def test_budget_counts_sieved_positions(self, descending):
