@@ -32,18 +32,29 @@ order.  The libgmp calls release the GIL, so the threads overlap.
 Verdicts, tiers, the bases drawn and scan budgets do not depend on the
 pool.
 
-Every prime enumeration runs through one numpy sieve kernel over odd
-numbers: ``_odd_mask`` is the one loop that strikes multiples and
-``_walk_segments`` the one segment walker.  A mask whose base primes
+Two sieves over odd numbers strike multiples, chosen by the job.  Window
+scans (``scan_range``: min and max scans) use ``_strike_walk``, in pure
+Python: each segment is a bytearray struck by slice assignment, each base
+prime's first multiple is found once per scan from the anchor's residues
+modulo products of ``_RESIDUE_GROUP`` primes, and survivors are read with
+``itertools.compress``.  A scan strikes by the odd primes up to
+min(2^17, the square root of its last position, ``_scan_bound`` of that
+position's bits), tests only the survivors and returns the ``is_prime``
+verdict of the first prime; budgets count scan positions (every odd
+number, plus every integer below 3), struck or not.  Its base primes come
+from the same walk over [1009, 2^17], struck by ``_TRIAL_PRIMES``.  So
+chains, verification and digits never load numpy: a window scan meets its
+prime within a few thousand positions, too few for numpy's import (about
+0.1 s and 13 MB) to pay.
+
+Exact enumeration (counts, listings, the base-prime cache, the explorer)
+sieves millions of positions, and runs through one numpy kernel:
+``_odd_mask`` is its one loop that strikes multiples and
+``_walk_segments`` its one segment walker.  A mask whose base primes
 begin 3, 5, 7, 11, 13 starts from a wheel: the pattern of the odd numbers
 coprime to 15015, built on first use by the plain loop, so only the
 primes from 17 strike.  The kernel functions import numpy on their first
-call, so importing this module loads neither numpy nor ctypes, and
-``is_prime`` never needs numpy.  Scan mode (``scan_range``: min and max
-scans) strikes each segment's multiples of the odd primes up to 2^17 and
-tests only the survivors, returning the ``is_prime`` verdict of the
-first prime; budgets count scan positions (every odd number, plus every
-integer below 3), struck or not.  Exact
+call, so importing this module loads neither numpy nor ctypes.  Exact
 primes come two ways: ``_primes_from`` yields those of a range segment by
 segment, which fills the base-prime cache (to 2^23) and yields the base
 primes past it uncached, and ``_sieve_segments`` strikes a window with
@@ -60,8 +71,10 @@ scans take a ``budget`` of scan positions, by default
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
+import itertools
 import math
 import os
 import random
@@ -81,24 +94,7 @@ from .core import (
 from .radix import nth_root_floor
 
 # ---------------------------------------------------------------------------
-# the sieve kernel: one striking loop and one segment walker
-
-
-def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
-    """n mod each modulus (n >= 0, moduli below 2^30) as an int64 array.
-
-    Values of 62 bits or more are reduced by Horner's rule over their
-    32-bit limbs, so no Python int per modulus is ever built.
-    """
-    import numpy as np
-
-    if n < 1 << 62:
-        return n % moduli
-    limbs = np.frombuffer(n.to_bytes((n.bit_length() + 31) // 32 * 4, "big"), ">u4")
-    r = np.zeros_like(moduli)
-    for limb in limbs.astype(np.int64).tolist():
-        r = ((r << 32) + limb) % moduli
-    return r
+# the exact sieve's numpy kernel: one striking loop and one segment walker
 
 
 # The odd primes of the wheel, their product (the period of their pattern
@@ -176,23 +172,18 @@ def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndar
     return mask
 
 
-def _walk_segments(
-    first: int, count: int, base: np.ndarray, length: int, cap: int, descending: bool = False
-):
-    """Yield (a, ``_odd_mask`` of a, a + 2, ...) for segments covering the
-    ``count`` odd numbers from ``first`` in scan order.  Segments hold
-    ``length`` odd numbers, doubling up to ``cap``; residues come from
-    Horner's rule once and are then shifted from segment to segment.
+def _walk_segments(first: int, count: int, base: np.ndarray):
+    """Yield (a, ``_odd_mask`` of a, a + 2, ...) for ascending segments of
+    ``_SIEVE_SEGMENT`` odd numbers covering the ``count`` odd numbers from
+    ``first`` (an exact sieve's: below 2^62).  Residues are taken once and
+    then shifted from segment to segment.
     """
-    done, res, a_prev = 0, None, 0
+    done, res = 0, first % base
     while done < count:
-        length = min(length, count - done)
-        a = first + 2 * (count - done - length if descending else done)
-        res = _residues(a, base) if res is None else (res + (a - a_prev)) % base
+        a, length = first + 2 * done, min(_SIEVE_SEGMENT, count - done)
         yield a, _odd_mask(a, length, base, res)
         done += length
-        a_prev = a
-        length = min(2 * length, cap)
+        res = (res + 2 * length) % base
 
 
 # Strong-pseudoprime witness set (the primes 2..37) proven exhaustive for
@@ -550,13 +541,111 @@ def _past_base_2(n: int) -> PrimalityVerdict:
 # ---------------------------------------------------------------------------
 # window scans: sieve, then test
 
-# Odd base primes up to this bound strike composites from each scan segment
-# before anything reaches is_prime.
+# Scans strike composites from each segment by odd base primes up to this
+# bound at most, before anything reaches is_prime.
 _SCAN_SIEVE_LIMIT = 1 << 17
 # A scan's first segment holds this many odd positions; each later one
 # doubles, up to the cap, so short scans sieve little past their prime.
 _SCAN_SEGMENT_FIRST = 1 << 8
 _SCAN_SEGMENT_CAP = 1 << 15
+# Struck segment entries are copied from this.
+_SCAN_ZEROS = memoryview(bytes(_SCAN_SEGMENT_CAP))
+# Base primes are taken modulo products of this many at a time first.
+_RESIDUE_GROUP = 32
+
+
+# (bits, bound): a scan whose last position has at least ``bits`` bits
+# strikes by the odd primes up to ``bound`` at most, from the break-even
+# sweep of BENCH_18.json.  Striking by one more prime costs about the same
+# at every size, while each survivor it removes saves an is_prime whose
+# cost grows with the bits.  The least bound, 1009, leaves every survivor
+# from 2^64 with no factor up to 997, as scan_range assumes.
+_SCAN_BOUND_STEPS = (
+    (0, 1009),
+    (128, 1 << 11),
+    (320, 1 << 12),
+    (512, 1 << 13),
+    (640, 1 << 14),
+    (768, 1 << 15),
+    (896, 1 << 16),
+    (1152, _SCAN_SIEVE_LIMIT),
+)
+
+
+def _scan_bound(bits: int) -> int:
+    """The bound of the last step of ``_SCAN_BOUND_STEPS`` at or below
+    ``bits``."""
+    return _SCAN_BOUND_STEPS[bisect.bisect_right(_SCAN_BOUND_STEPS, (bits, math.inf)) - 1][1]
+
+
+def _residue_groups(primes: list[int]) -> list[tuple[int, list[int]]]:
+    """(product, the primes) for each run of ``_RESIDUE_GROUP`` of
+    ``primes``, in order."""
+    runs = (primes[i : i + _RESIDUE_GROUP] for i in range(0, len(primes), _RESIDUE_GROUP))
+    return [(math.prod(run), run) for run in runs]
+
+
+def _strike_walk(anchor: int, step: int, count: int, primes: list[int], groups: list):
+    """Yield the numbers anchor + step*j, 0 <= j < count, in that order,
+    that no prime of ``primes`` divides but themselves.
+
+    ``anchor`` is odd, every number is at least 3, ``step`` is 2 or -2,
+    ``primes`` holds ascending odd primes and ``groups`` is
+    ``_residue_groups`` of a list that begins with them.  Segments of
+    ``_SCAN_SEGMENT_FIRST`` positions, doubling up to ``_SCAN_SEGMENT_CAP``,
+    are bytearrays struck by slice assignment.  Each prime's first multiple
+    is found once, from the anchor's residue modulo its group's product; a
+    segment takes its offset modulo p only from the primes below the
+    segment's end, since from there on only a prime's first multiple can
+    lie in it.
+    """
+    # the multiples of p sit at the j = c / 2 (mod p): c = -anchor / (step / 2)
+    c = -anchor if step > 0 else anchor
+    starts = []
+    for prod, run in groups:
+        x = c % prod
+        x = (x + (x & 1) * prod) >> 1  # c / 2 modulo the odd product
+        starts += [x % p for p in run]
+    del starts[len(primes) :]
+    j, length = 0, _SCAN_SEGMENT_FIRST
+    while j < count:
+        n = min(length, count - j)
+        end = j + n
+        segment = bytearray(b"\x01") * n
+        split = bisect.bisect_left(primes, end)
+        for p, s in zip(primes[:split], starts):
+            s = (s - j) % p
+            segment[s::p] = _SCAN_ZEROS[: (n - 1 - s) // p + 1]
+        for s in [s - j for s in starts[split:] if j <= s < end]:
+            segment[s] = 0
+        a, b = anchor + step * j, anchor + step * (j + n - 1)
+        low, high = sorted((a, b))
+        if primes and low <= primes[-1]:  # base primes in the segment are prime
+            inside = slice(bisect.bisect_left(primes, low), bisect.bisect_right(primes, high))
+            for p in primes[inside]:
+                segment[(p - a) // step] = 1
+        yield from itertools.compress(range(a, b + step, step), segment)
+        j, length = end, min(2 * length, _SCAN_SEGMENT_CAP)
+
+
+# The odd primes up to _SCAN_SIEVE_LIMIT and their _residue_groups, made on
+# the first scan: the _TRIAL_PRIMES and the survivors of [1009, 2^17]
+# struck by them (997^2 > 2^17).
+_scan_primes = None
+
+
+def _scan_base(bound: int) -> tuple[list[int], list]:
+    """The odd primes up to min(bound, _SCAN_SIEVE_LIMIT) and the
+    ``_residue_groups`` that cover them."""
+    global _scan_primes
+    if _scan_primes is None:
+        trial = list(_TRIAL_PRIMES[1:])
+        count = (_SCAN_SIEVE_LIMIT - 1009) // 2 + 1
+        primes = trial + list(_strike_walk(1009, 2, count, trial, _residue_groups(trial)))
+        _scan_primes = (primes, _residue_groups(primes))
+    primes, groups = _scan_primes
+    k = bisect.bisect_right(primes, bound)
+    return primes[:k], groups[: -(-k // _RESIDUE_GROUP)]
 
 
 def _scan_layout(lo: int, hi: int) -> tuple[int, int, int]:
@@ -577,10 +666,9 @@ def _survivors(lo: int, hi: int, descending: bool, limit: int):
 
     Ascending scans take the positions below 3 first, descending scans
     last.  Of those only 2 survives; odd positions survive unless an odd
-    prime up to _SCAN_SIEVE_LIMIT other than themselves divides them.
+    prime other than themselves divides them up to min(_SCAN_SIEVE_LIMIT,
+    the square root of the last, ``_scan_bound`` of its bits).
     """
-    import numpy as np
-
     small, first, odd = _scan_layout(lo, hi)
     if descending:
         count = min(odd, limit)
@@ -592,14 +680,12 @@ def _survivors(lo: int, hi: int, descending: bool, limit: int):
     if two and not descending:
         yield 2
     if count > 0:
-        base = _base_primes(min(_SCAN_SIEVE_LIMIT, isqrt(first + 2 * (count - 1))))[1:]
-        for a, mask in _walk_segments(
-            first, count, base, _SCAN_SEGMENT_FIRST, _SCAN_SEGMENT_CAP, descending
-        ):
-            hits = np.flatnonzero(mask).tolist()
-            if descending:
-                hits.reverse()
-            yield from (a + 2 * i for i in hits)  # a may exceed int64
+        last = first + 2 * (count - 1)
+        primes, groups = _scan_base(
+            min(_SCAN_SIEVE_LIMIT, isqrt(last), _scan_bound(last.bit_length()))
+        )
+        anchor, step = (last, -2) if descending else (first, 2)
+        yield from _strike_walk(anchor, step, count, primes, groups)
     if two and descending:
         yield 2
 
@@ -639,8 +725,9 @@ def scan_range(
 ) -> PrimalityVerdict | None:
     """Verdict of the first prime in [lo, hi), scanning from the chosen end.
 
-    Each segment of odd positions is sieved by the odd primes up to 2^17
-    and only the survivors go to ``is_prime``, whose verdict (tier
+    Each segment of odd positions is sieved by the odd primes up to a
+    bound from the operand size (at most 2^17; see ``_survivors``) and
+    only the survivors go to ``is_prime``, whose verdict (tier
     included) is returned.  Returns None when the whole range was scanned
     without finding one.  Raises WindowSearchExhausted when the budget of
     scan positions (every integer below 3 and every odd integer, struck by
@@ -759,10 +846,9 @@ def count_primes_in_window(window: Window, include_list: bool = False) -> Window
 # ---------------------------------------------------------------------------
 # exact sieving (used for enumeration, oracles, and seed listing)
 
-# Base primes up to this bound stay cached once sieved: the scans' (to 2^17)
-# and the explorer's under the default enumeration cap (a const:2 window of
-# width 10^7 needs them to 5*10^6).  Larger ones are sieved batch by batch
-# and dropped.
+# Base primes up to this bound stay cached once sieved: the explorer's under
+# the default enumeration cap (a const:2 window of width 10^7 needs them to
+# 5*10^6).  Larger ones are sieved batch by batch and dropped.
 _BASE_CACHE_LIMIT = 1 << 23
 # (limit, the primes up to it as an int64 array), grown on demand up to
 # _BASE_CACHE_LIMIT; swapped whole, so every thread reads a matching pair.
@@ -795,7 +881,7 @@ def _primes_from(first: int, limit: int):
     _, start, odd = _scan_layout(first, limit + 1)
     if odd:
         base = np.concatenate((np.empty(0, np.int64), *_primes_from(3, isqrt(limit))))
-        for a, mask in _walk_segments(start, odd, base, _SIEVE_SEGMENT, _SIEVE_SEGMENT):
+        for a, mask in _walk_segments(start, odd, base):
             i = np.flatnonzero(mask)  # a + 2i in place: no temporary per segment
             yield np.add(np.multiply(i, 2, out=i), a, out=i)
 
@@ -851,13 +937,13 @@ def _sieve_segments(lo: int, hi: int, strike: int | None = None):
     strike = need if strike is None else min(strike, need)
     _, first, odd = _scan_layout(lo, hi)
     base = _base_primes(strike)[1:]
-    segments = _walk_segments(first, odd, base, _SIEVE_SEGMENT, _SIEVE_SEGMENT)
+    segments = _walk_segments(first, odd, base)
     if strike > _BASE_CACHE_LIMIT:
         # each uncached batch of base primes strikes every segment in turn,
         # so all the segments' masks are kept until the last batch
         segments = list(segments)
         for batch in _primes_from(_BASE_CACHE_LIMIT + 1, strike):
-            struck = _walk_segments(first, odd, batch, _SIEVE_SEGMENT, _SIEVE_SEGMENT)
+            struck = _walk_segments(first, odd, batch)
             for (_, mask), (_, more) in zip(segments, struck):
                 mask &= more
     yield from segments

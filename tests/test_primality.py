@@ -1,4 +1,6 @@
 import bisect
+import itertools
+import math
 import random
 import sys
 import threading
@@ -257,6 +259,131 @@ class TestScanEngine:
         assert pk.find_prime_in_range(0, 3, budget=3) == 2
         with pytest.raises(pk.WindowSearchExhausted):
             pk.find_prime_in_range(0, 3, budget=2)
+
+
+# ---------------------------------------------------------------------------
+# the scan sieve: bytearray segments against trial division
+
+ODD_PRIMES_TO_2_17 = sieve_list(TWO17)[1:]
+TRIAL_PRIMORIAL = primality._TRIAL_PRIMORIAL
+
+
+def scan_positions(lo: int, hi: int, descending: bool, limit: int) -> list[int]:
+    """The first ``limit`` scan positions of [lo, hi) in scan order: the
+    integers below 3, then the odd ones from 3, or all of it reversed."""
+    small, odd = range(lo, min(hi, 3)), range(max(lo, 3) | 1, hi, 2)
+    order = (reversed(odd), reversed(small)) if descending else (small, odd)
+    return list(itertools.islice(itertools.chain(*order), max(limit, 0)))
+
+
+def trial_division_survivors(positions: list[int]) -> list[int]:
+    """The positions that are 2 or odd with no odd prime factor other than
+    themselves up to the scan's bound: min(2^17, sqrt(last), _scan_bound of
+    its bits), last the greatest odd position.  Every base prime is tried
+    at every position, from one residue per prime of the least odd one."""
+    odd = [n for n in positions if n >= 3]
+    if not odd:
+        return [n for n in positions if n == 2]
+    last, least = max(odd), min(odd)
+    bound = min(TWO17, isqrt(last), primality._scan_bound(last.bit_length()))
+    primes = np.array(ODD_PRIMES_TO_2_17[: bisect.bisect_right(ODD_PRIMES_TO_2_17, bound)])
+    residues = np.array([least % p for p in primes.tolist()], dtype=np.int64)
+    out = []
+    for n in positions:
+        if n < 3:
+            if n == 2:
+                out.append(n)
+            continue
+        divides = (residues + (n - least)) % primes == 0
+        if not divides.any() or (n <= bound and n in primes):
+            out.append(n)
+    return out
+
+
+# bit sizes on both sides of each step of the bound, and of 2^64
+SCAN_BOUND_EDGES = sorted(
+    {b + d for b, _ in primality._SCAN_BOUND_STEPS[1:] for d in (-1, 0)} | {64, 65}
+)
+
+
+@st.composite
+def scan_sieve_args(draw):
+    """(lo, hi, descending, limit): ranges from 0..3, low ranges where the
+    base primes lie in the segment (lo <= p^2), and ranges of any bit size
+    up to 2100, often at an edge of ``SCAN_BOUND_EDGES``; widths to cross
+    the first segments (256, 512 and 1024 positions); budgets that end
+    anywhere, mid-segment included, or past the range."""
+    kind = draw(st.sampled_from(("start", "low", "edge", "any")))
+    if kind == "start":
+        lo = draw(st.integers(0, 3))
+    elif kind == "low":
+        lo = draw(st.integers(0, 20_000))
+    else:
+        bits = draw(
+            st.sampled_from(SCAN_BOUND_EDGES) if kind == "edge" else st.integers(18, 2100)
+        )
+        lo = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    hi = lo + draw(st.one_of(st.integers(0, 40), st.integers(0, 4000)))
+    descending = draw(st.booleans())
+    limit = draw(st.one_of(st.integers(0, hi - lo + 1), st.just(10**6)))
+    return lo, hi, descending, limit
+
+
+class TestScanSieve:
+    @given(scan_sieve_args())
+    @settings(max_examples=200, deadline=None)
+    def test_survivors_match_trial_division(self, args):
+        lo, hi, descending, limit = args
+        want = trial_division_survivors(scan_positions(lo, hi, descending, limit))
+        assert list(primality._survivors(lo, hi, descending, limit)) == want
+
+    def test_base_primes_are_the_odd_primes_to_2_to_the_17(self):
+        primes, groups = primality._scan_base(TWO17)
+        assert primes == ODD_PRIMES_TO_2_17
+        assert [p for _, run in groups for p in run] == primes
+        assert all(prod == math.prod(run) for prod, run in groups)
+        few, few_groups = primality._scan_base(1009)
+        assert few == ODD_PRIMES_TO_2_17[:168] and few[-1] == 1009
+        assert few_groups == groups[: -(-168 // primality._RESIDUE_GROUP)]
+
+    def test_bound_steps(self):
+        steps = primality._SCAN_BOUND_STEPS
+        assert steps[0] == (0, 1009) and steps[-1][1] == TWO17
+        assert all(a < b and x < y for (a, x), (b, y) in zip(steps, steps[1:]))
+        for bits, bound in steps:
+            assert primality._scan_bound(bits) == bound
+            assert primality._scan_bound(bits - 1) < bound or bits == 0
+        assert primality._scan_bound(10**6) == TWO17
+
+    @given(
+        st.integers(64, 2100).flatmap(lambda b: st.integers((1 << b) - 3000, 1 << b)),
+        st.integers(0, 3000),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_survivors_from_2_to_the_64_have_no_factor_to_997(self, lo, width, descending):
+        for n in primality._survivors(lo, lo + width, descending, 10**6):
+            assert n < TWO64 or math.gcd(n, TRIAL_PRIMORIAL) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pooled_survivors_reach_past_base_2_without_small_factors(
+        self, pooled_tests, monkeypatch, seed
+    ):
+        # with the pool at every size, survivors that pass base 2 go straight
+        # to _past_base_2, which does no trial division of its own
+        rng = random.Random(seed)
+        bits = rng.choice((65, 66, 100, 200, *SCAN_BOUND_EDGES[:4]))
+        lo = rng.randrange(max(TWO64 - 2000, 1 << (bits - 1)), 1 << bits)
+        past, reached = primality._past_base_2, []
+        monkeypatch.setattr(
+            primality, "_past_base_2", lambda n: reached.append(n) or past(n)
+        )
+        hi = lo + 10_000
+        for descending in (False, True):
+            want = sympy.prevprime(hi) if descending else sympy.nextprime(lo - 1)
+            assert lo <= want < hi
+            assert scan_range(lo, hi, descending=descending) == pk.is_prime(want)
+        assert reached and all(math.gcd(n, TRIAL_PRIMORIAL) == 1 for n in reached)
 
 
 def rough_bound(hi: int) -> int:
@@ -547,11 +674,13 @@ ODD_PRIMES = sieve_list(2000)[1:]
 
 @st.composite
 def mask_args(draw):
-    """(a, length, base) for ``_odd_mask``: odd a from 3 up, small ones
-    (around the wheel primes, and a <= p^2 for base primes p) drawn often;
-    lengths up to three wheel periods and more; bases that begin at 3 (the
-    wheel) or further on (the plain path)."""
-    a = 2 * draw(st.one_of(st.integers(1, 12), st.integers(1, 2000), st.integers(1, 2**69))) + 1
+    """(a, length, base) for ``_odd_mask``: odd a from 3 up to below 2^62,
+    as far as exact sieves reach (hi <= 10^16), small ones (around the
+    wheel primes, and a <= p^2 for base primes p) drawn often; lengths up
+    to three wheel periods and more; bases that begin at 3 (the wheel) or
+    further on (the plain path)."""
+    half = st.one_of(st.integers(1, 12), st.integers(1, 2000), st.integers(1, 2**61 - 1))
+    a = 2 * draw(half) + 1
     length = draw(st.one_of(st.integers(1, 40), st.integers(1, 3 * 15015 + 7)))
     first = draw(st.one_of(st.just(0), st.integers(0, len(ODD_PRIMES))))
     size = draw(st.integers(0, 60))
@@ -576,7 +705,7 @@ def test_odd_mask_matches_trial_division(args):
     # that is: False exactly when the number has a factor in base other
     # than itself
     a, length, base = args
-    got = primality._odd_mask(a, length, base, primality._residues(a, base))
+    got = primality._odd_mask(a, length, base, a % base)
     assert np.array_equal(got, trial_division_mask(a, length, base))
 
 
@@ -823,10 +952,14 @@ print(threading.active_count() - 1, cpus)
 
 
 def test_numpy_loads_on_first_enumeration(tmp_path):
-    """Import, ``--version`` and a refused ``verify`` load no numpy (nor
-    ctypes, nor concurrent.futures); the first ``primes_in_range`` does."""
+    """Import, ``--version``, a refused ``verify``, ``build_chain``,
+    ``verify_chain``, ``prc_digits`` and the ``chain``, ``digits``,
+    ``approx`` and ``verify`` commands load no numpy (the first three nor
+    ctypes, nor concurrent.futures); the first ``count_primes_in_range``,
+    ``primes_in_range`` or ``explore`` does."""
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"primes": ["2"]}')
+    chain_file = tmp_path / "chain.json"
     probe = f"""
 import contextlib, io, sys
 import prckit, prckit.cli
@@ -840,11 +973,36 @@ with contextlib.redirect_stdout(io.StringIO()) as version:
 print(code, version.getvalue().strip() == prckit.__version__, "numpy" in sys.modules)
 code = prckit.cli.main(["verify", "--chain-file", {str(malformed)!r}])
 print(code, "numpy" in sys.modules)
-prckit.primes_in_range(10, 20)
+chain = prckit.build_chain(prckit.parse_exponent_spec("const:3"), 2, 6)
+report, digits = prckit.verify_chain(chain), prckit.prc_digits(chain, 50)
+print(report.passed, digits.agreed_places > 0, "numpy" in sys.modules)
+spec = ["--exps", "const:3", "--seed", "2", "--depth", "6"]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(prckit.cli.main(["chain", *spec]))
+with open({str(chain_file)!r}, "w") as f:
+    f.write(out.getvalue())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(prckit.cli.main(["digits", *spec]))
+    codes.append(prckit.cli.main(["approx", *spec, "--max-den", "10"]))
+    codes.append(prckit.cli.main(["verify", "--chain-file", {str(chain_file)!r}]))
+print(*codes, "numpy" in sys.modules)
+"""
+    loads = """
+import contextlib, io, sys
+import prckit, prckit.cli
+
+{}
 print("numpy" in sys.modules)
 """
-    out = run_probe(probe)
-    assert out[:4] == ["False False False", "0 True False", "66 False", "True"]
+    out = run_probe(probe + "prckit.count_primes_in_range(10, 20)\nprint('numpy' in sys.modules)")
+    assert out[:4] == ["False False False", "0 True False", "66 False", "True True False"]
+    assert out[4:6] == ["0 0 0 0 False", "True"]
+    assert run_probe(loads.format("prckit.primes_in_range(10, 20)"))[0] == "True"
+    explore = """
+with contextlib.redirect_stdout(io.StringIO()):
+    prckit.cli.main(["explore", "--exps", "const:3", "--seeds", "2:3", "--depth", "1"])"""
+    assert run_probe(loads.format(explore))[0] == "True"
 
 
 # ---------------------------------------------------------------------------
