@@ -11,7 +11,9 @@ constants.
 
 All structural checks are cross-powered integer comparisons on the
 underlying cylinder values; decimal enclosures are attached for display
-only, at a precision chosen so sibling enclosures separate.
+only, at the precision the smallest relative sibling gap suggests, and
+again two places finer while any siblings apart by value have
+enclosures that meet.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -30,7 +33,6 @@ from .core import (
     EnumerationCapError,
     ExponentSequence,
     Window,
-    decimal_length,
     to_json,
 )
 from .chain import _over_ceiling
@@ -97,6 +99,11 @@ def explore_tree(
     only count them.  A window that rule refuses flags a node above the
     frontier truncated instead of silently shrinking it, and leaves a
     frontier node's child count None.
+
+    The display precision is estimated from the smallest relative gap
+    between adjacent sibling cylinders, then checked on the enclosures
+    attached at it: while two siblings apart by value have enclosures
+    that meet, all are attached again two places finer (at most 64 tries).
     """
     lo, hi = seed_range
     if depth < 1:
@@ -104,21 +111,22 @@ def explore_tree(
     if depth > exps.max_depth:
         raise ValueError(f"depth {depth} beyond sequence max depth {exps.max_depth}")
     seeds = primes_in_range(lo, hi + 1)
-    bare_roots = [_expand(exps, (p,), depth) for p in seeds]
-    display = _display_digits(exps, bare_roots, config)
-    roots = tuple(_attach(exps, node, display, config) for node in bare_roots)
-    return Forest(
-        exps=exps,
-        seed_lo=lo,
-        seed_hi=hi,
-        depth=depth,
-        display_digits=display,
-        roots=roots,
-        truncated=any(_any_truncated(r) for r in roots),
-    )
+    bare = [_expand(exps, (p,), depth) for p in seeds]
+    truncated = any(node.truncated for group in _sibling_groups(bare) for node in group)
+    digits = _estimate_digits(exps, bare)
+    for _ in range(64):
+        roots = tuple(_attach(exps, node, digits, config) for node in bare)
+        if _separated(roots):
+            return Forest(exps, lo, hi, depth, digits, truncated, roots)
+        digits += 2
+    raise EnumerationCapError("could not separate sibling enclosures")
 
 
-def _expand(exps, prefix, depth) -> CylinderNode:
+# a cylinder before its enclosure is attached
+_Cylinder = namedtuple("_Cylinder", "prefix child_count truncated children")
+
+
+def _expand(exps, prefix, depth) -> _Cylinder:
     level = len(prefix)
     expandable = level < depth
     counted = None  # stays None when the sequence ends here or the window is refused
@@ -131,77 +139,57 @@ def _expand(exps, prefix, depth) -> CylinderNode:
     if expandable:
         primes = () if counted is None else counted.primes
         children = tuple(_expand(exps, prefix + (q,), depth) for q in primes)
-    return CylinderNode(
-        prefix=tuple(prefix),
-        depth=level,
-        interval=CertifiedDecimalInterval(0, 0, 0),  # placeholder until _attach
-        child_count=None if counted is None else counted.count,
-        children=children,
-        truncated=expandable and counted is None,
+    count = None if counted is None else counted.count
+    return _Cylinder(prefix, count, expandable and counted is None, children)
+
+
+def _sibling_groups(roots):
+    """The seeds, then every listed set of children, last parent first."""
+    groups = [roots]
+    while groups:
+        group = groups.pop()
+        yield group
+        groups.extend(node.children for node in group if node.children)
+
+
+def _estimate_digits(exps, roots) -> int:
+    """Places the smallest relative gap between adjacent siblings asks for.
+
+    At least 4, and 6 when no adjacent siblings are apart: touching
+    cylinders (seeds 2, 3) share an endpoint and are never separated.
+    """
+    needs = []
+    for group in _sibling_groups(roots):
+        for left, right in zip(group, group[1:]):
+            a, b = left.prefix[-1] + 1, right.prefix[-1]
+            if b > a:
+                C = exps.partial_product(len(left.prefix))
+                gap_log = math.log10(b - a) - math.log10(C) - (1 - 1 / C) * math.log10(a)
+                needs.append(-gap_log + 1)
+    return max(4, math.ceil(max(needs))) if needs else 6
+
+
+def _separated(roots) -> bool:
+    """Whether all adjacent siblings apart by value have enclosures apart."""
+    return all(
+        left.interval.hi_mantissa < right.interval.lo_mantissa
+        for group in _sibling_groups(roots)
+        for left, right in zip(group, group[1:])
+        if right.value > left.value + 1
     )
 
 
-def _any_truncated(node) -> bool:
-    if node.truncated:
-        return True
-    return any(_any_truncated(c) for c in node.children or ())
-
-
-def _log10(n: int) -> float:
-    try:
-        return math.log10(n)
-    except OverflowError:
-        return float(decimal_length(n) - 1)
-
-
-def _sibling_pairs(exps, roots):
-    """Adjacent (left_hi_value, right_lo_value, order) triples per level."""
-    groups = [list(roots)]
-    while groups:
-        group = groups.pop()
-        if len(group) >= 2:
-            C = exps.partial_product(group[0].depth)
-            for left, right in zip(group, group[1:]):
-                a, b = left.value + 1, right.value
-                if b > a:  # touching cylinders (seeds 2,3) cannot be separated
-                    yield a, b, C
-        for node in group:
-            if node.children:
-                groups.append(list(node.children))
-
-
-def _display_digits(exps, roots, config) -> int:
-    """Smallest precision separating all adjacent sibling enclosures.
-
-    Estimated from the smallest relative gap, then verified exactly on the
-    mantissas and bumped until every adjacent pair separates.
-    """
-    pairs = list(_sibling_pairs(exps, roots))
-    if not pairs:
-        return 6
-    need = 4.0
-    for a, b, C in pairs:
-        gap_log = _log10(b - a) - _log10(C) - (1 - 1 / C) * _log10(a)
-        need = max(need, -gap_log + 1)
-    d = max(4, math.ceil(need))
-    for _ in range(64):
-        if all(
-            point_root_enclosure(a, C, d, config).hi_mantissa
-            < point_root_enclosure(b, C, d, config).lo_mantissa
-            for a, b, C in pairs
-        ):
-            return d
-        d += 2
-    raise EnumerationCapError("could not separate sibling enclosures")
-
-
 def _attach(exps, node, digits, config) -> CylinderNode:
-    order = exps.partial_product(node.depth)
-    interval = certified_root_enclosure(node.value, order, digits, config)
+    """``node`` with enclosures at ``digits`` all the way down."""
+    level = len(node.prefix)
+    order = exps.partial_product(level)
+    interval = certified_root_enclosure(node.prefix[-1], order, digits, config)
     children = node.children
     if children is not None:
         children = tuple(_attach(exps, c, digits, config) for c in children)
-    return replace(node, interval=interval, children=children)
+    return CylinderNode(
+        node.prefix, level, interval, node.child_count, node.truncated, children
+    )
 
 
 def validate_forest(forest: Forest) -> list[str]:
@@ -221,7 +209,9 @@ def validate_forest(forest: Forest) -> list[str]:
 
 
 def _validate_node(exps, node, problems):
-    if not node.children:
+    # a frontier node is counted, not listed; a truncated node's window was
+    # refused, possibly before its power was built, and must not be built here
+    if node.children is None or node.truncated:
         return
     c = exps.term(node.depth + 1)
     window = Window.from_parent(node.value, c)

@@ -457,6 +457,18 @@ class TestExploreCommand:
         )
         assert elapsed.startswith("elapsed_ms=")
 
+    def test_refusal_quotes_the_first_cylinder_rooted(self, capsys):
+        # enclosures are rooted seed by seed, the top of each cylinder
+        # first, so the radicand quoted is that of 3 = 2 + 1 (2 bits)
+        code, out, err = run_cli(
+            capsys, "explore", "--exps", "const:30000001", "--seeds", "2:5", "--depth", "1"
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == (
+            "refused: radicand for 10 digits at root order 30000001 needs about "
+            "996578465 bits, above the ceiling 16777216; at most ~0 digits are feasible"
+        )
+
 
 class TestApproxCommand:
     def test_powfact3_separations(self, capsys):

@@ -1,12 +1,13 @@
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import prckit as pk
-from prckit import primality
-from prckit.core import CertifiedDecimalInterval
+from prckit import explorer, primality, radix
+from prckit.core import CertifiedDecimalInterval, Window
 from prckit.explorer import CylinderNode, Forest, _attach
 
 from conftest import primes_between
@@ -75,12 +76,48 @@ class TestExploreTree:
         forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 2)
         assert forest.truncated
         assert forest.roots[0].truncated and forest.roots[0].children == ()
+        # a truncated node has no child count to check its empty children against
+        assert pk.validate_forest(forest) == []
 
     def test_validate_catches_tampering(self, const3_forest):
         root = const3_forest.roots[0]
         bad_root = replace(root, child_count=7)
         broken = replace(const3_forest, roots=(bad_root,) + const3_forest.roots[1:])
         assert any("child_count" in p for p in pk.validate_forest(broken))
+
+    def test_validate_catches_emptied_inner_nodes(self):
+        # an inner node's empty children must match its child count; only
+        # frontier nodes (children None) are counted without a listing
+        forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 3)
+        root = forest.roots[0]
+        node = root.children[0]
+        assert (node.prefix, node.child_count) == ((2, 11), 52)
+        emptied = replace(root, children=(replace(node, children=()),) + root.children[1:])
+        assert pk.validate_forest(replace(forest, roots=(emptied,))) == [
+            "node (2, 11): child_count 52 != 0 children"
+        ]
+        bare_root = replace(root, children=())
+        assert pk.validate_forest(replace(forest, roots=(bare_root,))) == [
+            "node (2,): child_count 5 != 0 children"
+        ]
+
+    def test_validate_builds_no_window_the_bit_ceiling_refused(self, monkeypatch):
+        # the chain bit ceiling truncates (2, 5) and (2, 7) before their
+        # 1000003rd powers are built; validating must not build them either
+        forest = pk.explore_tree(pk.parse_exponent_spec("list:3,2,1000003"), (2, 2), 3)
+        inner = forest.roots[0].children
+        assert [(n.prefix, n.truncated, n.children) for n in inner] == [
+            ((2, 5), True, ()),
+            ((2, 7), True, ()),
+        ]
+        built = Window.from_parent
+
+        def refusing(p, c):
+            assert c != 1000003, f"window of {p} to the {c} built"
+            return built(p, c)
+
+        monkeypatch.setattr(Window, "from_parent", refusing)
+        assert pk.validate_forest(forest) == []
 
 
 class TestGapIntervals:
@@ -323,3 +360,92 @@ def test_windows_past_the_sieve_width_limit_are_refused(monkeypatch, limit, valu
     assert all(r.child_count is None for r in forest.roots)
     assert forest.truncated == (depth == 2)
     assert pk.validate_forest(forest) == []
+
+
+# touching seeds (2:3), an empty seed range (10:2), depths 1-3
+REFERENCE_FORESTS = [
+    ("const:2", (2, 13), 2),
+    ("const:2", (3, 100), 1),
+    ("const:3", (2, 2), 3),
+    ("const:3", (2, 3), 2),
+    ("const:3", (2, 3), 1),
+    ("const:3", (5, 7), 2),
+    ("const:3", (10, 2), 2),
+    ("const:4", (2, 5), 2),
+    ("const:5", (2, 3), 2),
+    ("factorial", (2, 7), 3),
+    ("powfact:2", (2, 11), 2),
+    ("powfact:3", (2, 11), 2),
+    ("list:2,3,2", (2, 13), 2),
+    ("list:3,2,5", (2, 7), 2),
+]
+
+
+def _two_pass_digits(forest, start=None):
+    """Display precision by separate point enclosures of both ends of every
+    gap between adjacent siblings apart by value, two places finer until
+    each gap separates; from ``start``, or else from the estimate by the
+    smallest relative gap (at least 4, and 6 when there is no gap)."""
+    exps = forest.exps
+    gaps = []
+    groups = [forest.roots]
+    for group in groups:
+        gaps += [
+            (left.value + 1, right.value, exps.partial_product(left.depth))
+            for left, right in zip(group, group[1:])
+            if right.value > left.value + 1
+        ]
+        groups += [node.children for node in group if node.children]
+    if start is None:
+        if not gaps:
+            return 6
+        gap_logs = [
+            math.log10(b - a) - math.log10(C) - (1 - 1 / C) * math.log10(a)
+            for a, b, C in gaps
+        ]
+        start = max(4, math.ceil(max(-g + 1 for g in gap_logs)))
+    d = start
+    while not all(
+        pk.point_root_enclosure(a, C, d).hi_mantissa
+        < pk.point_root_enclosure(b, C, d).lo_mantissa
+        for a, b, C in gaps
+    ):
+        d += 2
+    return d
+
+
+@pytest.mark.parametrize("floor", [False, True], ids=["estimate", "floor4"])
+def test_display_precision_matches_two_pass_rule(monkeypatch, floor):
+    # checking the attached enclosures picks the precision the separate
+    # point enclosures of every sibling gap pick; forcing the estimate to
+    # its floor of 4 makes the forests that need more take the bump path
+    if floor:
+        monkeypatch.setattr(explorer, "_estimate_digits", lambda exps, roots: 4)
+    bumped = 0
+    for spec, seeds, depth in REFERENCE_FORESTS:
+        exps = pk.parse_exponent_spec(spec)
+        forest = pk.explore_tree(exps, seeds, depth)
+        digits = _two_pass_digits(forest, 4 if floor else None)
+        assert forest.display_digits == digits, (spec, seeds, depth)
+        for node in _nodes(forest):
+            order = exps.partial_product(node.depth)
+            assert node.interval == pk.certified_root_enclosure(node.value, order, digits)
+        bumped += digits > 4
+    assert bumped or not floor  # from the floor, some forest needed a bump
+
+
+def test_each_cylinder_rooted_once(monkeypatch):
+    # two scaled roots per node (its enclosure's ends) at the one precision
+    # tried: sibling gaps are checked on those enclosures, not rooted again
+    calls = 0
+    real = radix.scaled_root_floor
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(radix, "scaled_root_floor", counting)
+    forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 3)
+    assert sum(1 for _ in _nodes(forest)) == 541
+    assert calls == 2 * 541
