@@ -77,14 +77,6 @@ def build_chain(
             )
             break
         window = Window.from_parent(p, c)
-        if window.lo.bit_length() > CHAIN_BIT_CEILING:
-            truncated = True
-            reason = (
-                f"step {k}: window floor has {window.lo.bit_length()} bits, above "
-                f"the {CHAIN_BIT_CEILING}-bit chain ceiling; reachable "
-                f"depth {len(primes)}"
-            )
-            break
         if policy.covers(c):
             invoked = True
         try:
@@ -109,17 +101,24 @@ def build_chain(
 
 
 def _over_ceiling(p: int, exps: ExponentSequence, k: int) -> bool:
-    """The chain bit-ceiling test (p.bit_length() - 1) * c_k >= CHAIN_BIT_CEILING.
+    """The chain bit-ceiling test: whether p^c_k has more than
+    CHAIN_BIT_CEILING bits.
 
+    With n = p.bit_length(), p^c has more than (n - 1) * c bits and at most
+    n * c, so these bounds decide unless (n - 1) * c < CHAIN_BIT_CEILING <
+    n * c; there the power is built, of fewer than twice the ceiling's bits.
     A powfact term b^(k! - (k-1)!) is never built when its exponent alone
-    decides the test: for p >= 2 and b >= 2 the left side is then at least
+    decides the test: for p >= 2 and b >= 2, (n - 1) * c is then at least
     2^(bits of the ceiling).
     """
     if exps.kind == "powfact" and k > 1 and p >= 2:
         exponent = math.factorial(k) - math.factorial(k - 1)
         if exponent * (exps.base.bit_length() - 1) >= CHAIN_BIT_CEILING.bit_length():
             return True
-    return (p.bit_length() - 1) * exps.term(k) >= CHAIN_BIT_CEILING
+    c, n = exps.term(k), p.bit_length()
+    if (n - 1) * c < CHAIN_BIT_CEILING < n * c:
+        return (p**c).bit_length() > CHAIN_BIT_CEILING
+    return (n - 1) * c >= CHAIN_BIT_CEILING
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ def verify_chain(chain: PrimeChain) -> ChainReport:
     scan stops at the first prime, a far-claimed prime fails as soon as a
     prime lies within the cap of the edge.
 
-    Before any power is built, every step must pass the chain bit-ceiling
+    Before any window is built, every step must pass the chain bit-ceiling
     test that ``build_chain`` applies; a step that fails it raises
     BitCeilingError, so a hostile exponent cannot start an unbounded power.
     """
@@ -266,8 +265,8 @@ class ThetaReport:
 def theta_window_report(chain: PrimeChain, config: Config = DEFAULT_CONFIG) -> ThetaReport:
     """Exact theta-window membership per step (only steps with c_{k+1} >= 3).
 
-    Like ``verify_chain``, raises BitCeilingError before any power is
-    built when a step fails the chain bit-ceiling test.
+    Like ``verify_chain``, raises BitCeilingError before any window power
+    is built when a step fails the chain bit-ceiling test.
     """
     side = "right" if chain.mode == "max" else "left"
     records = []

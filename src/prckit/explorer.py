@@ -270,16 +270,20 @@ def gap_intervals(
 ) -> list[Gap]:
     """Maximal open gaps between consecutive level-``level`` cylinders.
 
-    Level counts generations below the seeds (0 = seed cylinders).  Within
-    each parent the leading gap (from the parent's left edge to its first
-    child) and the trailing gap (last child to the parent's right edge,
-    which always exists because the window's composite top is excluded)
-    are included; runs through empty or adjacent regions merge into one
-    maximal gap.  Right endpoints of gaps approximate left sub-boundary
+    Level counts generations below the seeds (0 = seed cylinders).  At
+    level 0 the gaps lie between seeds apart by value.  Below it they are
+    the complement of the level's cylinders within the span of their
+    parents' windows: from the first parent's window floor to the first
+    cylinder, between consecutive cylinders, and from the last cylinder to
+    the last parent's window top (a gap that always exists, because that
+    composite top is excluded).  A parent with no children, or the span
+    between two parents' windows, adds no cylinder and so widens the gap
+    it falls in.  Right endpoints of gaps approximate left sub-boundary
     constants from below, left endpoints right sub-boundary constants.
 
-    Requires full expansion at the requested level: truncated ancestors
-    would silently produce wrong gaps, so they are refused instead.
+    Requires full expansion above the requested level: a truncated or
+    unexpanded node there would silently produce wrong gaps, so the first
+    such node, in level order, is refused instead.
     """
     if level < 0 or level >= forest.depth:
         raise ValueError(f"level must be in [0, {forest.depth - 1}], got {level}")
@@ -292,50 +296,28 @@ def gap_intervals(
             value, level, point_root_enclosure(value, order, digits, config)
         )
 
+    nodes = forest.roots
     if level == 0:
-        gaps = []
-        for left, right in zip(forest.roots, forest.roots[1:]):
-            if right.value > left.value + 1:
-                gaps.append(Gap(endpoint(left.value + 1), endpoint(right.value)))
-        return gaps
-
-    parents = forest.nodes_at_level(level - 1)
-    for node in forest.roots:
-        _check_expanded(node, level - 1)
-    gaps = []
-    pending_left: int | None = None
-    last_window_top: int | None = None
-    for parent in parents:
-        c = forest.exps.term(parent.depth + 1)
-        window = Window.from_parent(parent.value, c)
-        qs = [child.value for child in parent.children or ()]
-        if not qs:
-            if pending_left is None:
-                pending_left = window.lo
-            last_window_top = window.hi_exclusive + 1
-            continue
-        left = pending_left if pending_left is not None else window.lo
-        gaps.append(Gap(endpoint(left), endpoint(qs[0])))
-        for a, b in zip(qs, qs[1:]):
-            gaps.append(Gap(endpoint(a + 1), endpoint(b)))
-        pending_left = qs[-1] + 1
-        last_window_top = window.hi_exclusive + 1
-    if pending_left is not None and last_window_top is not None:
-        gaps.append(Gap(endpoint(pending_left), endpoint(last_window_top)))
-    return gaps
-
-
-def _check_expanded(node, down_to_level):
-    """Refuse gap listing when any ancestor of the target level is truncated."""
-    if node.depth - 1 > down_to_level:
-        return
-    if node.truncated or node.children is None:
-        raise EnumerationCapError(
-            f"forest truncated at {node.prefix}; gap list would be wrong"
-        )
-    if node.depth - 1 < down_to_level:
-        for child in node.children:
-            _check_expanded(child, down_to_level)
+        pairs = [
+            (a.value + 1, b.value) for a, b in zip(nodes, nodes[1:]) if b.value > a.value + 1
+        ]
+    else:
+        for _ in range(level):
+            parents = nodes
+            for node in parents:
+                if node.truncated or node.children is None:
+                    raise EnumerationCapError(
+                        f"forest truncated at {node.prefix}; gap list would be wrong"
+                    )
+            nodes = [child for node in parents for child in node.children]
+        if not parents:
+            return []
+        c = forest.exps.term(level + 1)
+        values = [node.value for node in nodes]
+        lefts = [Window.from_parent(parents[0].value, c).lo, *(q + 1 for q in values)]
+        rights = [*values, Window.from_parent(parents[-1].value, c).hi_exclusive + 1]
+        pairs = zip(lefts, rights)
+    return [Gap(endpoint(a), endpoint(b)) for a, b in pairs]
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,8 @@ prime within a few thousand positions, too few for numpy's import (about
 Exact enumeration (counts, listings, the base-prime cache, the explorer)
 sieves millions of positions, and runs through one numpy kernel:
 ``_odd_mask`` is its one loop that strikes multiples and
-``_walk_segments`` its one segment walker.  A mask whose base primes
+``_walk_segments`` its one segment walker, which fills every segment's
+mask into one buffer allocated per walk.  A mask whose base primes
 begin 3, 5, 7, 11, 13 starts from a wheel: the pattern of the odd numbers
 coprime to 15015, built on first use by the plain loop, so only the
 primes from 17 strike.  The kernel functions import numpy on their first
@@ -106,9 +107,9 @@ _WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)  # 15015
 _wheel = None
 
 
-def _wheel_mask(a: int, length: int) -> np.ndarray:
-    """The wheel pattern of the odd numbers a, a + 2, ..., a + 2*(length - 1):
-    the cached pattern, rotated to a and repeated to ``length``."""
+def _wheel_mask(mask: np.ndarray, a: int) -> None:
+    """Fill ``mask`` with the wheel pattern of the odd numbers a, a + 2, ...:
+    the cached pattern, rotated to a and repeated to the mask's length."""
     import numpy as np
 
     global _wheel
@@ -117,20 +118,17 @@ def _wheel_mask(a: int, length: int) -> np.ndarray:
         # segment, which starts past 13^2 at pattern index 0
         primes = np.array(_WHEEL_PRIMES, dtype=np.int64)
         start = 2 * _WHEEL_PERIOD + 1
-        _wheel = _odd_mask(start, _WHEEL_PERIOD, primes, start % primes)
+        _wheel = _odd_mask(np.empty(_WHEEL_PERIOD, dtype=bool), start, primes, start % primes)
     r = (a // 2) % _WHEEL_PERIOD  # a = 2r + 1 modulo 2 * _WHEEL_PERIOD
     rotated = np.concatenate((_wheel[r:], _wheel[:r]))
-    # copied into a mask of exact size: np.tile or np.resize would keep up
-    # to a period (15 KB) alive behind each view, even for 256 entries
-    whole = length - length % _WHEEL_PERIOD
-    mask = np.empty(length, dtype=bool)
+    whole = mask.size - mask.size % _WHEEL_PERIOD
     mask[:whole].reshape(-1, _WHEEL_PERIOD)[:] = rotated
-    mask[whole:] = rotated[: length - whole]
-    return mask
+    mask[whole:] = rotated[: mask.size - whole]
 
 
-def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Sieve mask of the odd numbers a, a + 2, ..., a + 2*(length - 1).
+def _odd_mask(mask: np.ndarray, a: int, base: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Fill ``mask`` with the sieve mask of the odd numbers a, a + 2, ...,
+    a + 2*(length - 1), for the mask's length, and return it.
 
     ``a`` is odd and at least 3, ``base`` holds ascending odd primes and
     ``res`` is a mod each of them.  An entry is False exactly when its
@@ -145,16 +143,17 @@ def _odd_mask(a: int, length: int, base: np.ndarray, res: np.ndarray) -> np.ndar
     """
     import numpy as np
 
+    length = mask.size
     k = len(_WHEEL_PRIMES)
     if base.size > k and int(base[k - 1]) == _WHEEL_PRIMES[-1]:
-        mask = _wheel_mask(a, length)
+        _wheel_mask(mask, a)
         if a <= 13:  # the wheel primes in the segment are prime
             for p in _WHEEL_PRIMES:
                 if a <= p < a + 2 * length:
                     mask[(p - a) // 2] = True
         base, res = base[k:], res[k:]
     else:
-        mask = np.ones(length, dtype=bool)
+        mask[:] = True
         if not base.size:
             return mask
     t = (base - res) % base  # p divides a + t
@@ -176,12 +175,16 @@ def _walk_segments(first: int, count: int, base: np.ndarray):
     """Yield (a, ``_odd_mask`` of a, a + 2, ...) for ascending segments of
     ``_SIEVE_SEGMENT`` odd numbers covering the ``count`` odd numbers from
     ``first`` (an exact sieve's: below 2^62).  Residues are taken once and
-    then shifted from segment to segment.
+    then shifted from segment to segment.  Every mask is filled into one
+    buffer allocated per walk, so a mask is valid until the next is yielded.
     """
+    import numpy as np
+
+    buffer = np.empty(min(_SIEVE_SEGMENT, count), dtype=bool)
     done, res = 0, first % base
     while done < count:
         a, length = first + 2 * done, min(_SIEVE_SEGMENT, count - done)
-        yield a, _odd_mask(a, length, base, res)
+        yield a, _odd_mask(buffer[:length], a, base, res)
         done += length
         res = (res + 2 * length) % base
 
@@ -940,8 +943,9 @@ def _sieve_segments(lo: int, hi: int, strike: int | None = None):
     segments = _walk_segments(first, odd, base)
     if strike > _BASE_CACHE_LIMIT:
         # each uncached batch of base primes strikes every segment in turn,
-        # so all the segments' masks are kept until the last batch
-        segments = list(segments)
+        # so all the segments' masks are kept (copied out of the walk's one
+        # buffer) until the last batch
+        segments = [(a, mask.copy()) for a, mask in segments]
         for batch in _primes_from(_BASE_CACHE_LIMIT + 1, strike):
             struck = _walk_segments(first, odd, batch)
             for (_, mask), (_, more) in zip(segments, struck):
@@ -964,7 +968,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     for a, mask in _sieve_segments(lo, hi):
         i = np.flatnonzero(mask)  # a + 2i in place, as in _primes_from
         primes += np.add(np.multiply(i, 2, out=i), a, out=i).tolist()
-        del mask, i  # dropped before the next mask is built, as in count_primes_in_range
     return primes
 
 
@@ -994,9 +997,6 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     count = 1 if lo == 2 else 0
     for _, mask in _sieve_segments(lo, hi, t - 1):
         count += int(np.count_nonzero(mask))
-        # dropped before the next is built: two 1 MiB masks alive can pass
-        # malloc's heap trim threshold, and each mask then faults in afresh
-        del mask
     ps = table[np.searchsorted(table, t) : np.searchsorted(table, need, side="right")]
     # per p, the primes q from max(p, ceil(lo/p)) to top // p, for the p
     # with a multiple in [lo, top] (p <= top // p, as p <= sqrt(top))

@@ -245,6 +245,68 @@ class TestVerifyChain:
         assert pk.verify_chain(bad).steps[0].extremality == "failed"
 
 
+class TestCeilingBand:
+    """Steps the bit-length bounds alone do not decide: 3^700000 has more
+    than (2 - 1) * 700000 bits and at most 2 * 700000, around the 2^20-bit
+    chain ceiling, and is over it."""
+
+    EXPS = pk.parse_exponent_spec("list:3,700000")
+    CHAIN = PrimeChain(
+        exps=EXPS,
+        primes=(3, 5),
+        mode="min",
+        certainty=("deterministic",) * 2,
+        policy=pk.EMPIRICAL,
+        conditional=False,
+    )
+
+    @pytest.fixture
+    def no_band_window(self, monkeypatch):
+        built = pk.Window.from_parent
+
+        def refusing(p, c):
+            assert c != 700000, f"window of {p} to the {c} built"
+            return built(p, c)
+
+        monkeypatch.setattr(pk.Window, "from_parent", refusing)
+
+    def test_decided_by_the_power(self, monkeypatch):
+        assert (3**700000).bit_length() > chain_module.CHAIN_BIT_CEILING
+        assert _over_ceiling(3, self.EXPS, 2)
+        # 3^5 has 8 bits, between (2 - 1) * 5 and 2 * 5
+        exps = pk.parse_exponent_spec("const:5")
+        monkeypatch.setattr(chain_module, "CHAIN_BIT_CEILING", 7)
+        assert _over_ceiling(3, exps, 2)
+        monkeypatch.setattr(chain_module, "CHAIN_BIT_CEILING", 8)
+        assert not _over_ceiling(3, exps, 2)
+
+    def test_build_chain_truncates(self, no_band_window):
+        chain = pk.build_chain(self.EXPS, 3, 2)
+        assert chain.primes == (3,) and chain.truncated
+        assert chain.truncation_reason == (
+            "step 1: 2-bit prime to the power 700000 exceeds the 1048576-bit "
+            "chain ceiling; reachable depth 1"
+        )
+
+    def test_verify_refuses_before_any_primality_test(self, monkeypatch, no_band_window):
+        def no_test(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(chain_module, "is_prime", no_test)
+        with pytest.raises(pk.BitCeilingError, match="step 1: 2-bit prime"):
+            pk.verify_chain(self.CHAIN)
+
+    def test_theta_report_refuses(self, no_band_window):
+        with pytest.raises(pk.BitCeilingError, match="step 1: 2-bit prime"):
+            pk.theta_window_report(self.CHAIN)
+
+    def test_explorer_counts_no_window(self, no_band_window):
+        forest = pk.explore_tree(self.EXPS, (3, 3), 1)
+        (root,) = forest.roots
+        assert root.child_count is None and not forest.truncated
+        assert pk.validate_forest(forest) == []
+
+
 class TestThetaReport:
     def test_const3_small_step_fails_exactly(self, mills_chain):
         report = pk.theta_window_report(mills_chain)

@@ -4,11 +4,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import prckit as pk
 from prckit import explorer, primality, radix
 from prckit.core import CertifiedDecimalInterval, Window
-from prckit.explorer import CylinderNode, Forest, _attach
+from prckit.explorer import CylinderNode, Forest, Gap, GapEndpoint, _attach
 
 from conftest import primes_between
 
@@ -182,6 +183,167 @@ class TestGapIntervals:
         rights = [g.right.value for g in gaps]
         for first_child in (11, 29, 127, 347, 1361):
             assert first_child in rights
+
+
+def merge_loop_gaps(forest, level, digits=None):
+    """Gaps by the merge loop ``gap_intervals`` ran before it listed them
+    as the complement of each level's cylinders, kept as the reference:
+    parent by parent, carrying the left end of an open gap across parents
+    with no children, after refusing (in preorder) any truncated or
+    unexpanded node above ``level``."""
+    order = forest.exps.partial_product(level + 1)
+    digits = forest.display_digits if digits is None else digits
+
+    def endpoint(value):
+        return GapEndpoint(value, level, pk.point_root_enclosure(value, order, digits))
+
+    if level == 0:
+        return [
+            Gap(endpoint(left.value + 1), endpoint(right.value))
+            for left, right in zip(forest.roots, forest.roots[1:])
+            if right.value > left.value + 1
+        ]
+
+    def check_expanded(node):
+        if node.depth - 1 > level - 1:
+            return
+        if node.truncated or node.children is None:
+            raise pk.EnumerationCapError(
+                f"forest truncated at {node.prefix}; gap list would be wrong"
+            )
+        for child in node.children:
+            check_expanded(child)
+
+    parents = forest.nodes_at_level(level - 1)
+    for node in forest.roots:
+        check_expanded(node)
+    gaps = []
+    pending_left = last_window_top = None
+    for parent in parents:
+        window = Window.from_parent(parent.value, forest.exps.term(parent.depth + 1))
+        qs = [child.value for child in parent.children or ()]
+        if not qs:
+            if pending_left is None:
+                pending_left = window.lo
+            last_window_top = window.hi_exclusive + 1
+            continue
+        left = pending_left if pending_left is not None else window.lo
+        gaps.append(Gap(endpoint(left), endpoint(qs[0])))
+        for a, b in zip(qs, qs[1:]):
+            gaps.append(Gap(endpoint(a + 1), endpoint(b)))
+        pending_left = qs[-1] + 1
+        last_window_top = window.hi_exclusive + 1
+    if pending_left is not None and last_window_top is not None:
+        gaps.append(Gap(endpoint(pending_left), endpoint(last_window_top)))
+    return gaps
+
+
+def gaps_or_refusal(list_gaps, forest, level, digits=None):
+    try:
+        return list_gaps(forest, level, digits=digits)
+    except pk.EnumerationCapError as exc:
+        return str(exc)
+
+
+def refused_nodes(forest, level):
+    """Prefixes of the truncated or unexpanded nodes above ``level``, in preorder."""
+    found = []
+
+    def walk(node):
+        if len(node.prefix) <= level and (node.truncated or node.children is None):
+            found.append(node.prefix)
+        for child in node.children or ():
+            walk(child)
+
+    for root in forest.roots:
+        walk(root)
+    return found
+
+
+@pytest.mark.parametrize(
+    "spec,seeds,depth",
+    [
+        ("const:2", (2, 13), 3),
+        ("const:2", (2, 3), 4),
+        ("const:3", (2, 2), 3),
+        ("const:3", (2, 3), 2),
+        ("const:3", (5, 7), 2),
+        ("const:4", (2, 5), 2),
+        ("const:5", (2, 3), 2),
+        ("factorial", (2, 7), 3),
+        ("factorial", (2, 3), 3),
+        ("powfact:2", (2, 7), 3),
+        ("powfact:3", (2, 11), 2),
+        ("list:2,3,2", (2, 5), 3),
+        ("list:3,2,5", (2, 7), 2),
+        ("list:2,2,2,2", (2, 5), 4),
+    ],
+)
+def test_gaps_match_the_merge_loop(spec, seeds, depth):
+    # every level, at the display precision and at 12 places; the
+    # powfact:2 forest is truncated at (2, 5), so both refuse its level 2
+    forest = pk.explore_tree(pk.parse_exponent_spec(spec), seeds, depth)
+    for level in range(depth):
+        for digits in (None, 12):
+            want = gaps_or_refusal(merge_loop_gaps, forest, level, digits)
+            assert gaps_or_refusal(pk.gap_intervals, forest, level, digits) == want
+
+
+@st.composite
+def hand_built_forests(draw):
+    """const:2 forests over seeds below 32, two or three levels deep, whose
+    inner nodes list an ascending sample of their window (often empty:
+    childless parents), or are truncated, or were left unexpanded."""
+    depth = draw(st.integers(2, 3))
+    interval = CertifiedDecimalInterval(0, 1, 0)  # gap_intervals reads no node interval
+
+    def node(prefix):
+        level, p = len(prefix), prefix[-1]
+        kind = draw(st.sampled_from(["listed"] * 4 + ["truncated", "unexpanded"]))
+        if level == depth or kind == "unexpanded":
+            return CylinderNode(prefix, level, interval, None)
+        if kind == "truncated":
+            return CylinderNode(prefix, level, interval, None, True, ())
+        values = draw(st.sets(st.integers(p * p + 1, (p + 1) ** 2 - 2), max_size=4))
+        children = tuple(node(prefix + (q,)) for q in sorted(values))
+        return CylinderNode(prefix, level, interval, len(children), False, children)
+
+    seeds = sorted(draw(st.sets(st.integers(2, 31), max_size=4)))
+    roots = tuple(node((p,)) for p in seeds)
+    return Forest(pk.parse_exponent_spec("const:2"), 2, 31, depth, 4, False, roots)
+
+
+@given(hand_built_forests(), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_gaps_match_the_merge_loop_on_hand_built_forests(forest, level):
+    level = min(level, forest.depth - 1)
+    want = gaps_or_refusal(merge_loop_gaps, forest, level)
+    got = gaps_or_refusal(pk.gap_intervals, forest, level)
+    refused = refused_nodes(forest, level)
+    if not refused:
+        assert got == want
+    else:
+        # both refuse: the merge loop names the first such node in
+        # preorder, the level walk the first in level order
+        assert want == f"forest truncated at {refused[0]}; gap list would be wrong"
+        first = min(refused, key=len)
+        assert got == f"forest truncated at {first}; gap list would be wrong"
+
+
+def test_gap_refusal_names_the_first_node_in_level_order():
+    # (2, 11) is truncated a level below the truncated root 3: preorder
+    # meets it first, level order meets the root first
+    interval = CertifiedDecimalInterval(0, 1, 0)
+    child = CylinderNode((2, 11), 2, interval, None, True, ())
+    roots = (
+        CylinderNode((2,), 1, interval, 1, False, (child,)),
+        CylinderNode((3,), 1, interval, None, True, ()),
+    )
+    forest = Forest(pk.parse_exponent_spec("const:3"), 2, 3, 3, 4, True, roots)
+    assert refused_nodes(forest, 2) == [(2, 11), (3,)]
+    with pytest.raises(pk.EnumerationCapError) as refusal:
+        pk.gap_intervals(forest, 2)
+    assert str(refusal.value) == "forest truncated at (3,); gap list would be wrong"
 
 
 class TestBranchingStats:

@@ -705,8 +705,23 @@ def test_odd_mask_matches_trial_division(args):
     # that is: False exactly when the number has a factor in base other
     # than itself
     a, length, base = args
-    got = primality._odd_mask(a, length, base, a % base)
+    got = primality._odd_mask(np.empty(length, dtype=bool), a, base, a % base)
     assert np.array_equal(got, trial_division_mask(a, length, base))
+
+
+def test_walk_fills_one_buffer(monkeypatch):
+    # every segment's mask is a view of the one buffer the walk allocated,
+    # the last and shorter one included
+    monkeypatch.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
+    base = np.array(ODD_PRIMES[:40], dtype=np.int64)
+    first, count = 10**6 + 1, 5 * (1 << 9) + 77
+    masks = list(primality._walk_segments(first, count, base))
+    assert [mask.size for _, mask in masks] == [1 << 9] * 5 + [77]
+    buffer = masks[0][1].base
+    assert buffer is not None and buffer.size == 1 << 9
+    assert all(mask.base is buffer for _, mask in masks)
+    a, last = masks[-1]
+    assert np.array_equal(last, trial_division_mask(a, 77, base))
 
 
 def test_wheel_pattern_is_built_on_first_use():
