@@ -13,7 +13,8 @@ Exit codes: 0 success / all checks passed; 1 a verification check failed;
 exceed the chain bit ceiling and an output integer past the interpreter's
 int-string limit), with a partial artifact when one exists (a truncated
 chain refuses after its artifact, even where a check failed); 64 usage
-error (including out-of-range arguments); 65 bad input data
+error (including out-of-range arguments, refused before any chain or
+forest is built, so before data errors); 65 bad input data
 (composite seed); 66 missing or malformed input file (including JSON that
 cannot be decoded, integers that are not decimal strings and primes below
 2).  ``digits --format text`` writes no prime, so only its JSON output
@@ -159,6 +160,8 @@ def _build_from_args(args, config) -> PrimeChain:
     from .chain import build_chain
     from .core import GAP_POLICIES, parse_exponent_spec
 
+    if getattr(args, "max_digits", 1) < 1:  # digits and approx: before any chain is built
+        raise ValueError("max_digits must be positive")
     exps = parse_exponent_spec(args.exps)
     policy = GAP_POLICIES[args.gap_policy]
     return build_chain(exps, args.seed, args.depth, args.mode, policy, config)
@@ -246,6 +249,9 @@ def cmd_explore(args) -> int:
     except ValueError:
         sys.stderr.write("--seeds wants LO:HI\n")
         return EX_USAGE
+    json_gaps = args.format == "json" and args.gap_level is not None  # CSV ignores the level
+    if json_gaps and not 0 <= args.gap_level < args.depth:  # before any forest is built
+        raise ValueError(f"level must be in [0, {args.depth - 1}], got {args.gap_level}")
     forest = explore_tree(exps, (lo, hi), args.depth, config)
     violations = validate_forest(forest)
     if args.format == "csv":
@@ -260,7 +266,7 @@ def cmd_explore(args) -> int:
             "stats": branching_stats(forest),
             "violations": violations,
         }
-        if args.gap_level is not None:
+        if json_gaps:
             gaps = gap_intervals(forest, args.gap_level, config)
             artifact["gaps"] = [
                 {

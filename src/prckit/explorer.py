@@ -35,8 +35,7 @@ from .core import (
     Window,
     to_json,
 )
-from .chain import _over_ceiling
-from .primality import count_primes_in_window, primes_in_range
+from .primality import _capped_window, count_primes_in_window, primes_in_range
 from .radix import certified_root_enclosure, point_root_enclosure
 
 
@@ -49,9 +48,9 @@ class CylinderNode:
     enclosure at the forest display precision.  ``child_count`` is the
     exact number of primes in this node's window, or None when the window
     was not enumerated (windows that ``count_primes_in_window`` refuses,
-    and those the chain bit ceiling refuses before building them);
-    ``children`` is None for nodes at the expansion frontier.  Field order
-    is the key order of the JSON export.
+    and those ``_capped_window`` refuses by bit lengths before building
+    them); ``children`` is None for nodes at the expansion frontier.
+    Field order is the key order of the JSON export.
     """
 
     prefix: tuple[int, ...]
@@ -130,10 +129,9 @@ def _expand(exps, prefix, depth) -> _Cylinder:
     level = len(prefix)
     expandable = level < depth
     counted = None  # stays None when the sequence ends here or the window is refused
-    # the chain bit ceiling refuses a window before its power is built
-    if level < exps.max_depth and not _over_ceiling(prefix[-1], exps, level + 1):
-        window = Window.from_parent(prefix[-1], exps.term(level + 1))
+    if level < exps.max_depth:
         with contextlib.suppress(EnumerationCapError):
+            window = _capped_window(prefix[-1], exps.term(level + 1))
             counted = count_primes_in_window(window, include_list=expandable)
     children = None
     if expandable:

@@ -21,16 +21,16 @@ one runs.  The strong Lucas test is one V-only Lucas chain
 mpz_sub and mpz_mod per step) and in Python ints below that or without
 libgmp.
 
-With libgmp and at least two usable CPUs, the tests of values from 1024
-bits run on one shared pool of at most 4 threads, made on first use
-(``concurrent.futures`` is imported only then; import starts no thread).
-``is_prime`` runs the strong Lucas test and the Miller-Rabin rounds of a
-value that passed base 2 concurrently, and a scan tests its next few
-survivors to base 2 concurrently, then gives those that pass the rest of
-the test (``_past_base_2``, which does not run base 2 again), in scan
-order.  The libgmp calls release the GIL, so the threads overlap.
-Verdicts, tiers, the bases drawn and scan budgets do not depend on the
-pool.
+One scheduler, ``_in_order``, runs every test call and reads the results
+in call order: in place, or, with libgmp and at least two usable CPUs,
+for values from 1024 bits, on one shared pool of at most 4 threads, made
+on first use (``concurrent.futures`` is imported only then).  The strong
+Lucas test and the Miller-Rabin rounds of a value past base 2 are all in
+flight at once; a scan has as many survivors' base-2 tests in flight as
+the pool has threads, and gives those that pass the rest of the test
+(``_past_base_2``) in scan order.  The libgmp calls release the GIL, so
+the threads overlap.  Verdicts, tiers, the bases drawn and scan budgets
+do not depend on the pool.
 
 Two sieves over odd numbers strike multiples, chosen by the job.  Window
 scans (``scan_range``: min and max scans) use ``_strike_walk``, in pure
@@ -63,7 +63,8 @@ the base primes up to a bound: sqrt(hi) for a listing
 (``primes_in_range``), a t from cbrt(hi) for a count
 (``count_primes_in_range``, which adds Lehmer's P2 term).
 ``count_primes_in_window`` is the one rule for which windows are
-enumerated; the explorer's child counts use it.  The fixed limits
+enumerated; the explorer's child counts use it, on windows that
+``_capped_window`` did not refuse unbuilt.  The fixed limits
 ``MR_ROUNDS``, ``ENUMERATION_CAP`` and ``MAX_SIEVE_BASE`` are module
 constants read at call time; no function here takes a ``Config``: the
 scans take a ``budget`` of scan positions, by default
@@ -487,23 +488,25 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def _all_pass(n: int, tests) -> bool:
-    """True when every call (fn, *args) in ``tests`` of n returns true, run
-    in the order given or, when ``_pool_for(n)`` yields a pool,
-    concurrently; the calls not started yet are cancelled at the first
-    failure."""
-    pool = _pool_for(n)
+def _in_order(pool, calls, ahead):
+    """Yield ((fn, *args), fn(*args)) for each call, in order: run in place
+    when asked for without ``pool``, else up to ``ahead`` at a time on its
+    executor.  Closing the generator cancels the calls not started yet."""
     if pool is None:
-        return all(fn(*args) for fn, *args in tests)
-    from concurrent.futures import as_completed
-
-    executor, _ = pool
-    futures = [executor.submit(*call) for call in tests]
+        yield from ((call, call[0](*call[1:])) for call in calls)
+        return
+    calls, pending = iter(calls), collections.deque()
     try:
-        return all(f.result() for f in as_completed(futures))
+        while True:
+            for call in itertools.islice(calls, ahead - len(pending)):
+                pending.append((call, pool[0].submit(*call)))
+            if not pending:
+                return
+            call, future = pending.popleft()
+            yield call, future.result()
     finally:
-        for f in futures:
-            f.cancel()
+        for _, future in pending:
+            future.cancel()
 
 
 def is_prime(n: int) -> PrimalityVerdict:
@@ -536,8 +539,11 @@ def _past_base_2(n: int) -> PrimalityVerdict:
         return PrimalityVerdict(n, False, DETERMINISTIC)
     rng = random.Random(n ^ _BASE_SALT)
     rounds = [(_sprp, n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS)]
-    if not _all_pass(n, [(_strong_lucas_prp, n), *rounds]):
-        return PrimalityVerdict(n, False, DETERMINISTIC)
+    tests = [(_strong_lucas_prp, n), *rounds]
+    # all in flight at once; the first failure in call order decides
+    with contextlib.closing(_in_order(_pool_for(n), tests, len(tests))) as results:
+        if not all(passed for _, passed in results):
+            return PrimalityVerdict(n, False, DETERMINISTIC)
     return PrimalityVerdict(n, True, probable(MR_ROUNDS))
 
 
@@ -693,33 +699,6 @@ def _survivors(lo: int, hi: int, descending: bool, limit: int):
         yield 2
 
 
-def _passing_base_2(pool, candidates):
-    """Yield the candidates that are strong probable primes to base 2 (2
-    among them), in their order, testing as many ahead as ``pool`` has
-    workers; closing the generator cancels the tests not started yet.
-
-    Every other candidate is composite, and is_prime says so at its own
-    base-2 step or before.
-    """
-    executor, ahead = pool
-    pending = collections.deque()
-    try:
-        for n in candidates:
-            pending.append((n, executor.submit(_sprp, n, 2)))
-            if len(pending) < ahead:
-                continue
-            first, test = pending.popleft()
-            if test.result():
-                yield first
-        while pending:
-            first, test = pending.popleft()
-            if test.result():
-                yield first
-    finally:
-        for _, test in pending:
-            test.cancel()
-
-
 def scan_range(
     lo: int,
     hi: int,
@@ -729,22 +708,23 @@ def scan_range(
     """Verdict of the first prime in [lo, hi), scanning from the chosen end.
 
     Each segment of odd positions is sieved by the odd primes up to a
-    bound from the operand size (at most 2^17; see ``_survivors``) and
-    only the survivors go to ``is_prime``, whose verdict (tier
+    bound from the operand size (at most 2^17; see ``_survivors``).  The
+    survivors' base-2 tests run through ``_in_order``, as many ahead as the
+    pool has threads, and the first prime's ``is_prime`` verdict (tier
     included) is returned.  Returns None when the whole range was scanned
     without finding one.  Raises WindowSearchExhausted when the budget of
     scan positions (every integer below 3 and every odd integer, struck by
     the sieve or not) runs out first, never returning a non-extremal value.
     """
     limit = max(budget, 0)
-    candidates = _survivors(lo, hi, descending, limit)
     pool = _pool_for(max(lo, 2))
-    if pool is not None:
-        candidates = _passing_base_2(pool, candidates)
-    with contextlib.closing(candidates):
-        for n in candidates:
-            # survivors from 2^64 have no factor up to 997; pooled ones passed base 2
-            verdict = _past_base_2(n) if pool and n >= _TWO64 else is_prime(n)
+    tests = ((_sprp, n, 2) for n in _survivors(lo, hi, descending, limit))
+    with contextlib.closing(_in_order(pool, tests, pool and pool[1])) as results:
+        for (_, n, _), passed in results:
+            if not passed:
+                continue  # composite
+            # a survivor from 2^64 has no factor up to 997
+            verdict = _past_base_2(n) if n >= _TWO64 else is_prime(n)
             if verdict.is_prime:
                 return verdict
     small, _, odd = _scan_layout(lo, hi)
@@ -808,6 +788,19 @@ def min_prime_in_window(window: Window, budget: int = DEFAULT_CONFIG.window_budg
 def max_prime_in_window(window: Window, budget: int = DEFAULT_CONFIG.window_budget) -> int:
     """Greatest prime in the window; descending scan from the top."""
     return window_prime(window, budget, descending=True).value
+
+
+def _capped_window(p: int, c: int) -> Window:
+    """``Window.from_parent(p, c)``, refused unbuilt when its width, at least
+    p^(c-1) >= 2^((n-1)(c-1)) for n = p.bit_length(), passes ``ENUMERATION_CAP``.
+    A window let through has (p+1)^c <= 2^(n*c) <= 2^48 (the cap has 24 bits)."""
+    bits = (p.bit_length() - 1) * (c - 1)
+    if bits >= ENUMERATION_CAP.bit_length():
+        raise EnumerationCapError(
+            f"window wider than 2^{bits} exceeds enumeration cap {ENUMERATION_CAP}",
+            ENUMERATION_CAP,
+        )
+    return Window.from_parent(p, c)
 
 
 @dataclass(frozen=True)

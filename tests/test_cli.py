@@ -156,6 +156,22 @@ class TestChainCommand:
                  "--max-den", "0"),
                 r"bad argument: --max-den must be at least 1, got 0\nelapsed_ms=\d+\n",
                 id="max-den-0"),
+            # a composite seed would exit 65 once its chain was built
+            pytest.param(
+                ("digits", "--exps", "const:3", "--seed", "4", "--depth", "8",
+                 "--max-digits", "0"),
+                r"bad argument: max_digits must be positive\nelapsed_ms=\d+\n",
+                id="max-digits-0-composite-seed"),
+            pytest.param(
+                ("approx", "--exps", "const:3", "--seed", "4", "--depth", "8",
+                 "--max-den", "5", "--max-digits", "0"),
+                r"bad argument: max_digits must be positive\nelapsed_ms=\d+\n",
+                id="approx-max-digits-0-composite-seed"),
+            pytest.param(
+                ("explore", "--exps", "const:3", "--seeds", "2:2", "--depth", "3",
+                 "--gap-level", "-1"),
+                r"bad argument: level must be in \[0, 2\], got -1\nelapsed_ms=\d+\n",
+                id="gap-level-negative"),
         ],
     )
     def test_out_of_range_arguments_exit_64(self, capsys, argv, stderr):
@@ -424,6 +440,25 @@ class TestExploreCommand:
         assert code == 0
         assert [g["right_value"] for g in doc["gaps"]][0] == "11"
         assert len(doc["gaps"]) == 6
+
+    def test_gap_level_is_checked_before_the_forest_is_built(self, capsys, monkeypatch):
+        import prckit.explorer
+
+        def unbuilt(*args):
+            raise AssertionError("forest built")
+
+        monkeypatch.setattr(prckit.explorer, "explore_tree", unbuilt)
+        code, out, err = run_cli(
+            capsys, "explore", "--exps", "const:3", "--seeds", "2:2", "--depth", "3",
+            "--gap-level", "3",
+        )
+        assert (code, out) == (64, "")
+        assert err.startswith("bad argument: level must be in [0, 2], got 3\n")
+
+    def test_csv_ignores_the_gap_level(self, capsys):
+        argv = ("explore", "--exps", "const:3", "--seeds", "2:3", "--depth", "2", "--format", "csv")
+        code, out, _ = run_cli(capsys, *argv, "--gap-level", "5")
+        assert code == 0 and out == run_cli(capsys, *argv)[1]
 
     def test_bad_seed_range(self, capsys):
         code, out, err = run_cli(

@@ -120,6 +120,23 @@ class TestExploreTree:
         monkeypatch.setattr(Window, "from_parent", refusing)
         assert pk.validate_forest(forest) == []
 
+    def test_windows_the_cap_refuses_by_bit_lengths_are_never_built(self, monkeypatch):
+        # 2^700001 and up: every root's window is refused before it is built
+        built, from_parent = [], Window.from_parent
+        monkeypatch.setattr(
+            Window, "from_parent", lambda p, c: built.append((p, c)) or from_parent(p, c)
+        )
+        forest = pk.explore_tree(pk.parse_exponent_spec("list:3,700001"), (2, 7), 1)
+        assert built == []
+        assert (forest.truncated, forest.display_digits) == (False, 4)
+        seeds = (2, 3, 5, 7)
+        assert [(r.prefix, r.child_count, r.truncated, r.children) for r in forest.roots] == [
+            ((p,), None, False, None) for p in seeds
+        ]
+        assert [r.interval for r in forest.roots] == [
+            pk.certified_root_enclosure(p, 3, 4) for p in seeds
+        ]
+
 
 class TestGapIntervals:
     def test_const3_seed2_level1(self):

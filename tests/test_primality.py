@@ -147,6 +147,20 @@ class TestWindowScans:
         assert [c for _, _, c in worst] == list(range(2, 15))
         assert max(worst)[0] <= primality.MAX_SIEVE_BASE
 
+    @pytest.mark.parametrize("cap", [primality.ENUMERATION_CAP, 10**8])
+    def test_capped_window_refuses_only_windows_past_the_cap(self, monkeypatch, cap):
+        # every window let through has (p + 1)^c within twice the cap's bits
+        monkeypatch.setattr(primality, "ENUMERATION_CAP", cap)
+        for p in primes_between(2, 1 << 12):
+            for c in range(2, 41):
+                try:
+                    window = primality._capped_window(p, c)
+                except pk.EnumerationCapError:
+                    assert Window.from_parent(p, c).width > cap, (p, c)
+                else:
+                    assert window == Window.from_parent(p, c)
+                    assert (p + 1) ** c <= 1 << (2 * cap.bit_length()), (p, c)
+
     def test_budget_exhaustion(self):
         w = pk.Window.from_parent(127, 4)
         with pytest.raises(pk.WindowSearchExhausted) as err:
@@ -1200,7 +1214,7 @@ class TestPool:
     @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize("p", [(1 << 100) + 5635, 10**9 + 7])  # p and p + 2 are prime
     def test_base_2_runs_once_per_found_prime(self, pooled_tests, monkeypatch, descending, p):
-        # from 2^64 the pooled base-2 test of the found prime is not repeated
+        # from 2^64 the scan's base-2 test of the found prime is not repeated
         # by the rest of its test; below, the whole 12-base set still runs
         found = p + 2 if descending else p
         expected = pk.is_prime(found)
@@ -1219,6 +1233,14 @@ class TestPool:
         else:
             assert expected.certainty == "deterministic"
             assert bases == [2, *primality._MR_BASES_64]
+
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("p", [(1 << 100) + 5635, 10**9 + 7])
+    def test_base_2_runs_once_per_found_prime_inline(
+        self, inline_tests, monkeypatch, descending, p
+    ):
+        # the same bases as on the pool: scans take one path with or without it
+        self.test_base_2_runs_once_per_found_prime(None, monkeypatch, descending, p)
 
     @pytest.mark.parametrize("descending", [False, True])
     def test_budget_exhaustion_identical_with_the_pool_off(self, monkeypatch, descending):
@@ -1266,3 +1288,46 @@ class TestPool:
                 pool.shutdown()
         assert got == [want] * 6
         assert len(made) == (0 if primality._pool is False else 1)  # False: one CPU
+
+
+# ---------------------------------------------------------------------------
+# the in-order scheduler every test call runs through
+
+
+def delayed(seconds: float, value):
+    time.sleep(seconds)
+    return value
+
+
+class TestInOrder:
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_results_come_in_call_order(self, workers):
+        # on two workers the later, shorter calls finish first
+        calls = [(delayed, 0.03 * (3 - k), k) for k in range(4)]
+        if workers is None:
+            got = list(primality._in_order(None, calls, 2))
+        else:
+            with ThreadPoolExecutor(workers) as executor:
+                got = list(primality._in_order((executor, workers), calls, workers))
+        assert got == [(call, k) for k, call in enumerate(calls)]
+
+    def test_closing_cancels_the_queued_calls(self):
+        # one worker, three calls ahead: the first returns at once, the
+        # second holds the worker, so the third waits in the queue when the
+        # generator is closed; it never runs, and the fourth is never submitted
+        held, ran = threading.Event(), []
+        calls = [(int,), (held.wait, 10), (ran.append, 3), (ran.append, 4)]
+        with ThreadPoolExecutor(1) as executor:
+            results = primality._in_order((executor, 1), calls, 3)
+            assert next(results) == ((int,), 0)
+            results.close()
+            held.set()
+        assert ran == []
+
+    def test_inline_calls_run_lazily_and_stop_at_close(self):
+        ran = []
+        results = primality._in_order(None, [(ran.append, k) for k in range(3)], 3)
+        assert ran == []
+        assert next(results) == ((ran.append, 0), None)
+        results.close()
+        assert ran == [0]
