@@ -250,7 +250,8 @@ def cmd_explore(args) -> int:
         sys.stderr.write("--seeds wants LO:HI\n")
         return EX_USAGE
     json_gaps = args.format == "json" and args.gap_level is not None  # CSV ignores the level
-    if json_gaps and not 0 <= args.gap_level < args.depth:  # before any forest is built
+    # before any forest is built, and after the depth, which explore_tree checks itself
+    if json_gaps and 1 <= args.depth <= exps.max_depth and not 0 <= args.gap_level < args.depth:
         raise ValueError(f"level must be in [0, {args.depth - 1}], got {args.gap_level}")
     forest = explore_tree(exps, (lo, hi), args.depth, config)
     violations = validate_forest(forest)

@@ -56,11 +56,10 @@ begin 3, 5, 7, 11, 13 starts from a wheel: the pattern of the odd numbers
 coprime to 15015, built on first use by the plain loop, so only the
 primes from 17 strike.  The kernel functions import numpy on their first
 call, so importing this module loads neither numpy nor ctypes.  Exact
-primes come two ways: ``_primes_from`` yields those of a range segment by
-segment, which fills the base-prime cache (to 2^23) and yields the base
-primes past it uncached, and ``_sieve_segments`` strikes a window with
-the base primes up to a bound: sqrt(hi) for a listing
-(``primes_in_range``), a t from cbrt(hi) for a count
+primes come one way: ``_sieve_segments`` strikes a range with the base
+primes up to a bound, sqrt(hi) for a listing (``primes_in_range``,
+``primes_upto``, the fill of the base-prime cache to 2^23 and the base
+primes past it, uncached) and a t from cbrt(hi) for a count
 (``count_primes_in_range``, which adds Lehmer's P2 term).
 ``count_primes_in_window`` is the one rule for which windows are
 enumerated; the explorer's child counts use it, on windows that
@@ -135,7 +134,7 @@ def _odd_mask(mask: np.ndarray, a: int, base: np.ndarray, res: np.ndarray) -> np
     ``res`` is a mod each of them.  An entry is False exactly when its
     number is p*m with p in ``base`` and m >= p: when it has a factor in
     ``base`` other than itself, for a base holding every odd prime up to
-    its last (every base but an uncached batch of ``_primes_from``).
+    its last (every base but an uncached batch of ``_sieve_segments``).
 
     When ``base`` begins 3, 5, 7, 11, 13 and goes on (ascending odd primes
     whose fifth is 13), the mask starts from the wheel pattern of those
@@ -846,47 +845,49 @@ def count_primes_in_window(window: Window, include_list: bool = False) -> Window
 # the default enumeration cap (a const:2 window of width 10^7 needs them to
 # 5*10^6).  Larger ones are sieved batch by batch and dropped.
 _BASE_CACHE_LIMIT = 1 << 23
-# (limit, the primes up to it as an int64 array), grown on demand up to
-# _BASE_CACHE_LIMIT; swapped whole, so every thread reads a matching pair.
+# (limit, the primes up to it as an int64 array): the _TRIAL_PRIMES within
+# _BASE_CACHE_LIMIT on first use, then grown on demand up to that bound;
+# swapped whole, so every thread reads a matching pair.
 _base_cache: tuple = (0, None)
 
 
 def _base_primes(limit: int) -> np.ndarray:
     """The primes up to min(limit, _BASE_CACHE_LIMIT), from the cache; a
-    cache too short grows by the primes past its old bound."""
+    cache too short grows by the primes past its old bound, struck by base
+    primes from here (so a fill recurses only while the cache is short of
+    their bound: from the seed, the first fill, to 2^16, needs those to 256)."""
     import numpy as np
 
     global _base_cache
     limit = min(limit, _BASE_CACHE_LIMIT)
     cached, primes = _base_cache
-    if primes is None or limit > cached:
+    if primes is None:
+        cached = min(_TRIAL_PRIMES[-1], _BASE_CACHE_LIMIT)
+        primes = np.array([p for p in _TRIAL_PRIMES if p <= cached], dtype=np.int64)
+        _base_cache = (cached, primes)
+    if limit > cached:
         grown = min(max(limit, 2 * cached, 1 << 16), _BASE_CACHE_LIMIT)
-        old = () if primes is None else (primes,)
-        primes = np.concatenate((*old, *_primes_from(cached + 1, grown)))
+        primes = np.concatenate((primes, *_odd_primes(cached + 1, grown + 1, isqrt(grown))))
         _base_cache = (grown, primes)
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-def _primes_from(first: int, limit: int):
-    """Yield the primes in [first, limit] as ascending int64 arrays, one exact-sieve
-    segment at a time, struck by the primes to sqrt(limit) of a recursive call."""
+def _odd_primes(lo: int, hi: int, strike: int):
+    """Yield the numbers ``_sieve_segments(lo, hi, strike)`` marks as
+    ascending int64 arrays, one per segment: the odd primes of [lo, hi)
+    when ``strike`` is at least sqrt(hi - 1)."""
     import numpy as np
 
-    if first <= 2 <= limit:
-        yield np.array([2], dtype=np.int64)
-    _, start, odd = _scan_layout(first, limit + 1)
-    if odd:
-        base = np.concatenate((np.empty(0, np.int64), *_primes_from(3, isqrt(limit))))
-        for a, mask in _walk_segments(start, odd, base):
-            i = np.flatnonzero(mask)  # a + 2i in place: no temporary per segment
-            yield np.add(np.multiply(i, 2, out=i), a, out=i)
+    for a, mask in _sieve_segments(lo, hi, strike):
+        i = np.flatnonzero(mask)  # a + 2i in place: no temporary per segment
+        yield np.add(np.multiply(i, 2, out=i), a, out=i)
 
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit (exact sieve)."""
     primes = _base_primes(limit).tolist()
-    for batch in _primes_from(_BASE_CACHE_LIMIT + 1, limit):  # past the cache
-        primes += batch.tolist()
+    for batch in _odd_primes(_BASE_CACHE_LIMIT + 1, limit + 1, isqrt(max(limit, 0))):
+        primes += batch.tolist()  # past the cache
     return primes
 
 
@@ -921,25 +922,23 @@ def _sieve_bound(lo: int, hi: int) -> int:
     return need
 
 
-def _sieve_segments(lo: int, hi: int, strike: int | None = None):
+def _sieve_segments(lo: int, hi: int, strike: int):
     """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi).
 
     ``mask`` marks the numbers among a, a + 2, ... with no odd prime
-    factor up to ``strike`` but themselves; ``strike`` defaults to, and is
-    capped at, sqrt(hi - 1), where these are exactly the primes.  Windows
-    with sqrt(hi - 1) above ``MAX_SIEVE_BASE`` are refused.  Callers add 2.
+    factor up to ``strike`` but themselves: exactly the primes when
+    ``strike`` is at least sqrt(hi - 1).  Nothing is refused here; the
+    public sieves call ``_sieve_bound`` first.  Callers add 2.
     """
-    need = _sieve_bound(lo, hi)
-    strike = need if strike is None else min(strike, need)
     _, first, odd = _scan_layout(lo, hi)
-    base = _base_primes(strike)[1:]
-    segments = _walk_segments(first, odd, base)
+    segments = _walk_segments(first, odd, _base_primes(strike)[1:])
     if strike > _BASE_CACHE_LIMIT:
-        # each uncached batch of base primes strikes every segment in turn,
-        # so all the segments' masks are kept (copied out of the walk's one
+        # the base primes past the cache come from this same sieve, batch
+        # by batch, and each batch strikes every segment in turn, so all
+        # the segments' masks are kept (copied out of the walk's one
         # buffer) until the last batch
         segments = [(a, mask.copy()) for a, mask in segments]
-        for batch in _primes_from(_BASE_CACHE_LIMIT + 1, strike):
+        for batch in _odd_primes(_BASE_CACHE_LIMIT + 1, strike + 1, isqrt(strike)):
             struck = _walk_segments(first, odd, batch)
             for (_, mask), (_, more) in zip(segments, struck):
                 mask &= more
@@ -955,12 +954,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    import numpy as np
-
     primes = [2] if lo == 2 else []
-    for a, mask in _sieve_segments(lo, hi):
-        i = np.flatnonzero(mask)  # a + 2i in place, as in _primes_from
-        primes += np.add(np.multiply(i, 2, out=i), a, out=i).tolist()
+    for batch in _odd_primes(lo, hi, _sieve_bound(lo, hi)):
+        primes += batch.tolist()
     return primes
 
 

@@ -172,6 +172,17 @@ class TestChainCommand:
                  "--gap-level", "-1"),
                 r"bad argument: level must be in \[0, 2\], got -1\nelapsed_ms=\d+\n",
                 id="gap-level-negative"),
+            # the depth is at fault, not the level it bounds
+            pytest.param(
+                ("explore", "--exps", "const:3", "--seeds", "2:2", "--depth", "0",
+                 "--gap-level", "0"),
+                r"bad argument: depth must be positive\nelapsed_ms=\d+\n",
+                id="gap-level-at-depth-0"),
+            pytest.param(
+                ("explore", "--exps", "const:3", "--seeds", "2:2", "--depth", "100",
+                 "--gap-level", "200"),
+                r"bad argument: depth 100 beyond sequence max depth 64\nelapsed_ms=\d+\n",
+                id="gap-level-past-max-depth"),
         ],
     )
     def test_out_of_range_arguments_exit_64(self, capsys, argv, stderr):

@@ -501,18 +501,21 @@ class TestCountOnly:
         # the listing
         monkeypatch.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 10)
         monkeypatch.setattr(primality, "_base_cache", (0, None))
-        strikes = []
+        calls = []
         sieve = primality._sieve_segments
         monkeypatch.setattr(
             primality,
             "_sieve_segments",
-            lambda lo, hi, strike=None: strikes.append(strike) or sieve(lo, hi, strike),
+            lambda lo, hi, strike: calls.append((lo, hi, strike)) or sieve(lo, hi, strike),
         )
         for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
             need = isqrt(hi - 1)
             assert (rough_bound(hi) <= need) == rough
-            strikes.clear()
+            calls.clear()
             assert pk.count_primes_in_range(lo, hi) == len(primes_between(lo, hi))
+            # the count's own sieve; the cache fill and the base primes past
+            # the cache sieve other ranges
+            strikes = [strike for a, b, strike in calls if (a, b) == (lo, hi)]
             assert strikes == [rough_bound(hi) - 1 if rough else need]
             assert (strikes[0] < need) == rough
 
@@ -559,10 +562,16 @@ class TestCountOnly:
 
 
 class TestSieves:
-    def test_primes_upto_matches_oracle(self):
+    def test_primes_upto_matches_oracle(self, monkeypatch):
         assert pk.primes_upto(10_000) == sieve_list(10_000)
         assert pk.primes_upto(1) == []
         assert pk.primes_upto(2) == [2]
+        # from an empty cache: below 0 (no square root to take), and around
+        # the last trial prime, the seed of the base-prime cache
+        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        assert pk.primes_upto(-1) == pk.primes_upto(0) == []
+        assert pk.primes_upto(997) == sieve_list(997)
+        assert pk.primes_upto(998) == sieve_list(998)
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -605,9 +614,9 @@ class TestSieves:
 
 
 class TestSieveKernel:
-    """``_primes_from`` (and so ``_odd_mask``, the one striking loop), the
-    cached ``_base_primes`` and ``primes_upto`` against a plain bytearray
-    sieve."""
+    """``_odd_primes`` (and so ``_sieve_segments`` and ``_odd_mask``, the
+    one striking loop), the cached ``_base_primes`` and ``primes_upto``
+    against a plain bytearray sieve."""
 
     ORACLE = sieve_list(997**2 + 2)
     ORACLE_ARRAY = np.array(ORACLE, dtype=np.int64)
@@ -615,10 +624,10 @@ class TestSieveKernel:
     def _check(self, limit):
         count = bisect.bisect_right(self.ORACLE, limit)
         for first in (0, limit // 2):
-            batches = list(primality._primes_from(first, limit))
+            batches = list(primality._odd_primes(first, limit + 1, isqrt(limit)))
             assert all(b.dtype == np.int64 for b in batches), limit
             got = np.concatenate([np.empty(0, np.int64), *batches])
-            skip = bisect.bisect_left(self.ORACLE, first)
+            skip = bisect.bisect_left(self.ORACLE, max(first, 3))  # odd primes only
             assert np.array_equal(got, self.ORACLE_ARRAY[skip:count]), (first, limit)
         cached = bisect.bisect_right(self.ORACLE, primality._BASE_CACHE_LIMIT)
         got = primality._base_primes(limit)
@@ -657,30 +666,59 @@ class TestSieveKernel:
         assert primality._base_cache[0] == 1 << 6
 
     def test_cache_grown_in_steps_equals_one_fill(self, monkeypatch):
-        # each step sieves only the primes past the old bound, over several
-        # segments, and the result equals a fill from an empty cache
+        # the cache starts as the trial primes, each step sieves only the
+        # primes past the old bound, over several segments, and the result
+        # equals a fill from an empty cache
         monkeypatch.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
         monkeypatch.setattr(primality, "_base_cache", (0, None))
         fills = []
-        primes_from = primality._primes_from
+        odd_primes = primality._odd_primes
         monkeypatch.setattr(
             primality,
-            "_primes_from",
-            lambda first, limit: fills.append((first, limit)) or primes_from(first, limit),
+            "_odd_primes",
+            lambda lo, hi, strike: fills.append((lo, hi - 1, strike))
+            or odd_primes(lo, hi, strike),
         )
         for limit in (10, 1 << 16, 70_000, 300_000, 1 << 20):
             primality._base_primes(limit)
         stepped = primality._base_cache
-        # the recursive calls for striking primes start at 3
-        assert [fill for fill in fills if fill[0] != 3] == [
-            (1, 1 << 16), ((1 << 16) + 1, 1 << 17), ((1 << 17) + 1, 300_000),
-            (300_001, 1 << 20),
+        # each fill strikes with the cached primes to its square root
+        assert fills == [
+            (998, 1 << 16, 1 << 8), ((1 << 16) + 1, 1 << 17, 362),
+            ((1 << 17) + 1, 300_000, 547), (300_001, 1 << 20, 1 << 10),
         ]
         monkeypatch.setattr(primality, "_base_cache", (0, None))
         primality._base_primes(1 << 20)
         assert primality._base_cache[0] == stepped[0] == 1 << 20
         assert np.array_equal(primality._base_cache[1], stepped[1])
         assert stepped[1].tolist() == sieve_list(1 << 20)
+
+
+DIFFERENTIAL_TOP = 2 * 10**6
+DIFFERENTIAL_ORACLE = sieve_list(DIFFERENTIAL_TOP)
+
+
+@given(
+    st.integers(-5, DIFFERENTIAL_TOP),
+    st.one_of(st.integers(-5, 3000), st.integers(-5, DIFFERENTIAL_TOP)),
+)
+@settings(max_examples=40, deadline=None)
+def test_sieves_across_a_tiny_cache_bound(lo, width):
+    # with a cache bound of 2^6 and segments of 2^9 odd numbers, the cache
+    # holds only its seed and every base prime past 64 comes from the
+    # sieve's own uncached batches, over many segments
+    hi = min(lo + width, DIFFERENTIAL_TOP + 1)
+    top = bisect.bisect_left(DIFFERENTIAL_ORACLE, hi)
+    want = DIFFERENTIAL_ORACLE[bisect.bisect_left(DIFFERENTIAL_ORACLE, lo) : top]
+    # hypothesis forbids function-scoped fixtures, so patch by hand
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 6)
+        mp.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
+        mp.setattr(primality, "_base_cache", (0, None))
+        assert pk.primes_in_range(lo, hi) == want
+        assert pk.count_primes_in_range(lo, hi) == len(want)
+        assert pk.primes_upto(hi - 1) == DIFFERENTIAL_ORACLE[:top]
+        assert primality._base_cache[0] <= 1 << 6
 
 
 ODD_PRIMES = sieve_list(2000)[1:]
