@@ -58,9 +58,10 @@ primes from 17 strike.  The kernel functions import numpy on their first
 call, so importing this module loads neither numpy nor ctypes.  Exact
 primes come one way: ``_sieve_segments`` strikes a range with the base
 primes up to a bound, sqrt(hi) for a listing (``primes_in_range``,
-``primes_upto``, the fill of the base-prime cache to 2^23 and the base
-primes past it, uncached) and a t from cbrt(hi) for a count
-(``count_primes_in_range``, which adds Lehmer's P2 term).
+``primes_upto``, the fill of the base-prime cache to 2^23, the base
+primes past it, uncached, and the prime-count table below 2^23) and a t
+from cbrt(hi) for a count (``count_primes_in_range``, which subtracts
+Lehmer's P2 term by lookups in that table, ``_pi_table``).
 ``count_primes_in_window`` is the one rule for which windows are
 enumerated; the explorer's child counts use it, on windows that
 ``_capped_window`` did not refuse unbuilt.  The fixed limits
@@ -818,7 +819,8 @@ def count_primes_in_window(window: Window, include_list: bool = False) -> Window
     5 * 10^6, reached at p = 5 * 10^6 and c = 2.  ``count_primes_in_range``
     sieves by the base primes below about cbrt(hi) (below hi/2^23 from
     about 2.4 * 10^10) and subtracts the products of two larger primes,
-    and only ``include_list`` runs the full listing sieve.
+    looked up in a prime-count table below 2^23 built once, and only
+    ``include_list`` runs the full listing sieve.
 
     A frontier window of a const:3 forest:
 
@@ -854,8 +856,9 @@ _base_cache: tuple = (0, None)
 def _base_primes(limit: int) -> np.ndarray:
     """The primes up to min(limit, _BASE_CACHE_LIMIT), from the cache; a
     cache too short grows by the primes past its old bound, struck by base
-    primes from here (so a fill recurses only while the cache is short of
-    their bound: from the seed, the first fill, to 2^16, needs those to 256)."""
+    primes from here, taken first (so a fill recurses only while the cache
+    is short of their bound, and sieves only past what that recursion
+    filled: from the seed, the first fill, to 2^16, needs those to 256)."""
     import numpy as np
 
     global _base_cache
@@ -867,6 +870,8 @@ def _base_primes(limit: int) -> np.ndarray:
         _base_cache = (cached, primes)
     if limit > cached:
         grown = min(max(limit, 2 * cached, 1 << 16), _BASE_CACHE_LIMIT)
+        _base_primes(isqrt(grown))  # may grow the cache itself
+        cached, primes = _base_cache
         primes = np.concatenate((primes, *_odd_primes(cached + 1, grown + 1, isqrt(grown))))
         _base_cache = (grown, primes)
     return primes[: np.searchsorted(primes, limit, side="right")]
@@ -968,11 +973,13 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     3), sqrt(hi - 1) + 1), ``_sieve_segments`` strikes only the odd primes
     below t.  As t^3 > hi - 1, the odd composites left standing are
     exactly the products p*q of primes t <= p <= q, and for each p up to
-    sqrt(hi - 1) with such a product in the window the q are counted by
-    binary search in the cached primes up to (hi - 1) / t (Lehmer's P2
-    term); the second term of t makes those fit the cache.  Where the cap
-    applies (past about 2^46) there is no such p and every base prime
-    strikes, as in ``primes_in_range``.
+    sqrt(hi - 1) with such a product in the window the q are counted as
+    pi(q_hi) - pi(q_lo - 1) in a prime-count table (``_pi_table``;
+    Lehmer's P2 term); the second term of t keeps every q, at most
+    (hi - 1) / t, below the table's bound, ``_BASE_CACHE_LIMIT``.  The p
+    come from the base-prime cache, which so grows only to sqrt(hi - 1).
+    Where the cap applies (past about 2^46) there is no such p and every
+    base prime strikes, as in ``primes_in_range``.
     """
     lo = max(lo, 2)
     if hi <= lo:
@@ -982,18 +989,18 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     need = _sieve_bound(lo, hi)
     top = hi - 1
     t = min(max(nth_root_floor(top, 3) + 1, top // _BASE_CACHE_LIMIT + 1, 3), need + 1)
-    table = _base_primes(top // t)  # every q of a p*q <= top with p >= t
-    count = 1 if lo == 2 else 0
-    for _, mask in _sieve_segments(lo, hi, t - 1):
-        count += int(np.count_nonzero(mask))
-    ps = table[np.searchsorted(table, t) : np.searchsorted(table, need, side="right")]
+    ps = _base_primes(need)
+    ps = ps[np.searchsorted(ps, t) :]
     # per p, the primes q from max(p, ceil(lo/p)) to top // p, for the p
     # with a multiple in [lo, top] (p <= top // p, as p <= sqrt(top))
     q_lo, q_hi = np.maximum(ps, -(-lo // ps)), top // ps
     hit = q_lo <= q_hi
-    q_lo = np.searchsorted(table, q_lo[hit])
-    q_hi = np.searchsorted(table, q_hi[hit], side="right")
-    return count - int((q_hi - q_lo).sum())
+    count = 1 if lo == 2 else 0
+    if hit.any():
+        from ._pi_table import prime_pi
+
+        count -= int((prime_pi(q_hi[hit]) - prime_pi(q_lo[hit] - 1)).sum())
+    return count + sum(int(np.count_nonzero(mask)) for _, mask in _sieve_segments(lo, hi, t - 1))
 
 
 # Width of the ranges the sieve-only oracles below sieve at a time.

@@ -98,7 +98,8 @@ class TestExportSurface:
 def test_import_and_each_entry_point_load_only_what_they_use(tmp_path):
     """``import prckit, prckit.cli`` loads no other module of the package;
     ``--version`` and a malformed ``verify`` load ``core``, a decoded chain
-    file the modules ``verify_chain`` needs, and ``explore`` the rest."""
+    file the modules ``verify_chain`` needs, and ``explore`` the rest (its
+    first prime count with a P2 term loads ``_pi_table``)."""
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"primes": ["2"]}')
     chain_file = Path(__file__).parent / "golden" / "chain_mills.out"
@@ -135,7 +136,7 @@ loaded()
         "0",
         "chain cli core primality radix",
         "0",
-        "chain cli core explorer primality radix",
+        "_pi_table chain cli core explorer primality radix",
         "",
     ]
 

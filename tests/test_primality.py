@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import prckit as pk
-from prckit import primality
+from prckit import _pi_table, primality
 from prckit.core import Window
 from prckit.primality import scan_range
 
@@ -499,25 +499,31 @@ class TestCountOnly:
         # sqrt(hi - 1) near 2 * 10^6 (as it does past 2^46 with 2^23), so t
         # is capped at sqrt(hi - 1) + 1 and every base prime strikes, as in
         # the listing
-        monkeypatch.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 10)
-        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        monkeypatch.setattr(_pi_table, "_table", (0, None, None))
         calls = []
-        sieve = primality._sieve_segments
-        monkeypatch.setattr(
-            primality,
-            "_sieve_segments",
-            lambda lo, hi, strike: calls.append((lo, hi, strike)) or sieve(lo, hi, strike),
-        )
-        for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
-            need = isqrt(hi - 1)
-            assert (rough_bound(hi) <= need) == rough
-            calls.clear()
-            assert pk.count_primes_in_range(lo, hi) == len(primes_between(lo, hi))
-            # the count's own sieve; the cache fill and the base primes past
-            # the cache sieve other ranges
-            strikes = [strike for a, b, strike in calls if (a, b) == (lo, hi)]
-            assert strikes == [rough_bound(hi) - 1 if rough else need]
-            assert (strikes[0] < need) == rough
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 10)
+            mp.setattr(primality, "_base_cache", (0, None))
+            sieve = primality._sieve_segments
+            mp.setattr(
+                primality,
+                "_sieve_segments",
+                lambda lo, hi, strike: calls.append((lo, hi, strike)) or sieve(lo, hi, strike),
+            )
+            for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
+                need = isqrt(hi - 1)
+                assert (rough_bound(hi) <= need) == rough
+                calls.clear()
+                assert pk.count_primes_in_range(lo, hi) == len(primes_between(lo, hi))
+                # the count's own sieve; the cache fill, the count table and
+                # the base primes past the cache sieve other ranges
+                strikes = [strike for a, b, strike in calls if (a, b) == (lo, hi)]
+                assert strikes == [rough_bound(hi) - 1 if rough else need]
+                assert (strikes[0] < need) == rough
+            assert _pi_table._table[0] == 1 << 10
+        # the patch undone, a count whose q pass the tiny table rebuilds it
+        assert pk.count_primes_in_range(1361**3, 1362**3) == 256666
+        assert _pi_table._table[0] == primality._BASE_CACHE_LIMIT
 
     def test_explore_window_walks_only_primes_below_t(self, monkeypatch):
         lo, hi = 1361**3, 1362**3
@@ -693,6 +699,23 @@ class TestSieveKernel:
         assert np.array_equal(primality._base_cache[1], stepped[1])
         assert stepped[1].tolist() == sieve_list(1 << 20)
 
+    def test_one_fill_from_empty_sieves_each_range_once(self, monkeypatch):
+        # the strike primes are taken first, so the fill sieves only past
+        # what their own fill (to 2^16) left in the cache
+        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        fills = []
+        odd_primes = primality._odd_primes
+        monkeypatch.setattr(
+            primality,
+            "_odd_primes",
+            lambda lo, hi, strike: fills.append((lo, hi)) or odd_primes(lo, hi, strike),
+        )
+        primality._base_primes(1 << 23)
+        fills.sort()
+        assert fills[0][0] == 998 and fills[-1][1] == (1 << 23) + 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(fills, fills[1:]))  # disjoint, no gap
+        assert primality._base_cache[1].size == 564163
+
 
 DIFFERENTIAL_TOP = 2 * 10**6
 DIFFERENTIAL_ORACLE = sieve_list(DIFFERENTIAL_TOP)
@@ -715,10 +738,13 @@ def test_sieves_across_a_tiny_cache_bound(lo, width):
         mp.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 6)
         mp.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
         mp.setattr(primality, "_base_cache", (0, None))
+        mp.setattr(_pi_table, "_table", (0, None, None))
         assert pk.primes_in_range(lo, hi) == want
         assert pk.count_primes_in_range(lo, hi) == len(want)
         assert pk.primes_upto(hi - 1) == DIFFERENTIAL_ORACLE[:top]
         assert primality._base_cache[0] <= 1 << 6
+        assert _pi_table._table[0] <= 1 << 6
+    assert pk.count_primes_in_range(lo, hi) == len(want)
 
 
 ODD_PRIMES = sieve_list(2000)[1:]
@@ -795,8 +821,8 @@ print(wheel.size, wheel is primality._wheel, "".join("01"[b] for b in wheel[:12]
 
 
 def test_count_cache_build_peak():
-    """The base-prime table an explore-window count builds (the primes to
-    (hi - 1) / t, about 1.8 * 10^6) grows the peak RSS by under 8 MB."""
+    """What an explore-window count builds first (its base primes and the
+    prime-count table of its P2 term) grows the peak RSS by under 8 MB."""
     probe = """
 import resource, sys
 import numpy
@@ -833,6 +859,81 @@ print(count, mb, limit, int(primes[-1]), primality._BASE_CACHE_LIMIT)
     assert int(count) == want == 30
     assert float(grown_mb) < 50
     assert int(largest) <= int(limit) <= int(bound)
+
+
+def test_cold_count_leaves_the_cache_below_its_bound():
+    """A count near 10^12 grows the base-prime cache only to sqrt(hi), not
+    to (hi - 1) / t near 2^23, and its P2 term's count table (0.77 MB)
+    keeps the count's traced peak under 6 MB (8.7 MB with a cache grown
+    to 2^23)."""
+    probe = """
+import tracemalloc
+import numpy
+import prckit
+from prckit import primality
+
+lo, hi = 10**12, 10**12 + 10**5
+tracemalloc.start()
+count = prckit.count_primes_in_range(lo, hi)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(count == len(prckit.primes_in_range(lo, hi)), primality._base_cache[0], peak / 2**20)
+"""
+    same, cached, peak_mb = run_probe(probe)[0].split()
+    assert same == "True"
+    # the fill policy may overshoot sqrt(hi) = 10^6 by at most a doubling
+    assert int(cached) <= 2 * 10**6 < 1 << 23
+    assert float(peak_mb) < 6
+
+
+# A count table with a partial last word and segment: its bound is odd and
+# segments hold 2^9 odd numbers.
+TABLE_BOUND = 70_001
+TABLE_SEGMENT = 1 << 9
+TABLE_ORACLE = sieve_list(TABLE_BOUND - 1)
+
+
+def table_points():
+    """x in [1, TABLE_BOUND): anywhere, or within 3 of 2, of the bound and
+    of the first odd number of a 64-bit word or of a segment (3 + 128w,
+    3 + 2 * TABLE_SEGMENT * k)."""
+    edge = st.one_of(
+        st.sampled_from((2, TABLE_BOUND - 1)),
+        st.integers(0, TABLE_BOUND // 128).map(lambda w: 3 + 128 * w),
+        st.integers(0, TABLE_BOUND // (2 * TABLE_SEGMENT)).map(lambda k: 3 + 2 * TABLE_SEGMENT * k),
+    )
+    near = st.tuples(edge, st.integers(-3, 3)).map(sum)
+    return (near | st.integers(1, TABLE_BOUND - 1)).filter(lambda x: 1 <= x < TABLE_BOUND)
+
+
+@given(st.lists(table_points(), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_prime_pi_matches_a_listing(xs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primality, "_BASE_CACHE_LIMIT", TABLE_BOUND)
+        mp.setattr(primality, "_SIEVE_SEGMENT", TABLE_SEGMENT)
+        mp.setattr(_pi_table, "_table", (0, None, None))
+        got = _pi_table.prime_pi(np.array([*xs, 2, TABLE_BOUND - 1], dtype=np.int64))
+        assert _pi_table._table[0] == TABLE_BOUND
+    want = [bisect.bisect_right(TABLE_ORACLE, x) for x in (*xs, 2, TABLE_BOUND - 1)]
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_prime_pi_to_the_cache_bound():
+    bound = primality._BASE_CACHE_LIMIT
+    got = _pi_table.prime_pi(np.array([1, 2, 3, bound - 1], dtype=np.int64))
+    assert got.tolist() == [0, 1, 2, sympy.primepi(bound - 1)]
+    assert _pi_table._table[0] == bound
+    # 2^22 - 1 odd numbers from 3, 64 to a word: 0.5 MB of words, 0.25 MB of counts
+    assert _pi_table._table[1].nbytes + _pi_table._table[2].nbytes == 3 << 18
+
+
+@given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from((1, 2**63, 2**64 - 2))))
+@settings(max_examples=100, deadline=None)
+def test_popcount_matches_bit_count(values):
+    values = [0, 2**64 - 1, *values]
+    got = _pi_table.popcount64(np.array(values, dtype=np.uint64))
+    assert got.tolist() == [v.bit_count() for v in values]
 
 
 @given(st.integers(min_value=0, max_value=5000))
