@@ -9,8 +9,8 @@ Importing the package loads none of its modules.  Each exported name
 (``__all__``) is looked up in its module by a module ``__getattr__``
 (PEP 562), which imports that module on first use and returns the
 module's current binding without storing it here, so ``prckit.is_prime``
-is always whatever ``prckit.primality.is_prime`` is bound to.  The five
-library modules (``core``, ``primality``, ``radix``, ``chain``,
+is always whatever ``prckit.primality.is_prime`` is bound to.  The six
+library modules (``core``, ``primality``, ``sieve``, ``radix``, ``chain``,
 ``explorer``) load the same way as attributes: ``prckit.chain``.
 """
 
@@ -47,20 +47,22 @@ _EXPORTS = {
         "to_json",
     ),
     "primality": (
-        "WindowCount",
-        "count_primes_in_range",
-        "count_primes_in_window",
         "find_prime_in_range",
-        "first_prime_in_range",
         "is_prime",
-        "last_prime_in_range",
         "max_prime_in_window",
         "min_prime_in_window",
         "modexp_backend",
-        "primes_in_range",
-        "primes_upto",
         "scan_range",
         "window_prime",
+    ),
+    "sieve": (
+        "WindowCount",
+        "count_primes_in_range",
+        "count_primes_in_window",
+        "first_prime_in_range",
+        "last_prime_in_range",
+        "primes_in_range",
+        "primes_upto",
     ),
     "radix": (
         "ApproxRecord",

@@ -6,7 +6,7 @@ float-parsing consumers), flags are JSON booleans and fractions "a/b".
 Diagnostics, including wall-clock time, go to stderr so that re-running a
 command with the same configuration reproduces stdout byte for byte.
 The configuration is ``--window-budget`` and ``PRC_BIT_CEILING``; each
-manifest also records the fixed limits of ``primality`` and ``chain``.
+manifest also records the fixed limits (``primality``, ``sieve``, ``chain``).
 
 Exit codes: 0 success / all checks passed; 1 a verification check failed;
 2 refusal (budget or bit ceiling, including a chain file whose steps
@@ -24,7 +24,8 @@ is too wide to scan names the truncation after the width refusal.
 Importing this module loads no other prckit module: the parser and
 ``main`` load ``core``, and each command imports the modules it runs
 when it runs, so ``--version`` and malformed ``verify`` inputs load only
-``core``.
+``core``.  Every manifest reads ``sieve`` for the two enumeration limits,
+which loads no numpy.
 """
 
 from __future__ import annotations
@@ -119,17 +120,17 @@ def _config(args):
 
 
 def _manifest(command, config, **fields) -> dict:
-    from . import chain, primality
+    from . import chain, primality, sieve
     from .core import to_json
 
     # artifact bytes are frozen: the manifest keeps the fixed limits and
     # "wheel", a removed scan option that is always false
     limits = {
         "mr_rounds": primality.MR_ROUNDS,
-        "enumeration_cap": primality.ENUMERATION_CAP,
+        "enumeration_cap": sieve.ENUMERATION_CAP,
         "rescan_cap": chain.RESCAN_CAP,
         "chain_bit_ceiling": chain.CHAIN_BIT_CEILING,
-        "max_sieve_base": primality.MAX_SIEVE_BASE,
+        "max_sieve_base": sieve.MAX_SIEVE_BASE,
     }
     config_doc = {**to_json(config), **to_json(limits), "wheel": False}
     return {"command": command, "version": __version__, "config": config_doc, **fields}

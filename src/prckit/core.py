@@ -81,9 +81,9 @@ class Config:
     radicand_bit_ceiling max bits of any radicand an exact root builds
 
     Fixed limits live as constants in the module that reads them:
-    ``primality`` (Miller-Rabin rounds, enumeration cap, sieve base bound)
-    and ``chain`` (rescan cap, chain bit ceiling).  Artifacts record both
-    fields and those limits in their manifest.
+    ``primality`` (Miller-Rabin rounds), ``sieve`` (enumeration cap, sieve
+    base bound) and ``chain`` (rescan cap, chain bit ceiling).  Artifacts
+    record both fields and those limits in their manifest.
     """
 
     window_budget: int = 1_000_000
@@ -192,7 +192,7 @@ def parse_exponent_spec(spec: str, max_depth: int = 64) -> ExponentSequence:
 
     Accepted forms: ``const:<c>`` | ``factorial`` | ``powfact:<b>`` |
     ``list:<v1>,<v2>,...``.  Rejects sequences with c_1 < 1 or any later
-    term < 2, naming the offending term.
+    term < 2, naming the offending term, and terms too long for ``int``.
 
     >>> [parse_exponent_spec("powfact:3").term(k) for k in (1, 2, 3)]
     [3, 3, 81]
@@ -206,14 +206,13 @@ def parse_exponent_spec(spec: str, max_depth: int = 64) -> ExponentSequence:
         m = pat.match(spec)
         if m is None:
             continue
-        if kind == "const":
-            return ExponentSequence("const", base=int(m.group(1)), max_depth=max_depth)
         if kind == "factorial":
             return ExponentSequence("factorial", max_depth=max_depth)
-        if kind == "powfact":
-            return ExponentSequence("powfact", base=int(m.group(1)), max_depth=max_depth)
-        values = tuple(int(v) for v in m.group(1).split(","))
-        return ExponentSequence("list", values=values)
+        terms = m.group(1).split(",")
+        values = tuple(_digits(v, "exponent term", ExponentSpecError) for v in terms)
+        if kind == "list":
+            return ExponentSequence("list", values=values)
+        return ExponentSequence(kind, base=values[0], max_depth=max_depth)
     raise ExponentSpecError(
         f"cannot parse exponent spec {spec!r}; expected const:<c>, factorial, "
         "powfact:<b>, or list:<v1>,<v2>,..."
@@ -435,7 +434,10 @@ class PrimeChain:
             raise SchemaError(f"chain document missing or malformed field: {exc}") from exc
         if not isinstance(spec, str):
             raise SchemaError("exps must be a string")
-        exps = parse_exponent_spec(spec)
+        try:
+            exps = parse_exponent_spec(spec)
+        except ExponentSpecError as exc:
+            raise SchemaError(f"exps: {exc}") from exc
         if not isinstance(primes, list) or not isinstance(certainty, list):
             raise SchemaError("primes and certainty must be JSON arrays")
         primes = tuple(_parse_decimal(p, "prime") for p in primes)
@@ -545,16 +547,21 @@ def _parse_decimal(text, what: str) -> int:
     message that gives the interpreter's digit limit.
     """
     if isinstance(text, str) and _DECIMAL.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # beyond the interpreter's int-string limit
-            # only interpreters with the limit raise here; none need str(int)
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            raise SchemaError(
-                f"{what} has {len(text)} digits, more than the interpreter's "
-                f"int-string limit of {limit}"
-            ) from None
+        return _digits(text, what, SchemaError)
     raise SchemaError(f"{what} must be a decimal string, got {text!r:.40}")
+
+
+def _digits(text: str, what: str, error: type) -> int:
+    """int(text) of a digit string, or ``error`` past the int-string limit."""
+    try:
+        return int(text)
+    except ValueError:
+        # only interpreters with the limit raise here; none need str(int)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        raise error(
+            f"{what} has {len(text)} digits, more than the interpreter's "
+            f"int-string limit of {limit}"
+        ) from None
 
 
 # ceil(log10(2) * 2^64): (bits * _LOG10_2_UP) >> 64 overshoots floor(bits *

@@ -35,8 +35,8 @@ from .core import (
     Window,
     to_json,
 )
-from .primality import _capped_window, count_primes_in_window, primes_in_range
 from .radix import certified_root_enclosure, point_root_enclosure
+from .sieve import _capped_window, count_primes_in_window, primes_in_range
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ def run_json(capsys, *argv):
 
 # stderr of an out-of-range argument: one message, then the timing line
 BAD_ARGUMENT = r"bad argument: .*\nelapsed_ms=\d+\n"
+NEEDS_INT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no int-string limit",
+)
 
 CHAIN_ARGS = (
     "chain",
@@ -183,6 +187,12 @@ class TestChainCommand:
                  "--gap-level", "200"),
                 r"bad argument: depth 100 beyond sequence max depth 64\nelapsed_ms=\d+\n",
                 id="gap-level-past-max-depth"),
+            # an exponent term too long for int() names its digit count
+            pytest.param(
+                ("chain", "--exps", "const:" + "9" * 5000, "--seed", "2", "--depth", "2"),
+                r"bad exponent spec: exponent term has 5000 digits, more than the "
+                r"interpreter's int-string limit of \d+\nelapsed_ms=\d+\n",
+                id="exps-past-int-string-limit", marks=NEEDS_INT_LIMIT),
         ],
     )
     def test_out_of_range_arguments_exit_64(self, capsys, argv, stderr):
@@ -304,6 +314,10 @@ class TestVerifyCommand:
             ({"primes": ["-5", "11"]}, 66),
             ({"exps": "const:4000000000", "primes": ["2", "3"]}, 2),
             ({"exps": "list:1,99999999999999", "primes": ["2", "3"]}, 2),
+            # exps that do not parse, past the int-string limit too
+            ({"exps": "const:1"}, 66),
+            ({"exps": "list:2,1"}, 66),
+            pytest.param({"exps": "const:" + "9" * 5000}, 66, marks=NEEDS_INT_LIMIT),
         ],
     )
     def test_hostile_chain_files(self, capsys, tmp_path, fields, code):

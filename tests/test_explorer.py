@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prckit as pk
-from prckit import explorer, primality, radix
+from prckit import explorer, radix, sieve
 from prckit.core import CertifiedDecimalInterval, Window
 from prckit.explorer import CylinderNode, Forest, Gap, GapEndpoint, _attach
 
@@ -73,7 +73,7 @@ class TestExploreTree:
             assert root.children[-1].value + 1 < w_top
 
     def test_truncation_on_tiny_cap(self, monkeypatch):
-        monkeypatch.setattr(primality, "ENUMERATION_CAP", 10)
+        monkeypatch.setattr(sieve, "ENUMERATION_CAP", 10)
         forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 2)
         assert forest.truncated
         assert forest.roots[0].truncated and forest.roots[0].children == ()
@@ -183,7 +183,7 @@ class TestGapIntervals:
         assert [(g.left.value, g.right.value) for g in gaps] == [(8, 11), (12, 27)]
 
     def test_truncated_forest_refused(self, monkeypatch):
-        monkeypatch.setattr(primality, "ENUMERATION_CAP", 10)
+        monkeypatch.setattr(sieve, "ENUMERATION_CAP", 10)
         forest = pk.explore_tree(pk.parse_exponent_spec("const:3"), (2, 2), 2)
         with pytest.raises(pk.EnumerationCapError):
             pk.gap_intervals(forest, 1)
@@ -497,7 +497,7 @@ def test_child_counts_follow_the_engine(monkeypatch, limits):
     # None exactly where the engine refuses; refused nodes above the
     # frontier, and only those, are truncated
     for name, value in limits.items():
-        monkeypatch.setattr(primality, name, value)
+        monkeypatch.setattr(sieve, name, value)
     exps = pk.parse_exponent_spec("const:3")
     forest = pk.explore_tree(exps, (2, 7), 2)
     refused = 0
@@ -532,7 +532,7 @@ def test_child_counts_follow_the_engine(monkeypatch, limits):
 def test_windows_past_the_sieve_width_limit_are_refused(monkeypatch, limit, value, seeds, depth):
     # windows the exact sieve refuses are refused by the engine, so the
     # roots are truncated (depth 2) or uncounted (depth 1) instead of an error
-    monkeypatch.setattr(primality, limit, value)
+    monkeypatch.setattr(sieve, limit, value)
     exps = pk.parse_exponent_spec("const:2")
     forest = pk.explore_tree(exps, seeds, depth)
     assert forest.roots

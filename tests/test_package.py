@@ -23,10 +23,12 @@ EXPORTS = {
         "probable", "to_json",
     },
     "primality": {
+        "find_prime_in_range", "is_prime", "max_prime_in_window", "min_prime_in_window",
+        "modexp_backend", "scan_range", "window_prime",
+    },
+    "sieve": {
         "WindowCount", "count_primes_in_range", "count_primes_in_window",
-        "find_prime_in_range", "first_prime_in_range", "is_prime", "last_prime_in_range",
-        "max_prime_in_window", "min_prime_in_window", "modexp_backend", "primes_in_range",
-        "primes_upto", "scan_range", "window_prime",
+        "first_prime_in_range", "last_prime_in_range", "primes_in_range", "primes_upto",
     },
     "radix": {
         "ApproxRecord", "DigitResult", "certified_root_enclosure", "nth_root_floor",
@@ -98,8 +100,8 @@ class TestExportSurface:
 def test_import_and_each_entry_point_load_only_what_they_use(tmp_path):
     """``import prckit, prckit.cli`` loads no other module of the package;
     ``--version`` and a malformed ``verify`` load ``core``, a decoded chain
-    file the modules ``verify_chain`` needs, and ``explore`` the rest (its
-    first prime count with a P2 term loads ``_pi_table``)."""
+    file the modules ``verify_chain`` needs and ``sieve`` (its manifest
+    reads the enumeration limits there), and ``explore`` the rest."""
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"primes": ["2"]}')
     chain_file = Path(__file__).parent / "golden" / "chain_mills.out"
@@ -134,9 +136,9 @@ loaded()
         "66",
         "cli core",
         "0",
-        "chain cli core primality radix",
+        "chain cli core primality radix sieve",
         "0",
-        "_pi_table chain cli core explorer primality radix",
+        "chain cli core explorer primality radix sieve",
         "",
     ]
 

@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import prckit as pk
-from prckit import _pi_table, primality
+from prckit import primality, sieve
 from prckit.core import Window
 from prckit.primality import scan_range
 
@@ -62,6 +62,12 @@ class TestIsPrime:
     def test_deterministic_across_calls(self):
         n = 11**81 + 140
         assert pk.is_prime(n) == pk.is_prime(n)
+
+
+@given(st.integers(min_value=0, max_value=5000))
+@settings(max_examples=300, deadline=None)
+def test_is_prime_matches_trial_division(n):
+    assert pk.is_prime(n).is_prime == trial_is_prime(n)
 
 
 class TestWindowScans:
@@ -131,7 +137,7 @@ class TestWindowScans:
         # the widest window of exponent c grows with p, so the largest p whose
         # window fits under ENUMERATION_CAP gives each c's largest sqrt(hi);
         # past c = 14 not even p = 2 fits
-        cap, worst = primality.ENUMERATION_CAP, []
+        cap, worst = sieve.ENUMERATION_CAP, []
         for c in range(2, 200):
             if pk.Window.from_parent(2, c).width > cap:
                 continue
@@ -145,16 +151,16 @@ class TestWindowScans:
             worst.append((isqrt(w.hi_exclusive - 1), lo, c))
         assert max(worst) == (5_000_000, 5_000_000, 2)
         assert [c for _, _, c in worst] == list(range(2, 15))
-        assert max(worst)[0] <= primality.MAX_SIEVE_BASE
+        assert max(worst)[0] <= sieve.MAX_SIEVE_BASE
 
-    @pytest.mark.parametrize("cap", [primality.ENUMERATION_CAP, 10**8])
+    @pytest.mark.parametrize("cap", [sieve.ENUMERATION_CAP, 10**8])
     def test_capped_window_refuses_only_windows_past_the_cap(self, monkeypatch, cap):
         # every window let through has (p + 1)^c within twice the cap's bits
-        monkeypatch.setattr(primality, "ENUMERATION_CAP", cap)
+        monkeypatch.setattr(sieve, "ENUMERATION_CAP", cap)
         for p in primes_between(2, 1 << 12):
             for c in range(2, 41):
                 try:
-                    window = primality._capped_window(p, c)
+                    window = sieve._capped_window(p, c)
                 except pk.EnumerationCapError:
                     assert Window.from_parent(p, c).width > cap, (p, c)
                 else:
@@ -400,6 +406,10 @@ class TestScanSieve:
         assert reached and all(math.gcd(n, TRIAL_PRIMORIAL) == 1 for n in reached)
 
 
+# ---------------------------------------------------------------------------
+# exact enumeration (prckit.sieve): counts, listings, kernel and tables
+
+
 def rough_bound(hi: int) -> int:
     """t of ``count_primes_in_range(lo, hi)``: max(cbrt(hi - 1) + 1,
     (hi - 1) // _BASE_CACHE_LIMIT + 1, 3), the cube root by plain search."""
@@ -409,7 +419,7 @@ def rough_bound(hi: int) -> int:
         c -= 1
     while (c + 1) ** 3 <= top:
         c += 1
-    return max(c + 1, top // primality._BASE_CACHE_LIMIT + 1, 3)
+    return max(c + 1, top // sieve._BASE_CACHE_LIMIT + 1, 3)
 
 
 class TestCountOnly:
@@ -426,7 +436,7 @@ class TestCountOnly:
         assert pk.count_primes_in_range(lo, hi) == len(pk.primes_in_range(lo, hi))
 
     def test_near_sieve_base_refusal(self, monkeypatch):
-        monkeypatch.setattr(primality, "MAX_SIEVE_BASE", 1000)
+        monkeypatch.setattr(sieve, "MAX_SIEVE_BASE", 1000)
         # sqrt(hi - 1) may reach 1000 exactly; one more and both refuse
         lo, hi = 1001**2 - 30_000, 1001**2
         got = pk.count_primes_in_range(lo, hi)
@@ -499,16 +509,16 @@ class TestCountOnly:
         # sqrt(hi - 1) near 2 * 10^6 (as it does past 2^46 with 2^23), so t
         # is capped at sqrt(hi - 1) + 1 and every base prime strikes, as in
         # the listing
-        monkeypatch.setattr(_pi_table, "_table", (0, None, None))
+        monkeypatch.setattr(sieve, "_table", (0, None, None))
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 10)
-            mp.setattr(primality, "_base_cache", (0, None))
-            sieve = primality._sieve_segments
+            mp.setattr(sieve, "_BASE_CACHE_LIMIT", 1 << 10)
+            mp.setattr(sieve, "_base_cache", (0, None))
+            segments = sieve._sieve_segments
             mp.setattr(
-                primality,
+                sieve,
                 "_sieve_segments",
-                lambda lo, hi, strike: calls.append((lo, hi, strike)) or sieve(lo, hi, strike),
+                lambda lo, hi, strike: calls.append((lo, hi, strike)) or segments(lo, hi, strike),
             )
             for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
                 need = isqrt(hi - 1)
@@ -520,19 +530,19 @@ class TestCountOnly:
                 strikes = [strike for a, b, strike in calls if (a, b) == (lo, hi)]
                 assert strikes == [rough_bound(hi) - 1 if rough else need]
                 assert (strikes[0] < need) == rough
-            assert _pi_table._table[0] == 1 << 10
+            assert sieve._table[0] == 1 << 10
         # the patch undone, a count whose q pass the tiny table rebuilds it
         assert pk.count_primes_in_range(1361**3, 1362**3) == 256666
-        assert _pi_table._table[0] == primality._BASE_CACHE_LIMIT
+        assert sieve._table[0] == sieve._BASE_CACHE_LIMIT
 
     def test_explore_window_walks_only_primes_below_t(self, monkeypatch):
         lo, hi = 1361**3, 1362**3
         # a first count fills the base-prime cache, whose fill walks too
         assert pk.count_primes_in_range(lo, hi) == 256666
         walked = []
-        walk = primality._walk_segments
+        walk = sieve._walk_segments
         monkeypatch.setattr(
-            primality,
+            sieve,
             "_walk_segments",
             lambda first, count, base, *args: walked.append(base.copy())
             or walk(first, count, base, *args),
@@ -574,7 +584,7 @@ class TestSieves:
         assert pk.primes_upto(2) == [2]
         # from an empty cache: below 0 (no square root to take), and around
         # the last trial prime, the seed of the base-prime cache
-        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        monkeypatch.setattr(sieve, "_base_cache", (0, None))
         assert pk.primes_upto(-1) == pk.primes_upto(0) == []
         assert pk.primes_upto(997) == sieve_list(997)
         assert pk.primes_upto(998) == sieve_list(998)
@@ -608,6 +618,17 @@ class TestSieves:
         assert pk.first_prime_in_range(24, 29) is None
         assert pk.last_prime_in_range(24, 29) is None
 
+    @pytest.mark.parametrize("limit", [10**17, 10**9])
+    def test_primes_upto_refuses_before_sieving(self, monkeypatch, limit):
+        # 10^17 needs base primes past MAX_SIEVE_BASE and 10^9 a segment
+        # past the width limit: both refuse before any segment is sieved
+        def sieved(*args):
+            raise AssertionError(f"sieved {args} before refusing")
+
+        monkeypatch.setattr(sieve, "_sieve_segments", sieved)
+        with pytest.raises(pk.EnumerationCapError):
+            pk.primes_upto(limit)
+
     def test_sieve_refuses_unreachable_base(self):
         with pytest.raises(pk.EnumerationCapError):
             pk.primes_in_range(10**17, 10**17 + 10)
@@ -630,13 +651,13 @@ class TestSieveKernel:
     def _check(self, limit):
         count = bisect.bisect_right(self.ORACLE, limit)
         for first in (0, limit // 2):
-            batches = list(primality._odd_primes(first, limit + 1, isqrt(limit)))
+            batches = list(sieve._odd_primes(first, limit + 1, isqrt(limit)))
             assert all(b.dtype == np.int64 for b in batches), limit
             got = np.concatenate([np.empty(0, np.int64), *batches])
             skip = bisect.bisect_left(self.ORACLE, max(first, 3))  # odd primes only
             assert np.array_equal(got, self.ORACLE_ARRAY[skip:count]), (first, limit)
-        cached = bisect.bisect_right(self.ORACLE, primality._BASE_CACHE_LIMIT)
-        got = primality._base_primes(limit)
+        cached = bisect.bisect_right(self.ORACLE, sieve._BASE_CACHE_LIMIT)
+        got = sieve._base_primes(limit)
         assert np.array_equal(got, self.ORACLE_ARRAY[: min(count, cached)]), limit
         assert pk.primes_upto(limit) == self.ORACLE[:count], limit
 
@@ -660,61 +681,61 @@ class TestSieveKernel:
         # a tiny cache bound and segment: base primes above the bound come
         # in several uncached batches (struck by uncached ones from 65^2 on),
         # each striking many segments
-        monkeypatch.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 6)
-        monkeypatch.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
-        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        monkeypatch.setattr(sieve, "_BASE_CACHE_LIMIT", 1 << 6)
+        monkeypatch.setattr(sieve, "_SIEVE_SEGMENT", 1 << 9)
+        monkeypatch.setattr(sieve, "_base_cache", (0, None))
         for limit in (63, 64, 65, 4224, 4225, 10**5, 997**2 + 2):
             self._check(limit)
         for lo, hi in ((1 << 20, (1 << 20) + 5000), ((1 << 23) - 200_000, 1 << 23)):
             want = [n for n in range(lo | 1, hi, 2) if sympy.isprime(n)]
             assert pk.primes_in_range(lo, hi) == want
             assert pk.count_primes_in_range(lo, hi) == len(want)
-        assert primality._base_cache[0] == 1 << 6
+        assert sieve._base_cache[0] == 1 << 6
 
     def test_cache_grown_in_steps_equals_one_fill(self, monkeypatch):
         # the cache starts as the trial primes, each step sieves only the
         # primes past the old bound, over several segments, and the result
         # equals a fill from an empty cache
-        monkeypatch.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
-        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        monkeypatch.setattr(sieve, "_SIEVE_SEGMENT", 1 << 9)
+        monkeypatch.setattr(sieve, "_base_cache", (0, None))
         fills = []
-        odd_primes = primality._odd_primes
+        odd_primes = sieve._odd_primes
         monkeypatch.setattr(
-            primality,
+            sieve,
             "_odd_primes",
             lambda lo, hi, strike: fills.append((lo, hi - 1, strike))
             or odd_primes(lo, hi, strike),
         )
         for limit in (10, 1 << 16, 70_000, 300_000, 1 << 20):
-            primality._base_primes(limit)
-        stepped = primality._base_cache
+            sieve._base_primes(limit)
+        stepped = sieve._base_cache
         # each fill strikes with the cached primes to its square root
         assert fills == [
             (998, 1 << 16, 1 << 8), ((1 << 16) + 1, 1 << 17, 362),
             ((1 << 17) + 1, 300_000, 547), (300_001, 1 << 20, 1 << 10),
         ]
-        monkeypatch.setattr(primality, "_base_cache", (0, None))
-        primality._base_primes(1 << 20)
-        assert primality._base_cache[0] == stepped[0] == 1 << 20
-        assert np.array_equal(primality._base_cache[1], stepped[1])
+        monkeypatch.setattr(sieve, "_base_cache", (0, None))
+        sieve._base_primes(1 << 20)
+        assert sieve._base_cache[0] == stepped[0] == 1 << 20
+        assert np.array_equal(sieve._base_cache[1], stepped[1])
         assert stepped[1].tolist() == sieve_list(1 << 20)
 
     def test_one_fill_from_empty_sieves_each_range_once(self, monkeypatch):
         # the strike primes are taken first, so the fill sieves only past
         # what their own fill (to 2^16) left in the cache
-        monkeypatch.setattr(primality, "_base_cache", (0, None))
+        monkeypatch.setattr(sieve, "_base_cache", (0, None))
         fills = []
-        odd_primes = primality._odd_primes
+        odd_primes = sieve._odd_primes
         monkeypatch.setattr(
-            primality,
+            sieve,
             "_odd_primes",
             lambda lo, hi, strike: fills.append((lo, hi)) or odd_primes(lo, hi, strike),
         )
-        primality._base_primes(1 << 23)
+        sieve._base_primes(1 << 23)
         fills.sort()
         assert fills[0][0] == 998 and fills[-1][1] == (1 << 23) + 1
         assert all(hi == lo for (_, hi), (lo, _) in zip(fills, fills[1:]))  # disjoint, no gap
-        assert primality._base_cache[1].size == 564163
+        assert sieve._base_cache[1].size == 564163
 
 
 DIFFERENTIAL_TOP = 2 * 10**6
@@ -735,15 +756,15 @@ def test_sieves_across_a_tiny_cache_bound(lo, width):
     want = DIFFERENTIAL_ORACLE[bisect.bisect_left(DIFFERENTIAL_ORACLE, lo) : top]
     # hypothesis forbids function-scoped fixtures, so patch by hand
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primality, "_BASE_CACHE_LIMIT", 1 << 6)
-        mp.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
-        mp.setattr(primality, "_base_cache", (0, None))
-        mp.setattr(_pi_table, "_table", (0, None, None))
+        mp.setattr(sieve, "_BASE_CACHE_LIMIT", 1 << 6)
+        mp.setattr(sieve, "_SIEVE_SEGMENT", 1 << 9)
+        mp.setattr(sieve, "_base_cache", (0, None))
+        mp.setattr(sieve, "_table", (0, None, None))
         assert pk.primes_in_range(lo, hi) == want
         assert pk.count_primes_in_range(lo, hi) == len(want)
         assert pk.primes_upto(hi - 1) == DIFFERENTIAL_ORACLE[:top]
-        assert primality._base_cache[0] <= 1 << 6
-        assert _pi_table._table[0] <= 1 << 6
+        assert sieve._base_cache[0] <= 1 << 6
+        assert sieve._table[0] <= 1 << 6
     assert pk.count_primes_in_range(lo, hi) == len(want)
 
 
@@ -783,17 +804,17 @@ def test_odd_mask_matches_trial_division(args):
     # that is: False exactly when the number has a factor in base other
     # than itself
     a, length, base = args
-    got = primality._odd_mask(np.empty(length, dtype=bool), a, base, a % base)
+    got = sieve._odd_mask(np.empty(length, dtype=bool), a, base, a % base)
     assert np.array_equal(got, trial_division_mask(a, length, base))
 
 
 def test_walk_fills_one_buffer(monkeypatch):
     # every segment's mask is a view of the one buffer the walk allocated,
     # the last and shorter one included
-    monkeypatch.setattr(primality, "_SIEVE_SEGMENT", 1 << 9)
+    monkeypatch.setattr(sieve, "_SIEVE_SEGMENT", 1 << 9)
     base = np.array(ODD_PRIMES[:40], dtype=np.int64)
     first, count = 10**6 + 1, 5 * (1 << 9) + 77
-    masks = list(primality._walk_segments(first, count, base))
+    masks = list(sieve._walk_segments(first, count, base))
     assert [mask.size for _, mask in masks] == [1 << 9] * 5 + [77]
     buffer = masks[0][1].base
     assert buffer is not None and buffer.size == 1 << 9
@@ -807,13 +828,13 @@ def test_wheel_pattern_is_built_on_first_use():
     builds it once, as the odd numbers coprime to 3*5*7*11*13."""
     probe = """
 import prckit
-from prckit import primality
+from prckit import sieve
 
-print(primality._wheel is None)
+print(sieve._wheel is None)
 prckit.primes_in_range(10**6, 10**6 + 100)
-wheel = primality._wheel
+wheel = sieve._wheel
 prckit.count_primes_in_range(1361**3, 1362**3)
-print(wheel.size, wheel is primality._wheel, "".join("01"[b] for b in wheel[:12].tolist()))
+print(wheel.size, wheel is sieve._wheel, "".join("01"[b] for b in wheel[:12].tolist()))
 """
     out = run_probe(probe)
     # 2j + 1 for j = 0..11: 1 3 5 7 9 11 13 15 17 19 21 23
@@ -845,14 +866,14 @@ def test_base_primes_past_the_cache_bound_are_dropped():
 import resource, sys
 import numpy
 import prckit
-from prckit import primality
+from prckit import sieve
 
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 count = prckit.count_primes_in_range(10**16 - 1000, 10**16)
 grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-limit, primes = primality._base_cache
+limit, primes = sieve._base_cache
 mb = grown / 2**20 if sys.platform == "darwin" else grown / 2**10  # bytes or KiB
-print(count, mb, limit, int(primes[-1]), primality._BASE_CACHE_LIMIT)
+print(count, mb, limit, int(primes[-1]), sieve._BASE_CACHE_LIMIT)
 """
     count, grown_mb, limit, largest, bound = run_probe(probe)[0].split()
     want = sum(1 for n in range(10**16 - 999, 10**16, 2) if sympy.isprime(n))
@@ -870,14 +891,14 @@ def test_cold_count_leaves_the_cache_below_its_bound():
 import tracemalloc
 import numpy
 import prckit
-from prckit import primality
+from prckit import sieve
 
 lo, hi = 10**12, 10**12 + 10**5
 tracemalloc.start()
 count = prckit.count_primes_in_range(lo, hi)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-print(count == len(prckit.primes_in_range(lo, hi)), primality._base_cache[0], peak / 2**20)
+print(count == len(prckit.primes_in_range(lo, hi)), sieve._base_cache[0], peak / 2**20)
 """
     same, cached, peak_mb = run_probe(probe)[0].split()
     assert same == "True"
@@ -910,36 +931,30 @@ def table_points():
 @settings(max_examples=100, deadline=None)
 def test_prime_pi_matches_a_listing(xs):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primality, "_BASE_CACHE_LIMIT", TABLE_BOUND)
-        mp.setattr(primality, "_SIEVE_SEGMENT", TABLE_SEGMENT)
-        mp.setattr(_pi_table, "_table", (0, None, None))
-        got = _pi_table.prime_pi(np.array([*xs, 2, TABLE_BOUND - 1], dtype=np.int64))
-        assert _pi_table._table[0] == TABLE_BOUND
+        mp.setattr(sieve, "_BASE_CACHE_LIMIT", TABLE_BOUND)
+        mp.setattr(sieve, "_SIEVE_SEGMENT", TABLE_SEGMENT)
+        mp.setattr(sieve, "_table", (0, None, None))
+        got = sieve.prime_pi(np.array([*xs, 2, TABLE_BOUND - 1], dtype=np.int64))
+        assert sieve._table[0] == TABLE_BOUND
     want = [bisect.bisect_right(TABLE_ORACLE, x) for x in (*xs, 2, TABLE_BOUND - 1)]
     assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_prime_pi_to_the_cache_bound():
-    bound = primality._BASE_CACHE_LIMIT
-    got = _pi_table.prime_pi(np.array([1, 2, 3, bound - 1], dtype=np.int64))
+    bound = sieve._BASE_CACHE_LIMIT
+    got = sieve.prime_pi(np.array([1, 2, 3, bound - 1], dtype=np.int64))
     assert got.tolist() == [0, 1, 2, sympy.primepi(bound - 1)]
-    assert _pi_table._table[0] == bound
+    assert sieve._table[0] == bound
     # 2^22 - 1 odd numbers from 3, 64 to a word: 0.5 MB of words, 0.25 MB of counts
-    assert _pi_table._table[1].nbytes + _pi_table._table[2].nbytes == 3 << 18
+    assert sieve._table[1].nbytes + sieve._table[2].nbytes == 3 << 18
 
 
 @given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from((1, 2**63, 2**64 - 2))))
 @settings(max_examples=100, deadline=None)
 def test_popcount_matches_bit_count(values):
     values = [0, 2**64 - 1, *values]
-    got = _pi_table.popcount64(np.array(values, dtype=np.uint64))
+    got = sieve.popcount64(np.array(values, dtype=np.uint64))
     assert got.tolist() == [v.bit_count() for v in values]
-
-
-@given(st.integers(min_value=0, max_value=5000))
-@settings(max_examples=300, deadline=None)
-def test_is_prime_matches_trial_division(n):
-    assert pk.is_prime(n).is_prime == trial_is_prime(n)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,8 +1138,9 @@ def test_numpy_loads_on_first_enumeration(tmp_path):
     """Import, ``--version``, a refused ``verify``, ``build_chain``,
     ``verify_chain``, ``prc_digits`` and the ``chain``, ``digits``,
     ``approx`` and ``verify`` commands load no numpy (the first three nor
-    ctypes, nor concurrent.futures); the first ``count_primes_in_range``,
-    ``primes_in_range`` or ``explore`` does."""
+    ctypes, nor concurrent.futures; the library calls nor ``prckit.sieve``);
+    the first ``count_primes_in_range``, ``primes_in_range`` or ``explore``
+    does."""
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"primes": ["2"]}')
     chain_file = tmp_path / "chain.json"
@@ -1143,7 +1159,7 @@ code = prckit.cli.main(["verify", "--chain-file", {str(malformed)!r}])
 print(code, "numpy" in sys.modules)
 chain = prckit.build_chain(prckit.parse_exponent_spec("const:3"), 2, 6)
 report, digits = prckit.verify_chain(chain), prckit.prc_digits(chain, 50)
-print(report.passed, digits.agreed_places > 0, "numpy" in sys.modules)
+print(report.passed, digits.agreed_places > 0, "numpy" in sys.modules, "prckit.sieve" in sys.modules)
 spec = ["--exps", "const:3", "--seed", "2", "--depth", "6"]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -1164,7 +1180,7 @@ import prckit, prckit.cli
 print("numpy" in sys.modules)
 """
     out = run_probe(probe + "prckit.count_primes_in_range(10, 20)\nprint('numpy' in sys.modules)")
-    assert out[:4] == ["False False False", "0 True False", "66 False", "True True False"]
+    assert out[:4] == ["False False False", "0 True False", "66 False", "True True False False"]
     assert out[4:6] == ["0 0 0 0 False", "True"]
     assert run_probe(loads.format("prckit.primes_in_range(10, 20)"))[0] == "True"
     explore = """
