@@ -56,13 +56,11 @@ _EXPORTS = {
         "window_prime",
     ),
     "sieve": (
-        "WindowCount",
         "count_primes_in_range",
-        "count_primes_in_window",
+        "enumerable_window",
         "first_prime_in_range",
         "last_prime_in_range",
         "primes_in_range",
-        "primes_upto",
     ),
     "radix": (
         "ApproxRecord",

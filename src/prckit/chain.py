@@ -373,9 +373,11 @@ def approximants_monotone(chain: PrimeChain) -> bool:
     p_{k+1} + 1 <= (p_k + 1)^(c_{k+1}), which is the integer form of
     p_k^(1/C_k) <= p_{k+1}^(1/C_{k+1}) < (p_{k+1}+1)^(1/C_{k+1}) <=
     (p_k+1)^(1/C_k).
+
+    Like ``verify_chain``, raises BitCeilingError before any power is built
+    when a step fails the chain bit-ceiling test.
     """
-    for k in range(1, chain.depth):
-        c = chain.exps.term(k + 1)
+    for k, c in enumerate(_step_exponents(chain), start=1):
         p, q = chain.primes[k - 1], chain.primes[k]
         if not (p**c <= q and q + 1 <= (p + 1) ** c):
             return False

@@ -36,7 +36,7 @@ from .core import (
     to_json,
 )
 from .radix import certified_root_enclosure, point_root_enclosure
-from .sieve import _capped_window, count_primes_in_window, primes_in_range
+from .sieve import count_primes_in_range, enumerable_window, primes_in_range
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ class CylinderNode:
     (prefix[-1]+1)^(1/C_depth); ``interval`` is their outward decimal
     enclosure at the forest display precision.  ``child_count`` is the
     exact number of primes in this node's window, or None when the window
-    was not enumerated (windows that ``count_primes_in_window`` refuses,
-    and those ``_capped_window`` refuses by bit lengths before building
-    them); ``children`` is None for nodes at the expansion frontier.
+    was not enumerated (the sequence ends there, or ``enumerable_window``
+    refuses it); ``children`` is None for nodes at the expansion frontier.
     Field order is the key order of the JSON export.
     """
 
@@ -93,11 +92,11 @@ def explore_tree(
 ) -> Forest:
     """Expand every prime seed in [lo, hi] to ``depth`` chain levels.
 
-    Every window is enumerated by ``count_primes_in_window``: nodes above
-    the frontier list their window's primes as children, frontier nodes
-    only count them.  A window that rule refuses flags a node above the
-    frontier truncated instead of silently shrinking it, and leaves a
-    frontier node's child count None.
+    Every window is built by ``enumerable_window``: nodes above the
+    frontier list its primes as children (``primes_in_range``), frontier
+    nodes only count them (``count_primes_in_range``).  A window that rule
+    refuses flags a node above the frontier truncated instead of silently
+    shrinking it, and leaves a frontier node's child count None.
 
     The display precision is estimated from the smallest relative gap
     between adjacent sibling cylinders, then checked on the enclosures
@@ -128,17 +127,19 @@ _Cylinder = namedtuple("_Cylinder", "prefix child_count truncated children")
 def _expand(exps, prefix, depth) -> _Cylinder:
     level = len(prefix)
     expandable = level < depth
-    counted = None  # stays None when the sequence ends here or the window is refused
+    count = primes = None  # stay None when the sequence ends here or the window is refused
     if level < exps.max_depth:
         with contextlib.suppress(EnumerationCapError):
-            window = _capped_window(prefix[-1], exps.term(level + 1))
-            counted = count_primes_in_window(window, include_list=expandable)
+            window = enumerable_window(prefix[-1], exps.term(level + 1))
+            if expandable:
+                primes = primes_in_range(window.lo, window.hi_exclusive)
+                count = len(primes)
+            else:
+                count = count_primes_in_range(window.lo, window.hi_exclusive)
     children = None
     if expandable:
-        primes = () if counted is None else counted.primes
-        children = tuple(_expand(exps, prefix + (q,), depth) for q in primes)
-    count = None if counted is None else counted.count
-    return _Cylinder(prefix, count, expandable and counted is None, children)
+        children = tuple(_expand(exps, prefix + (q,), depth) for q in primes or ())
+    return _Cylinder(prefix, count, expandable and count is None, children)
 
 
 def _sibling_groups(roots):
@@ -285,15 +286,6 @@ def gap_intervals(
     """
     if level < 0 or level >= forest.depth:
         raise ValueError(f"level must be in [0, {forest.depth - 1}], got {level}")
-    order = forest.exps.partial_product(level + 1)
-    if digits is None:
-        digits = forest.display_digits
-
-    def endpoint(value: int) -> GapEndpoint:
-        return GapEndpoint(
-            value, level, point_root_enclosure(value, order, digits, config)
-        )
-
     nodes = forest.roots
     if level == 0:
         pairs = [
@@ -315,6 +307,16 @@ def gap_intervals(
         lefts = [Window.from_parent(parents[0].value, c).lo, *(q + 1 for q in values)]
         rights = [*values, Window.from_parent(parents[-1].value, c).hi_exclusive + 1]
         pairs = zip(lefts, rights)
+    # after the walk: C_{level+1} below a refused node may be too large to build
+    order = forest.exps.partial_product(level + 1)
+    if digits is None:
+        digits = forest.display_digits
+
+    def endpoint(value: int) -> GapEndpoint:
+        return GapEndpoint(
+            value, level, point_root_enclosure(value, order, digits, config)
+        )
+
     return [Gap(endpoint(a), endpoint(b)) for a, b in pairs]
 
 

@@ -6,19 +6,18 @@ One numpy kernel, imported on first use, sieves millions of odd positions:
 odd numbers coprime to 15015 when its base primes begin 3, 5, 7, 11, 13)
 and ``_walk_segments`` its one segment walker.  Exact primes come one way:
 ``_sieve_segments`` strikes a range with the base primes up to a bound,
-sqrt(hi) for a listing (``primes_in_range``, ``primes_upto``, the fill of
-the base-prime cache to 2^23, the base primes past it, uncached, and the
-prime-count table below 2^23) and a t from cbrt(hi) for a count
+sqrt(hi) for a listing (``primes_in_range``, the fill of the base-prime
+cache to 2^23, the base primes past it, uncached, and the prime-count
+table below 2^23) and a t from cbrt(hi) for a count
 (``count_primes_in_range``, which subtracts Lehmer's P2 term by lookups in
-that table, ``prime_pi``).  ``count_primes_in_window`` is the one rule for
-which windows are enumerated, on windows ``_capped_window`` did not refuse
-unbuilt.  ``ENUMERATION_CAP`` and ``MAX_SIEVE_BASE`` are read at call time.
+that table, ``prime_pi``).  ``enumerable_window`` is the one rule for which
+windows are enumerated; the explorer lists or counts the windows it lets
+through.  ``ENUMERATION_CAP`` and ``MAX_SIEVE_BASE`` are read at call time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import isqrt
 
 from .core import EnumerationCapError, Window
@@ -232,11 +231,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return primes
 
 
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit (exact sieve), refused as ``primes_in_range``."""
-    return primes_in_range(2, limit + 1)
-
-
 # ---------------------------------------------------------------------------
 # counts: pi(x) below the cache bound, and Lehmer's P2 term
 
@@ -335,40 +329,30 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     return count + sum(int(np.count_nonzero(mask)) for _, mask in _sieve_segments(lo, hi, t - 1))
 
 
-def _capped_window(p: int, c: int) -> Window:
-    """``Window.from_parent(p, c)``, refused unbuilt when its width, at least
-    p^(c-1) >= 2^((n-1)(c-1)) for n = p.bit_length(), passes ``ENUMERATION_CAP``.
-    A window let through has (p+1)^c <= 2^(n*c) <= 2^48 (the cap has 24 bits)."""
+def enumerable_window(p: int, c: int) -> Window:
+    """``Window.from_parent(p, c)``, or EnumerationCapError: the one rule for
+    which windows are enumerated exactly.
+
+    A window wider than ``ENUMERATION_CAP`` is refused, unbuilt when its
+    width, at least p^(c-1) >= 2^((n-1)(c-1)) for n = p.bit_length(), passes
+    the cap by bit lengths alone.  A window let through has (p+1)^c <=
+    2^(n*c) <= 2^48 (the cap has 24 bits) and a sqrt(hi) of at most
+    5 * 10^6, reached at p = 5 * 10^6 and c = 2, so neither exact sieve
+    refuses it for base primes past ``MAX_SIEVE_BASE``.
+
+    A frontier window of a const:3 forest:
+
+    >>> w = enumerable_window(1361, 3)
+    >>> count_primes_in_range(w.lo, w.hi_exclusive)
+    256666
+    """
     bits = (p.bit_length() - 1) * (c - 1)
     if bits >= ENUMERATION_CAP.bit_length():
         raise EnumerationCapError(
             f"window wider than 2^{bits} exceeds enumeration cap {ENUMERATION_CAP}",
             ENUMERATION_CAP,
         )
-    return Window.from_parent(p, c)
-
-
-@dataclass(frozen=True)
-class WindowCount:
-    count: int
-    primes: tuple[int, ...] | None
-
-
-def count_primes_in_window(window: Window, include_list: bool = False) -> WindowCount:
-    """Exact prime count of a window, or EnumerationCapError.
-
-    This is the one rule for which windows are enumerated.  Windows wider
-    than ``ENUMERATION_CAP`` are refused, and so is every window the exact
-    sieve refuses (sqrt(hi) above ``MAX_SIEVE_BASE``), though no
-    ``Window.from_parent`` within the cap is one: its sqrt(hi) is at most
-    5 * 10^6, reached at p = 5 * 10^6 and c = 2.  A count is
-    ``count_primes_in_range``; only ``include_list`` runs the listing sieve.
-
-    A frontier window of a const:3 forest:
-
-    >>> count_primes_in_window(Window.from_parent(1361, 3))
-    WindowCount(count=256666, primes=None)
-    """
+    window = Window.from_parent(p, c)
     if window.width > ENUMERATION_CAP:
         # in bits: the width itself may be too long to print
         raise EnumerationCapError(
@@ -376,10 +360,7 @@ def count_primes_in_window(window: Window, include_list: bool = False) -> Window
             f"{ENUMERATION_CAP}",
             ENUMERATION_CAP,
         )
-    if not include_list:
-        return WindowCount(count_primes_in_range(window.lo, window.hi_exclusive), None)
-    ps = primes_in_range(window.lo, window.hi_exclusive)
-    return WindowCount(len(ps), tuple(ps))
+    return window
 
 
 # Width of the ranges the oracles below sieve at a time.

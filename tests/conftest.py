@@ -18,13 +18,15 @@ import pytest
 import prckit as pk
 
 
-def run_probe(probe: str) -> list[str]:
-    """Stdout lines of ``probe`` run in a fresh interpreter on this prckit."""
+def run_probe(probe: str, timeout: float | None = None) -> list[str]:
+    """Stdout lines of ``probe`` run in a fresh interpreter on this prckit,
+    killed (``subprocess.TimeoutExpired``) after ``timeout`` seconds."""
     src = str(Path(pk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True, timeout=timeout,
     ).stdout.split("\n")
 
 

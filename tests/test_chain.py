@@ -13,7 +13,7 @@ from prckit import chain as chain_module
 from prckit.chain import _over_ceiling
 from prckit.core import PrimeChain
 
-from conftest import far_claimed_prime
+from conftest import far_claimed_prime, run_probe
 
 F_P4 = 127**4 + 22
 F_P5 = F_P4**5 + 104
@@ -438,6 +438,30 @@ class TestMonotoneApproximants:
             conditional=False,
         )
         assert not pk.approximants_monotone(chain)
+
+    def test_step_past_the_ceiling_refused_before_any_power(self):
+        # p_3 of the powfact:3 chain has 281 bits and c_4 = 3^18, so p_3^c_4
+        # would have about 10^11 bits: a fresh interpreter, with its address
+        # space bounded and a timeout, fails instead of hanging if it is built
+        probe = """
+import resource
+import prckit as pk
+from prckit.core import PrimeChain
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+chain = pk.build_chain(pk.parse_exponent_spec("powfact:3"), 2, 3, "min", pk.EMPIRICAL)
+doc = chain.to_json_dict()
+doc["primes"].append("2")
+doc["certainty"].append("deterministic")
+doc["requested_depth"] = "4"
+try:
+    pk.approximants_monotone(PrimeChain.from_json_dict(doc))
+except pk.BitCeilingError as exc:
+    print(exc)
+"""
+        assert run_probe(probe, timeout=30)[0] == (
+            "step 3: 281-bit prime to the power c_4 exceeds the 1048576-bit chain ceiling"
+        )
 
     def test_min_chain_is_leftmost(self, mills_chain):
         # every window's scan result equals the least prime by trial division

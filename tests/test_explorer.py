@@ -363,6 +363,24 @@ def test_gap_refusal_names_the_first_node_in_level_order():
     assert str(refusal.value) == "forest truncated at (3,); gap list would be wrong"
 
 
+def test_gap_refusal_builds_no_order_below_the_forest(monkeypatch):
+    # a powfact:3 forest to depth 12 is truncated at (2, 11), at level 2:
+    # the refusal at level 11 must come before C_12 = 3^(12!) is built
+    exps = pk.parse_exponent_spec("powfact:3")
+    forest = pk.explore_tree(exps, (2, 2), 12)
+    built = type(exps).partial_product
+
+    def spy(self, k):
+        if k > 2:
+            raise AssertionError(f"C_{k} built")
+        return built(self, k)
+
+    monkeypatch.setattr(type(exps), "partial_product", spy)
+    with pytest.raises(pk.EnumerationCapError) as refusal:
+        pk.gap_intervals(forest, 11)
+    assert str(refusal.value) == "forest truncated at (2, 11); gap list would be wrong"
+
+
 class TestBranchingStats:
     def test_const3_two_levels(self, const3_forest):
         stats = pk.branching_stats(const3_forest)
@@ -502,9 +520,11 @@ def test_child_counts_follow_the_engine(monkeypatch, limits):
     forest = pk.explore_tree(exps, (2, 7), 2)
     refused = 0
     for node in _nodes(forest):
-        window = pk.Window.from_parent(node.value, exps.term(node.depth + 1))
+        c = exps.term(node.depth + 1)
+        window = pk.Window.from_parent(node.value, c)
         try:
-            expect = pk.count_primes_in_window(window).count
+            assert pk.enumerable_window(node.value, c) == window
+            expect = pk.count_primes_in_range(window.lo, window.hi_exclusive)
         except pk.EnumerationCapError:
             expect = None
             refused += 1

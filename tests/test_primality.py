@@ -90,11 +90,14 @@ class TestWindowScans:
         assert pk.max_prime_in_window(pk.Window.from_parent(3, 2)) == 13
 
     def test_count_examples(self):
-        assert pk.count_primes_in_window(pk.Window.from_parent(2, 3)).count == 5
-        assert pk.count_primes_in_window(pk.Window.from_parent(2, 2)).count == 2
-        got = pk.count_primes_in_window(pk.Window.from_parent(5, 2), include_list=True)
+        w = pk.enumerable_window(2, 3)
+        assert pk.count_primes_in_range(w.lo, w.hi_exclusive) == 5
+        w = pk.enumerable_window(2, 2)
+        assert pk.count_primes_in_range(w.lo, w.hi_exclusive) == 2
+        w = pk.enumerable_window(5, 2)
         # sieve of [25, 34]: {29, 31}
-        assert got.primes == (29, 31) and got.count == 2
+        assert pk.primes_in_range(w.lo, w.hi_exclusive) == [29, 31]
+        assert pk.count_primes_in_range(w.lo, w.hi_exclusive) == 2
 
     @pytest.mark.parametrize("p,c", [(2, 3), (3, 2), (7, 3), (13, 2), (31, 3)])
     def test_scans_match_trial_division(self, p, c):
@@ -103,8 +106,9 @@ class TestWindowScans:
         assert pk.min_prime_in_window(w) == oracle[0]
         assert pk.max_prime_in_window(w) == oracle[-1]
         assert pk.max_prime_in_window(w) >= pk.min_prime_in_window(w)
-        got = pk.count_primes_in_window(w, include_list=True)
-        assert got.primes == tuple(oracle)
+        assert pk.enumerable_window(p, c) == w
+        assert pk.primes_in_range(w.lo, w.hi_exclusive) == oracle
+        assert pk.count_primes_in_range(w.lo, w.hi_exclusive) == len(oracle)
 
     def test_scans_match_sieve_oracles(self):
         for p, c in [(31, 3), (127, 4), (997, 2)]:
@@ -124,14 +128,13 @@ class TestWindowScans:
             ) == pk.last_prime_in_range(lo, hi)
 
     def test_count_fallback_above_sieve_base(self):
-        # a window too high to sieve is refused, however narrow: no window
-        # of Window.from_parent within the cap is one (test below)
+        # bounds too high to sieve are refused, however narrow: no window
+        # that enumerable_window lets through has them (test below)
         lo = 10**18 + 9
         for width in (500, 20_001):
-            fake = Window(parent_prime=2, exponent=2, lo=lo, hi_exclusive=lo + width)
-            for include_list in (False, True):
+            for exact in (pk.count_primes_in_range, pk.primes_in_range):
                 with pytest.raises(pk.EnumerationCapError, match="base primes"):
-                    pk.count_primes_in_window(fake, include_list=include_list)
+                    exact(lo, lo + width)
 
     def test_windows_within_the_cap_need_base_primes_to_five_million(self):
         # the widest window of exponent c grows with p, so the largest p whose
@@ -155,15 +158,18 @@ class TestWindowScans:
 
     @pytest.mark.parametrize("cap", [sieve.ENUMERATION_CAP, 10**8])
     def test_capped_window_refuses_only_windows_past_the_cap(self, monkeypatch, cap):
-        # every window let through has (p + 1)^c within twice the cap's bits
+        # refused exactly when wider than the cap, and every window let
+        # through has (p + 1)^c within twice the cap's bits
         monkeypatch.setattr(sieve, "ENUMERATION_CAP", cap)
         for p in primes_between(2, 1 << 12):
             for c in range(2, 41):
+                wide = Window.from_parent(p, c).width > cap
                 try:
-                    window = sieve._capped_window(p, c)
+                    window = sieve.enumerable_window(p, c)
                 except pk.EnumerationCapError:
-                    assert Window.from_parent(p, c).width > cap, (p, c)
+                    assert wide, (p, c)
                 else:
+                    assert not wide, (p, c)
                     assert window == Window.from_parent(p, c)
                     assert (p + 1) ** c <= 1 << (2 * cap.bit_length()), (p, c)
 
@@ -181,15 +187,14 @@ class TestWindowScans:
         assert err.value.scanned_all
 
     def test_count_refuses_oversized_window(self):
-        w = pk.Window.from_parent(99991, 3)  # width ~3e10
+        # width ~3e10
         with pytest.raises(pk.EnumerationCapError):
-            pk.count_primes_in_window(w)
+            pk.enumerable_window(99991, 3)
 
     def test_count_refuses_a_width_too_long_to_print(self):
         # about 9.5k digits, past the interpreter's int-to-str limit
-        w = pk.Window.from_parent(2, 20_000)
-        with pytest.raises(pk.EnumerationCapError, match="31700-bit width"):
-            pk.count_primes_in_window(w)
+        with pytest.raises(pk.EnumerationCapError, match=r"wider than 2\^19999 "):
+            pk.enumerable_window(2, 20_000)
         forest = pk.explore_tree(pk.parse_exponent_spec("const:20000"), (2, 3), 1)
         assert [r.child_count for r in forest.roots] == [None, None]
 
@@ -500,8 +505,8 @@ class TestCountOnly:
 
     def test_smallest_explore_window(self):
         # [4, 8): a t of 2 would subtract the even products 2*2 and 2*3
-        w = Window.from_parent(2, 2)
-        assert pk.count_primes_in_window(w).count == 2
+        w = pk.enumerable_window(2, 2)
+        assert pk.count_primes_in_range(w.lo, w.hi_exclusive) == 2
         assert pk.count_primes_in_range(4, 10) == 2  # t = 3 = sqrt(9)
 
     def test_full_sieve_past_the_cache_bound(self, monkeypatch):
@@ -579,15 +584,15 @@ class TestCountOnly:
 
 class TestSieves:
     def test_primes_upto_matches_oracle(self, monkeypatch):
-        assert pk.primes_upto(10_000) == sieve_list(10_000)
-        assert pk.primes_upto(1) == []
-        assert pk.primes_upto(2) == [2]
+        assert pk.primes_in_range(2, 10_001) == sieve_list(10_000)
+        assert pk.primes_in_range(2, 2) == []
+        assert pk.primes_in_range(2, 3) == [2]
         # from an empty cache: below 0 (no square root to take), and around
         # the last trial prime, the seed of the base-prime cache
         monkeypatch.setattr(sieve, "_base_cache", (0, None))
-        assert pk.primes_upto(-1) == pk.primes_upto(0) == []
-        assert pk.primes_upto(997) == sieve_list(997)
-        assert pk.primes_upto(998) == sieve_list(998)
+        assert pk.primes_in_range(2, 0) == pk.primes_in_range(2, 1) == []
+        assert pk.primes_in_range(2, 998) == sieve_list(997)
+        assert pk.primes_in_range(2, 999) == sieve_list(998)
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -627,7 +632,7 @@ class TestSieves:
 
         monkeypatch.setattr(sieve, "_sieve_segments", sieved)
         with pytest.raises(pk.EnumerationCapError):
-            pk.primes_upto(limit)
+            pk.primes_in_range(2, limit + 1)
 
     def test_sieve_refuses_unreachable_base(self):
         with pytest.raises(pk.EnumerationCapError):
@@ -642,7 +647,7 @@ class TestSieves:
 
 class TestSieveKernel:
     """``_odd_primes`` (and so ``_sieve_segments`` and ``_odd_mask``, the
-    one striking loop), the cached ``_base_primes`` and ``primes_upto``
+    one striking loop), the cached ``_base_primes`` and ``primes_in_range``
     against a plain bytearray sieve."""
 
     ORACLE = sieve_list(997**2 + 2)
@@ -659,7 +664,7 @@ class TestSieveKernel:
         cached = bisect.bisect_right(self.ORACLE, sieve._BASE_CACHE_LIMIT)
         got = sieve._base_primes(limit)
         assert np.array_equal(got, self.ORACLE_ARRAY[: min(count, cached)]), limit
-        assert pk.primes_upto(limit) == self.ORACLE[:count], limit
+        assert pk.primes_in_range(2, limit + 1) == self.ORACLE[:count], limit
 
     def test_trial_primes_are_the_primes_below_1000(self):
         assert primality._TRIAL_PRIMES == tuple(sieve_list(999))
@@ -762,7 +767,7 @@ def test_sieves_across_a_tiny_cache_bound(lo, width):
         mp.setattr(sieve, "_table", (0, None, None))
         assert pk.primes_in_range(lo, hi) == want
         assert pk.count_primes_in_range(lo, hi) == len(want)
-        assert pk.primes_upto(hi - 1) == DIFFERENTIAL_ORACLE[:top]
+        assert pk.primes_in_range(2, hi) == DIFFERENTIAL_ORACLE[:top]
         assert sieve._base_cache[0] <= 1 << 6
         assert sieve._table[0] <= 1 << 6
     assert pk.count_primes_in_range(lo, hi) == len(want)
