@@ -37,6 +37,10 @@ _COMPOSE_MIN_BITS = 1 << 14
 # (and the one-shot root decides) only when the root lies within a few
 # units of the last guard digit of a digit boundary.
 _GUARD_DIGITS = 10
+# A d*order of more bits than this does not fit a float, so the float
+# estimates of the radicand bits below could not be taken: it is refused
+# before them, in integers.
+_SCALED_MAX_BITS = 1024
 
 
 def _newton_from_above(n: int, r: int, x: int) -> int:
@@ -120,6 +124,8 @@ def scaled_root_floor(value: int, order: int, d: int, config: Config = DEFAULT_C
     Raises BitCeilingError before building a radicand above the ceiling:
     composed steps need at most value.bit_length() + D*q*log2(10) + 2 bits
     for the largest factor q; the one-shot root is checked when it runs.
+    A d >= 1 whose d*order passes both the ceiling and 2^1024 is refused
+    first, in integers: its one-shot radicand has more than d*order bits.
 
     >>> scaled_root_floor(2, 2, 5)
     141421
@@ -132,7 +138,18 @@ def scaled_root_floor(value: int, order: int, d: int, config: Config = DEFAULT_C
         raise ValueError(
             f"need value >= 0, order >= 1 and digits >= 0, got {value}, {order}, {d}"
         )
-    if value.bit_length() + d * order * _LOG2_10 >= _COMPOSE_MIN_BITS:
+    scaled = d * order
+    if scaled > config.radicand_bit_ceiling and scaled.bit_length() > _SCALED_MAX_BITS:
+        # in bits: the order may be too long to print, and log2(10) is
+        # rounded up to 3.3219290, so the feasible digits are not overstated
+        feasible = (config.radicand_bit_ceiling - value.bit_length() - 2) * 10**7 // (order * 33219290)
+        raise BitCeilingError(
+            f"radicand for {d} digits at a {order.bit_length()}-bit root order needs "
+            f"over 2^{scaled.bit_length() - 1} bits, above the ceiling "
+            f"{config.radicand_bit_ceiling}; at most ~{max(feasible, 0)} digits are feasible",
+            max_feasible_digits=max(feasible, 0),
+        )
+    if value.bit_length() + scaled * _LOG2_10 >= _COMPOSE_MIN_BITS:
         factors = _prime_factors(order)
         if len(factors) > 1:
             _radicand_guard(value, d, factors[-1], _GUARD_DIGITS, config)

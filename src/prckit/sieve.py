@@ -1,16 +1,19 @@
 """Exact prime enumeration: counts, listings and the sieve-only oracles,
 for the explorer; chains, verification and digits only scan (``primality``).
 
-One numpy kernel, imported on first use, sieves millions of odd positions:
-``_odd_mask`` is its one loop that strikes multiples (from a wheel of the
-odd numbers coprime to 15015 when its base primes begin 3, 5, 7, 11, 13)
-and ``_walk_segments`` its one segment walker.  Exact primes come one way:
-``_sieve_segments`` strikes a range with the base primes up to a bound,
-sqrt(hi) for a listing (``primes_in_range``, the fill of the base-prime
-cache to 2^23, the base primes past it, uncached, and the prime-count
-table below 2^23) and a t from cbrt(hi) for a count
-(``count_primes_in_range``, which subtracts Lehmer's P2 term by lookups in
-that table, ``prime_pi``).  ``enumerable_window`` is the one rule for which
+One numpy kernel, imported on first use, sieves millions of numbers in
+class rows: the row of r holds the numbers 30k + r for one of the eight
+residues r prime to 30, so no multiple of 2, 3 or 5 is stored.
+``_class_rows`` is its one loop that strikes multiples (from a cached
+pattern of the numbers prime to 7*11*13*17 when its base primes begin 7,
+11, 13, 17).  Exact primes come one way: ``_struck`` strikes a range with
+the base primes up to a bound, sqrt(hi) for a listing (``_sieve_segments``,
+the rows interleaved into masks of the odd numbers: ``primes_in_range``,
+the fill of the base-prime cache to 2^23, the base primes past it,
+uncached, and the prime-count table below 2^23) and a t from cbrt(hi) for
+a count (``count_primes_in_range``, which counts the rows of
+``_sieve_rows`` and subtracts Lehmer's P2 term by one lookup in that
+table, ``prime_pi``).  ``enumerable_window`` is the one rule for which
 windows are enumerated; the explorer lists or counts the windows it lets
 through.  ``ENUMERATION_CAP`` and ``MAX_SIEVE_BASE`` are read at call time.
 """
@@ -30,101 +33,166 @@ ENUMERATION_CAP = 10_000_000
 # are refused.
 MAX_SIEVE_BASE = 100_000_000
 _SEGMENT_WIDTH_LIMIT = 50_000_000
-# Odd positions per segment of the exact sieve: a 1 MiB mask.
+# Entries per segment of the exact sieve: a count's class rows, of up to
+# 1 MiB, or a listing's odd numbers, a 1 MiB mask.
 _SIEVE_SEGMENT = 1 << 20
 
 # ---------------------------------------------------------------------------
-# the numpy kernel: one striking loop and one segment walker
+# the numpy kernel: one striking loop over class rows
 
-# The odd primes of the wheel, their product (the period of their pattern
-# over odd numbers: a and a + 2 * _WHEEL_PERIOD share every residue), and
-# that pattern, built on first use: entry j is True exactly when 2j + 1 is
-# coprime to all five.
-_WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)  # 15015
-_wheel = None
+# The residues prime to 30: the row of r holds the numbers 30k + r, so no
+# multiple of 2, 3 or 5 is ever stored.
+_CLASSES = (1, 7, 11, 13, 17, 19, 23, 29)
+# -1/r modulo 30 at r: for p prime to 30, (1 + p * _STEP[p % 30]) // 30
+# is the inverse of 30 modulo p.
+_STEP = tuple(-pow(r, -1, 30) % 30 if math.gcd(r, 30) == 1 else 0 for r in range(30))
+# The primes of the row pattern, their product (its period in k: 30k + r
+# and 30(k + _PATTERN_PERIOD) + r share every residue), and that pattern,
+# built on first use: entry (c, j) is True exactly when 30j + _CLASSES[c]
+# is prime to all four.
+_PATTERN_PRIMES = (7, 11, 13, 17)
+_PATTERN_PERIOD = math.prod(_PATTERN_PRIMES)  # 17017
+_pattern = None
+# Primes from a row's length // _FEW strike it at most _FEW times: cheaper
+# in one index over all their hits than in a slice each.
+_FEW = 64
 
 
-def _wheel_mask(mask: np.ndarray, a: int) -> None:
-    """Fill ``mask`` with the wheel pattern of the odd numbers a, a + 2, ...:
-    the cached pattern, rotated to a and repeated to the mask's length."""
+def _class_pattern() -> np.ndarray:
+    """The cached (8, 17017) row pattern, built by the plain path of the
+    four primes alone, from k = 17017, where every number is past 17^2."""
     import numpy as np
 
-    global _wheel
-    if _wheel is None:
-        # the plain path of five primes alone; no wheel prime lies in the
-        # segment, which starts past 13^2 at pattern index 0
-        primes = np.array(_WHEEL_PRIMES, dtype=np.int64)
-        start = 2 * _WHEEL_PERIOD + 1
-        _wheel = _odd_mask(np.empty(_WHEEL_PERIOD, dtype=bool), start, primes, start % primes)
-    r = (a // 2) % _WHEEL_PERIOD  # a = 2r + 1 modulo 2 * _WHEEL_PERIOD
-    rotated = np.concatenate((_wheel[r:], _wheel[:r]))
-    whole = mask.size - mask.size % _WHEEL_PERIOD
-    mask[:whole].reshape(-1, _WHEEL_PERIOD)[:] = rotated
-    mask[whole:] = rotated[: mask.size - whole]
+    global _pattern
+    if _pattern is None:
+        primes = np.array(_PATTERN_PRIMES, dtype=np.int64)
+        rows = _class_rows(np.empty(_PATTERN_PERIOD, dtype=bool), _PATTERN_PERIOD, primes)
+        _pattern = np.array([row.copy() for _, row in rows])
+    return _pattern
 
 
-def _odd_mask(mask: np.ndarray, a: int, base: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Fill ``mask`` with the sieve mask of the odd numbers a, a + 2, ...,
-    a + 2*(length - 1), for the mask's length, and return it.
+def _class_rows(buffer: np.ndarray, k0: int, base: np.ndarray):
+    """Yield (r, row) for each r of ``_CLASSES``: ``buffer`` filled with the
+    sieve mask of the numbers 30k + r for k in [k0, k0 + buffer.size), and
+    refilled for the next r, so a row is valid until the next is yielded.
 
-    ``a`` is odd and at least 3, ``base`` holds ascending odd primes and
-    ``res`` is a mod each of them.  An entry is False exactly when its
-    number is p*m with p in ``base`` and m >= p: when it has a factor in
-    ``base`` other than itself, for a base holding every odd prime up to
-    its last (every base but an uncached batch of ``_sieve_segments``).
+    ``k0`` is at least 0 and 30*k0 below 2^62; ``base`` holds ascending
+    primes from 7.  An entry is False exactly when its number is p*m with p
+    in ``base`` and m >= p: when it has a factor in ``base`` other than
+    itself, for a base holding every prime from 7 up to its last (every
+    base but an uncached batch of ``_struck``).
 
-    When ``base`` begins 3, 5, 7, 11, 13 and goes on (ascending odd primes
-    whose fifth is 13), the mask starts from the wheel pattern of those
-    five and only the rest strike; five primes alone take the plain path,
-    which is how the pattern itself is built.
+    When ``base`` begins 7, 11, 13, 17 and goes on, each row starts from
+    the cached pattern of those four and only the rest strike; four primes
+    alone take the plain path, which is how the pattern itself is built.
+    A prime p strikes from s, taken from the inverse of 30 modulo p, never
+    below p^2: by row[s::p] below length // _FEW, and by one index per row
+    over the hits of the primes from there to the rows' span 30 * length;
+    the larger ones, with at most one multiple in the span, strike by one
+    index per row over those multiples.
     """
     import numpy as np
 
-    length = mask.size
-    k = len(_WHEEL_PRIMES)
-    if base.size > k and int(base[k - 1]) == _WHEEL_PRIMES[-1]:
-        _wheel_mask(mask, a)
-        if a <= 13:  # the wheel primes in the segment are prime
-            for p in _WHEEL_PRIMES:
-                if a <= p < a + 2 * length:
-                    mask[(p - a) // 2] = True
-        base, res = base[k:], res[k:]
-    else:
-        mask[:] = True
-        if not base.size:
-            return mask
-    t = (base - res) % base  # p divides a + t
-    start = (t + (t & 1) * base) // 2  # first odd multiple is a + 2*start
-    if a <= int(base[-1]) ** 2:
-        # p itself may lie in the segment; smaller multiples of p below p*p
-        # are struck by their other, smaller prime factor
-        pp = base * base
-        start = np.where(pp >= a, (pp - a) // 2, start)
-    split = int(np.searchsorted(base, length))
-    for p, s in zip(base[:split].tolist(), start[:split].tolist()):
-        mask[s::p] = False
-    far = start[split:]  # primes of at least ``length`` strike at most once
-    mask[far[far < length]] = False
-    return mask
+    length = buffer.size
+    four = len(_PATTERN_PRIMES)
+    patterned = base.size > four and int(base[four - 1]) == _PATTERN_PRIMES[-1]
+    if patterned:
+        pattern, j = _class_pattern(), k0 % _PATTERN_PERIOD
+        head = min(_PATTERN_PERIOD - j, length)  # entries before the pattern wraps
+        whole = length - (length - head) % _PATTERN_PERIOD
+        base = base[four:]
+    # the primes below the rows' span 30 * length strike from each row's
+    # start; the larger ones have at most one multiple in the span
+    split = int(np.searchsorted(base, 30 * length))
+    near, far = base[:split], base[split:]
+    # p divides 30(k0 + s) + r for s = (shift - r * inverse) % p
+    inverse = (1 + near * np.array(_STEP)[near % 30]) // 30
+    shift = -(k0 % near)
+    # smaller multiples of p than p*p are struck by their other, smaller
+    # prime factor, and p itself is prime
+    square = near * near if near.size and 30 * k0 + 1 < int(near[-1]) ** 2 else None
+    # the primes from length // _FEW strike few times each: a row's hits
+    # s + p*i of all of them in one index
+    few = int(np.searchsorted(near, length // _FEW))
+    sliced, p = near[:few].tolist(), near[few:]
+    # the larger primes' multiples p*m >= p^2 in the span: their rows (-1
+    # off the classes) and entries
+    n = far * np.maximum(-(-30 * k0 // far), far)
+    k, row = np.divmod(n[n < 30 * (k0 + length)], 30)
+    row_of = np.full(30, -1)
+    row_of[list(_CLASSES)] = np.arange(len(_CLASSES))
+    row = row_of[row]
+    far_row, far_at = row[row >= 0], k[row >= 0] - k0
+    for c, r in enumerate(_CLASSES):
+        start = (shift - r * inverse) % near
+        if square is not None:
+            least = (square - r + 29) // 30 - k0
+            start = np.where(least > start, start + (least - start + near - 1) // near * near, start)
+        if patterned:
+            buffer[:head] = pattern[c, j : j + head]
+            buffer[head:whole].reshape(-1, _PATTERN_PERIOD)[:] = pattern[c]
+            buffer[whole:] = pattern[c, : length - whole]
+            if k0 == 0 and r in _PATTERN_PRIMES:  # the pattern's primes are prime
+                buffer[0] = True
+        else:
+            buffer[:] = True
+        for q, t in zip(sliced, start[:few].tolist()):
+            buffer[t::q] = False
+        s = start[few:]
+        hits = np.maximum((length - 1 - s) // p + 1, 0)
+        ends = np.cumsum(hits)  # of each prime's run of hits
+        # built in place: each fresh temporary as long as a row's hits
+        # costs its page faults
+        at = np.repeat(p, hits)
+        at *= np.arange(at.size)
+        at += np.repeat(s - p * (ends - hits), hits)
+        buffer[at] = False
+        buffer[far_at[far_row == c]] = False
+        yield r, buffer
 
 
-def _walk_segments(first: int, count: int, base: np.ndarray):
-    """Yield (a, ``_odd_mask`` of a, a + 2, ...) for ascending segments of
-    ``_SIEVE_SEGMENT`` odd numbers covering the ``count`` odd numbers from
-    ``first`` (an exact sieve's: below 2^62).  Residues are taken once and
-    then shifted from segment to segment.  Every mask is filled into one
-    buffer allocated per walk, so a mask is valid until the next is yielded.
-    """
+def _row_walk(lo: int, hi: int, base: np.ndarray):
+    """Yield (n, row) for the class rows of [lo, hi), lo >= 2, in ascending
+    segments of up to ``_SIEVE_SEGMENT`` values of k: ``row`` is the
+    ``_class_rows`` mask of n, n + 30, ..., trimmed to [lo, hi).  Every row
+    is a view of one buffer allocated per walk."""
     import numpy as np
 
-    buffer = np.empty(min(_SIEVE_SEGMENT, count), dtype=bool)
-    done, res = 0, first % base
+    k, k_end = lo // 30, (hi - 1) // 30 + 1
+    buffer = np.empty(min(_SIEVE_SEGMENT, k_end - k), dtype=bool)
+    while k < k_end:
+        length = min(buffer.size, k_end - k)
+        for r, row in _class_rows(buffer[:length], k, base):
+            n = 30 * k + r
+            cut = int(n < lo)
+            yield n + 30 * cut, row[cut : length - int(n + 30 * (length - 1) >= hi)]
+        k += length
+
+
+def _odd_walk(first: int, count: int, base: np.ndarray):
+    """Yield (a, mask) for ascending segments of ``_SIEVE_SEGMENT`` odd
+    numbers covering the ``count`` odd numbers from ``first`` (odd, at
+    least 3): ``mask`` marks the numbers among a, a + 2, ... that the
+    class rows covering them leave standing, and 3 and 5.  The rows are
+    interleaved into one buffer of odd numbers allocated per walk, whose
+    entries for the other multiples of 3 and 5 stay False, so a mask is
+    valid until the next is yielded."""
+    import numpy as np
+
+    size = min(_SIEVE_SEGMENT, count)
+    rows = np.empty(size // 15 + 2, dtype=bool)
+    odd = np.zeros(15 * rows.size, dtype=bool)  # entry i: 30k + 2i + 1
+    done = 0
     while done < count:
-        a, length = first + 2 * done, min(_SIEVE_SEGMENT, count - done)
-        yield a, _odd_mask(buffer[:length], a, base, res)
+        a, length = first + 2 * done, min(size, count - done)
+        k = a // 30
+        span = (a + 2 * length - 2) // 30 + 1 - k
+        for r, row in _class_rows(rows[:span], k, base):
+            odd[(r - 1) // 2 : 15 * span : 15] = row
+        odd[1:3] = k == 0  # 3 and 5
+        at = (a - 30 * k) // 2
+        yield a, odd[at : at + length]
         done += length
-        res = (res + 2 * length) % base
 
 
 # Base primes up to this bound stay cached once sieved: the explorer's under
@@ -193,27 +261,43 @@ def _sieve_bound(lo: int, hi: int) -> int:
     return need
 
 
+def _struck(strike: int, walk, *args):
+    """Yield the segments of ``walk(*args, base)`` (``_odd_walk`` or
+    ``_row_walk``) struck by every prime from 7 up to ``strike``.
+
+    The base primes past the cache come from this same sieve, batch by
+    batch, and each batch strikes every segment in turn, so all the
+    segments' masks are kept (copied out of the walk's one buffer) until
+    the last batch.
+    """
+    segments = walk(*args, _base_primes(strike)[3:])
+    if strike > _BASE_CACHE_LIMIT:
+        segments = [(n, mask.copy()) for n, mask in segments]
+        for batch in _odd_primes(_BASE_CACHE_LIMIT + 1, strike + 1, isqrt(strike)):
+            for (_, mask), (_, more) in zip(segments, walk(*args, batch)):
+                mask &= more
+    yield from segments
+
+
 def _sieve_segments(lo: int, hi: int, strike: int):
     """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi).
 
     ``mask`` marks the numbers among a, a + 2, ... with no odd prime
-    factor up to ``strike`` but themselves: exactly the primes when
-    ``strike`` is at least sqrt(hi - 1).  Nothing is refused here; the
+    factor up to max(``strike``, 5) but themselves: exactly the primes
+    when ``strike`` is at least sqrt(hi - 1).  Nothing is refused here; the
     public sieves call ``_sieve_bound`` first.  Callers add 2.
     """
     _, first, odd = _scan_layout(lo, hi)
-    segments = _walk_segments(first, odd, _base_primes(strike)[1:])
-    if strike > _BASE_CACHE_LIMIT:
-        # the base primes past the cache come from this same sieve, batch
-        # by batch, and each batch strikes every segment in turn, so all
-        # the segments' masks are kept (copied out of the walk's one
-        # buffer) until the last batch
-        segments = [(a, mask.copy()) for a, mask in segments]
-        for batch in _odd_primes(_BASE_CACHE_LIMIT + 1, strike + 1, isqrt(strike)):
-            struck = _walk_segments(first, odd, batch)
-            for (_, mask), (_, more) in zip(segments, struck):
-                mask &= more
-    yield from segments
+    return _struck(strike, _odd_walk, first, odd)
+
+
+def _sieve_rows(lo: int, hi: int, strike: int):
+    """Yield (n, row) covering the numbers prime to 30 of [max(lo, 2), hi).
+
+    ``row`` marks the numbers among n, n + 30, ... with no prime factor
+    from 7 up to ``strike`` but themselves.  Nothing is refused here.
+    """
+    return _struck(strike, _row_walk, max(lo, 2), hi)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -240,6 +324,10 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 # before w.  Built once, to _BASE_CACHE_LIMIT, by the first prime_pi whose
 # largest x reaches its bound; swapped whole, as _base_cache is.
 _table: tuple = (0, None, None)
+# Entries per piece of a prime_pi lookup: its temporaries, 64 KiB each,
+# stay below glibc's mmap threshold and so reuse heap pages (134k lookups
+# took 4.6 ms in one piece and 1.7 ms in pieces of this size).
+_PI_PIECE = 1 << 13
 
 
 def popcount64(x: np.ndarray) -> np.ndarray:
@@ -279,7 +367,8 @@ def prime_pi(x: np.ndarray) -> np.ndarray:
     """pi(x) for each entry of an int64 array x >= 1, as int64, from
     ``_table``, which is rebuilt to ``_BASE_CACHE_LIMIT`` when the largest
     x reaches its bound: the count of the words before x's and the popcount
-    of the bits of x's word up to x, plus 1 for the prime 2."""
+    of the bits of x's word up to x, plus 1 for the prime 2, taken in pieces
+    of ``_PI_PIECE`` entries."""
     import numpy as np
 
     global _table
@@ -287,10 +376,14 @@ def prime_pi(x: np.ndarray) -> np.ndarray:
     if int(x.max()) >= table[0]:
         table = _table = _build(_BASE_CACHE_LIMIT)
     _, words, counts = table
-    n = (x - 1) >> 1  # the odd numbers of [3, x]
-    w, below = n >> 6, (n & 63).astype(np.uint64)
-    bits = words[w] & ((np.uint64(1) << below) - np.uint64(1))
-    return counts[w] + popcount64(bits).astype(np.int64) + (x >= 2)
+    pi = np.empty_like(x)
+    for i in range(0, x.size, _PI_PIECE):
+        part = x[i : i + _PI_PIECE]
+        n = (part - 1) >> 1  # the odd numbers of [3, x]
+        w, below = n >> 6, (n & 63).astype(np.uint64)
+        bits = words[w] & ((np.uint64(1) << below) - np.uint64(1))
+        pi[i : i + _PI_PIECE] = counts[w] + popcount64(bits).astype(np.int64) + (part >= 2)
+    return pi
 
 
 def count_primes_in_range(lo: int, hi: int) -> int:
@@ -298,16 +391,17 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     building the list.
 
     With t = min(max(cbrt(hi - 1) + 1, (hi - 1) // _BASE_CACHE_LIMIT + 1,
-    3), sqrt(hi - 1) + 1), ``_sieve_segments`` strikes only the odd primes
-    below t.  As t^3 > hi - 1, the odd composites left standing are
-    exactly the products p*q of primes t <= p <= q, and for each p up to
-    sqrt(hi - 1) with such a product in the window the q are counted as
-    pi(q_hi) - pi(q_lo - 1) by ``prime_pi`` (Lehmer's P2 term); the second
-    term of t keeps every q, at most (hi - 1) / t, below the table's
-    bound, ``_BASE_CACHE_LIMIT``.  The p come from the base-prime cache,
-    which so grows only to sqrt(hi - 1).  Where the cap applies (past about
-    2^46) there is no such p and every base prime strikes, as in
-    ``primes_in_range``.
+    7), sqrt(hi - 1) + 1), ``_sieve_rows`` strikes the class rows (which
+    hold no multiple of 2, 3 or 5) only with the primes from 7 below t.
+    As t^3 > hi - 1, the composites left standing are exactly the products
+    p*q of primes t <= p <= q, and for each p up to sqrt(hi - 1) with such
+    a product in the window the q are counted as pi(q_hi) - pi(q_lo - 1)
+    by one ``prime_pi`` call over both bounds (Lehmer's P2 term); the
+    second term of t keeps every q, at most (hi - 1) / t, below the
+    table's bound, ``_BASE_CACHE_LIMIT``.  The p come from the base-prime
+    cache, which so grows only to sqrt(hi - 1).  Where the cap applies
+    (past about 2^46) there is no such p and every base prime strikes, as
+    in ``primes_in_range``.
     """
     lo = max(lo, 2)
     if hi <= lo:
@@ -316,17 +410,19 @@ def count_primes_in_range(lo: int, hi: int) -> int:
 
     need = _sieve_bound(lo, hi)
     top = hi - 1
-    t = min(max(nth_root_floor(top, 3) + 1, top // _BASE_CACHE_LIMIT + 1, 3), need + 1)
+    t = min(max(nth_root_floor(top, 3) + 1, top // _BASE_CACHE_LIMIT + 1, 7), need + 1)
     ps = _base_primes(need)
     ps = ps[np.searchsorted(ps, t) :]
     # per p, the primes q from max(p, ceil(lo/p)) to top // p, for the p
     # with a multiple in [lo, top] (p <= top // p, as p <= sqrt(top))
     q_lo, q_hi = np.maximum(ps, -(-lo // ps)), top // ps
     hit = q_lo <= q_hi
-    count = 1 if lo == 2 else 0
+    count = sum(lo <= p < hi for p in (2, 3, 5))
     if hit.any():
-        count -= int((prime_pi(q_hi[hit]) - prime_pi(q_lo[hit] - 1)).sum())
-    return count + sum(int(np.count_nonzero(mask)) for _, mask in _sieve_segments(lo, hi, t - 1))
+        pi = prime_pi(np.concatenate((q_hi[hit], q_lo[hit] - 1)))
+        half = pi.size // 2
+        count -= int(pi[:half].sum() - pi[half:].sum())
+    return count + sum(int(np.count_nonzero(row)) for _, row in _sieve_rows(lo, hi, t - 1))
 
 
 def enumerable_window(p: int, c: int) -> Window:

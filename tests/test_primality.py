@@ -417,14 +417,14 @@ class TestScanSieve:
 
 def rough_bound(hi: int) -> int:
     """t of ``count_primes_in_range(lo, hi)``: max(cbrt(hi - 1) + 1,
-    (hi - 1) // _BASE_CACHE_LIMIT + 1, 3), the cube root by plain search."""
+    (hi - 1) // _BASE_CACHE_LIMIT + 1, 7), the cube root by plain search."""
     top = hi - 1
     c = round(top ** (1 / 3))
     while c**3 > top:
         c -= 1
     while (c + 1) ** 3 <= top:
         c += 1
-    return max(c + 1, top // sieve._BASE_CACHE_LIMIT + 1, 3)
+    return max(c + 1, top // sieve._BASE_CACHE_LIMIT + 1, 7)
 
 
 class TestCountOnly:
@@ -457,8 +457,9 @@ class TestCountOnly:
             pk.primes_in_range(lo, lo + width)
         )
 
-    # The count strikes only the odd primes below t and subtracts the
-    # products p*q of primes t <= p <= q; ``primes_in_range`` strikes every
+    # The count strikes its class rows (no multiples of 2, 3 or 5) only
+    # with the primes from 7 below t and subtracts the products p*q of
+    # primes t <= p <= q; ``primes_in_range`` strikes every
     # base prime, so it is the oracle here.
 
     @given(st.integers(10**9, 10**12), st.integers(0, 3 * 10**5))
@@ -507,7 +508,7 @@ class TestCountOnly:
         # [4, 8): a t of 2 would subtract the even products 2*2 and 2*3
         w = pk.enumerable_window(2, 2)
         assert pk.count_primes_in_range(w.lo, w.hi_exclusive) == 2
-        assert pk.count_primes_in_range(4, 10) == 2  # t = 3 = sqrt(9)
+        assert pk.count_primes_in_range(4, 10) == 2  # t = 4 = sqrt(9) + 1
 
     def test_full_sieve_past_the_cache_bound(self, monkeypatch):
         # with a tiny cache bound, t = (hi - 1) // bound + 1 passes
@@ -519,20 +520,20 @@ class TestCountOnly:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sieve, "_BASE_CACHE_LIMIT", 1 << 10)
             mp.setattr(sieve, "_base_cache", (0, None))
-            segments = sieve._sieve_segments
+            rows = sieve._sieve_rows
             mp.setattr(
                 sieve,
-                "_sieve_segments",
-                lambda lo, hi, strike: calls.append((lo, hi, strike)) or segments(lo, hi, strike),
+                "_sieve_rows",
+                lambda lo, hi, strike: calls.append((lo, hi, strike)) or rows(lo, hi, strike),
             )
             for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
                 need = isqrt(hi - 1)
                 assert (rough_bound(hi) <= need) == rough
                 calls.clear()
                 assert pk.count_primes_in_range(lo, hi) == len(primes_between(lo, hi))
-                # the count's own sieve; the cache fill, the count table and
-                # the base primes past the cache sieve other ranges
+                # the count's own sieve, its only class-row sieve
                 strikes = [strike for a, b, strike in calls if (a, b) == (lo, hi)]
+                assert len(calls) == 1
                 assert strikes == [rough_bound(hi) - 1 if rough else need]
                 assert (strikes[0] < need) == rough
             assert sieve._table[0] == 1 << 10
@@ -542,21 +543,41 @@ class TestCountOnly:
 
     def test_explore_window_walks_only_primes_below_t(self, monkeypatch):
         lo, hi = 1361**3, 1362**3
-        # a first count fills the base-prime cache, whose fill walks too
+        # a first count fills the base-prime cache, whose fill strikes too
         assert pk.count_primes_in_range(lo, hi) == 256666
-        walked = []
-        walk = sieve._walk_segments
+        struck = []
+        rows = sieve._class_rows
         monkeypatch.setattr(
             sieve,
-            "_walk_segments",
-            lambda first, count, base, *args: walked.append(base.copy())
-            or walk(first, count, base, *args),
+            "_class_rows",
+            lambda buffer, k0, base: struck.append(base.copy()) or rows(buffer, k0, base),
         )
         assert pk.count_primes_in_range(lo, hi) == 256666
         t = rough_bound(hi)
-        assert t == 1362 and len(walked) == 1
-        assert walked[0].tolist() == sieve_list(t - 1)[1:] and len(walked[0]) == 217
+        # one segment of rows, struck by the odd primes of [7, t), the
+        # pattern's 7, 11, 13 and 17 included
+        assert t == 1362 and len(struck) == 1
+        assert struck[0].tolist() == sieve_list(t - 1)[3:] and len(struck[0]) == 215
         assert sympy.primepi(hi - 1) - sympy.primepi(lo - 1) == 256666
+
+    @pytest.mark.parametrize(
+        "lo,hi,p2",
+        [
+            (2, 48, False), (2, 50, True), (1009**2, 1009**2 + 20_000, True),
+            (10**6, 10**6 + 3 * (1 << 20) + 7, True), (1361**3, 1362**3, True),
+            (10**12, 10**12 + 10**4, True), (10**16 - 1000, 10**16, False),
+        ],
+    )
+    def test_one_prime_pi_call_per_count(self, monkeypatch, lo, hi, p2):
+        # both bounds of every p's q range go to one prime_pi call, made
+        # only when the window holds a product p*q of primes t <= p <= q
+        calls = []
+        pi = sieve.prime_pi
+        monkeypatch.setattr(sieve, "prime_pi", lambda x: calls.append(x.copy()) or pi(x))
+        assert pk.count_primes_in_range(lo, hi) == len(pk.primes_in_range(lo, hi))
+        assert len(calls) == p2
+        if p2:
+            assert calls[0].size % 2 == 0 and calls[0].size > 0
 
     @pytest.mark.parametrize("height", [10**12, 4 * 10**12, 10**13])
     @pytest.mark.parametrize("width", [10**4, 10**5])
@@ -646,7 +667,7 @@ class TestSieves:
 
 
 class TestSieveKernel:
-    """``_odd_primes`` (and so ``_sieve_segments`` and ``_odd_mask``, the
+    """``_odd_primes`` (and so ``_sieve_segments`` and ``_class_rows``, the
     one striking loop), the cached ``_base_primes`` and ``primes_in_range``
     against a plain bytearray sieve."""
 
@@ -773,77 +794,93 @@ def test_sieves_across_a_tiny_cache_bound(lo, width):
     assert pk.count_primes_in_range(lo, hi) == len(want)
 
 
-ODD_PRIMES = sieve_list(2000)[1:]
+PRIMES_FROM_7 = sieve_list(2000)[3:]
 
 
 @st.composite
-def mask_args(draw):
-    """(a, length, base) for ``_odd_mask``: odd a from 3 up to below 2^62,
-    as far as exact sieves reach (hi <= 10^16), small ones (around the
-    wheel primes, and a <= p^2 for base primes p) drawn often; lengths up
-    to three wheel periods and more; bases that begin at 3 (the wheel) or
-    further on (the plain path)."""
-    half = st.one_of(st.integers(1, 12), st.integers(1, 2000), st.integers(1, 2**61 - 1))
-    a = 2 * draw(half) + 1
-    length = draw(st.one_of(st.integers(1, 40), st.integers(1, 3 * 15015 + 7)))
-    first = draw(st.one_of(st.just(0), st.integers(0, len(ODD_PRIMES))))
+def row_args(draw):
+    """(k0, length, base) for ``_class_rows``: k0 from 0 up to 2^62 / 30, as
+    far as exact sieves reach (hi <= 10^16), small ones (the pattern's
+    primes at k0 = 0, and rows starting below p^2 for base primes p) drawn
+    often; lengths up to three pattern periods and more, and short ones,
+    below which base primes strike a row at most once and whose span
+    30 * length the largest base primes pass; bases that begin at 7 (the
+    pattern) or further on (the plain path)."""
+    k0 = draw(st.one_of(st.integers(0, 3), st.integers(0, 140_000), st.integers(0, 2**62 // 30 - 1)))
+    length = draw(st.one_of(st.integers(1, 40), st.integers(1, 3 * 17017 + 7)))
+    first = draw(st.one_of(st.just(0), st.integers(0, len(PRIMES_FROM_7))))
     size = draw(st.integers(0, 60))
-    return a, length, np.array(ODD_PRIMES[first : first + size], dtype=np.int64)
+    return k0, length, np.array(PRIMES_FROM_7[first : first + size], dtype=np.int64)
 
 
-def trial_division_mask(a: int, length: int, base: np.ndarray) -> np.ndarray:
-    """Entry i is False exactly when a + 2i = p*m with p in ``base`` and
-    m >= p, tested for each p at every entry."""
+def trial_division_row(k0: int, r: int, length: int, base: np.ndarray) -> np.ndarray:
+    """Entry i is False exactly when 30(k0 + i) + r = p*m with p in
+    ``base`` and m >= p, tested for each p at every entry."""
     index = np.arange(length)
-    mask = np.ones(length, dtype=bool)
+    row = np.ones(length, dtype=bool)
     for p in base.tolist():
-        divides = (a % p + 2 * index) % p == 0
-        mask &= ~(divides & (index >= (p * p - a + 1) // 2))
-    return mask
+        divides = ((30 * k0 + r) % p + 30 * index) % p == 0
+        row &= ~(divides & (index >= -(-(p * p - r) // 30) - k0))
+    return row
 
 
-@given(mask_args())
+@given(row_args())
 @settings(max_examples=200, deadline=None)
 def test_odd_mask_matches_trial_division(args):
-    # with every odd prime up to its last in ``base`` (so with the wheel),
-    # that is: False exactly when the number has a factor in base other
-    # than itself
-    a, length, base = args
-    got = sieve._odd_mask(np.empty(length, dtype=bool), a, base, a % base)
-    assert np.array_equal(got, trial_division_mask(a, length, base))
+    # each class row, with every prime from 7 up to its last in ``base``
+    # (so with the pattern), is False exactly when its number has a factor
+    # in base other than itself
+    k0, length, base = args
+    rows = [(r, row.copy()) for r, row in sieve._class_rows(np.empty(length, dtype=bool), k0, base)]
+    assert [r for r, _ in rows] == list(sieve._CLASSES)
+    for r, row in rows:
+        assert np.array_equal(row, trial_division_row(k0, r, length, base)), r
 
 
 def test_walk_fills_one_buffer(monkeypatch):
-    # every segment's mask is a view of the one buffer the walk allocated,
-    # the last and shorter one included
+    # every row of a count's walk is a view of the one buffer the walk
+    # allocated, trimmed to the range, the last and shorter segment's
+    # included; a listing's masks are views of its one odd-number buffer
     monkeypatch.setattr(sieve, "_SIEVE_SEGMENT", 1 << 9)
-    base = np.array(ODD_PRIMES[:40], dtype=np.int64)
-    first, count = 10**6 + 1, 5 * (1 << 9) + 77
-    masks = list(sieve._walk_segments(first, count, base))
-    assert [mask.size for _, mask in masks] == [1 << 9] * 5 + [77]
-    buffer = masks[0][1].base
+    base = np.array(PRIMES_FROM_7[:40], dtype=np.int64)
+    lo, hi = 10**6 + 7, 10**6 + 30 * (5 * (1 << 9) + 77) - 3
+    rows = list(sieve._row_walk(lo, hi, base))
+    assert len(rows) == 8 * 6
+    buffer = rows[0][1].base
     assert buffer is not None and buffer.size == 1 << 9
-    assert all(mask.base is buffer for _, mask in masks)
-    a, last = masks[-1]
-    assert np.array_equal(last, trial_division_mask(a, 77, base))
+    assert all(row.base is buffer for _, row in rows)
+    numbers = sorted(n + 30 * i for n, row in rows for i in range(row.size))
+    assert numbers == [n for n in range(lo, hi) if math.gcd(n, 30) == 1]
+    n, last = rows[-1]
+    assert n % 30 == 29 and last.size == 77
+    assert np.array_equal(last, trial_division_row((n - 29) // 30, 29, 77, base))
+    masks = list(sieve._odd_walk(10**6 + 1, 5 * (1 << 9) + 77, base))
+    assert [mask.size for _, mask in masks] == [1 << 9] * 5 + [77]
+    assert len({id(mask.base) for _, mask in masks}) == 1
 
 
 def test_wheel_pattern_is_built_on_first_use():
-    """Import builds no wheel; the first mask with a base from 3 past 13
-    builds it once, as the odd numbers coprime to 3*5*7*11*13."""
+    """Import builds no pattern; the first row with a base from 7 past 17
+    builds it once, as the numbers 30j + r prime to 7*11*13*17."""
     probe = """
+import math
 import prckit
 from prckit import sieve
 
-print(sieve._wheel is None)
+print(sieve._pattern is None)
 prckit.primes_in_range(10**6, 10**6 + 100)
-wheel = sieve._wheel
+pattern = sieve._pattern
 prckit.count_primes_in_range(1361**3, 1362**3)
-print(wheel.size, wheel is sieve._wheel, "".join("01"[b] for b in wheel[:12].tolist()))
+print(pattern.shape, pattern is sieve._pattern, "".join("01"[b] for b in pattern[0, :12].tolist()))
+print(all(
+    pattern[c, j] == (math.gcd(30 * j + r, 17017) == 1)
+    for c, r in enumerate(sieve._CLASSES)
+    for j in range(17017)
+))
 """
     out = run_probe(probe)
-    # 2j + 1 for j = 0..11: 1 3 5 7 9 11 13 15 17 19 21 23
-    assert out[:2] == ["True", "15015 True 100000001101"]
+    # 30j + 1 for j = 0..11: 1 31 61 91=7*13 121=11^2 151 181 211 241 271 301=7*43 331
+    assert out[:3] == ["True", "(8, 17017) True 111001111101", "True"]
 
 
 def test_count_cache_build_peak():
@@ -939,6 +976,7 @@ def test_prime_pi_matches_a_listing(xs):
         mp.setattr(sieve, "_BASE_CACHE_LIMIT", TABLE_BOUND)
         mp.setattr(sieve, "_SIEVE_SEGMENT", TABLE_SEGMENT)
         mp.setattr(sieve, "_table", (0, None, None))
+        mp.setattr(sieve, "_PI_PIECE", 3)  # lookups of several pieces
         got = sieve.prime_pi(np.array([*xs, 2, TABLE_BOUND - 1], dtype=np.int64))
         assert sieve._table[0] == TABLE_BOUND
     want = [bisect.bisect_right(TABLE_ORACLE, x) for x in (*xs, 2, TABLE_BOUND - 1)]

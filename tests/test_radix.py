@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -200,6 +201,39 @@ class TestCertifiedRootEnclosure:
         with pytest.raises(pk.BitCeilingError) as err:
             pk.certified_root_enclosure(11, 81, 100, tiny)
         assert err.value.max_feasible_digits < 100
+
+    @staticmethod
+    def decoded_powfact_chain(length):
+        """A decoded powfact:3 chain of ``length`` primes "2" (order 3^(k!)
+        at depth k), never verified."""
+        chain = pk.build_chain(pk.parse_exponent_spec("powfact:3"), 2, 2, "min", pk.EMPIRICAL)
+        doc = chain.to_json_dict()
+        doc.update(primes=["2"] * length, certainty=["deterministic"] * length)
+        doc["requested_depth"] = str(length)
+        return pk.PrimeChain.from_json_dict(doc)
+
+    def test_huge_orders_refused_before_any_float(self):
+        # d*order past the ceiling and 2^1024 is refused in integers, where
+        # the float estimate of the radicand bits raised OverflowError
+        from prckit import radix
+
+        started = time.monotonic()
+        with pytest.raises(pk.BitCeilingError, match="at a 1101-bit root order") as err:
+            radix.scaled_root_floor(2, 2**1100, 1)
+        assert err.value.max_feasible_digits == 0
+        with pytest.raises(pk.BitCeilingError, match="at a 575152-bit root order"):
+            pk.prc_digits(self.decoded_powfact_chain(9), 10)
+        assert time.monotonic() - started < 1
+        # below 2^1024 nothing changes: five primes give digits (order
+        # 3^120), a 1024-bit order 3^646 composes 646 cube roots, and 1006
+        # digits at order 3^9 (a const:3 depth-9 chain's 1000 places)
+        # compose cube roots, though d*order passes the ceiling
+        assert (3**646).bit_length() == 1024 and radix.scaled_root_floor(2, 3**646, 1) == 10
+        assert pk.prc_digits(self.decoded_powfact_chain(5), 10).digits == "1.0000000000"
+        value = 2**7589 + 1
+        assert 1006 * 3**9 > pk.DEFAULT_CONFIG.radicand_bit_ceiling
+        full = radix.scaled_root_floor(value, 3**9, 1006)
+        assert full // 10**956 == radix.scaled_root_floor(value, 3**9, 50)
 
 
 class TestPrcDigits:
