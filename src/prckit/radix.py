@@ -30,6 +30,9 @@ from .core import (
 )
 
 _LOG2_10 = 3.321928094887362
+# _LOG2_10 as the exact ratio num / den: the radicand-bit estimates below
+# are floors of x * _LOG2_10 taken in integers, so no order overflows them.
+_LOG2_10_NUM, _LOG2_10_DEN = _LOG2_10.as_integer_ratio()
 # One-shot radicands below this many bits are cheap enough to root directly.
 _COMPOSE_MIN_BITS = 1 << 14
 # Extra fixed-point digits carried through composed roots.  Each bound ends
@@ -37,9 +40,10 @@ _COMPOSE_MIN_BITS = 1 << 14
 # (and the one-shot root decides) only when the root lies within a few
 # units of the last guard digit of a digit boundary.
 _GUARD_DIGITS = 10
-# A d*order of more bits than this does not fit a float, so the float
-# estimates of the radicand bits below could not be taken: it is refused
-# before them, in integers.
+# A d*order of more bits than this is refused before its order is factored
+# (a powfact:3 order 3^(9!) would take 362880 trial divisions of a
+# 575k-bit number): past the float range, where no such call ever got an
+# answer, so no call below it changes.
 _SCALED_MAX_BITS = 1024
 
 
@@ -149,7 +153,7 @@ def scaled_root_floor(value: int, order: int, d: int, config: Config = DEFAULT_C
             f"{config.radicand_bit_ceiling}; at most ~{max(feasible, 0)} digits are feasible",
             max_feasible_digits=max(feasible, 0),
         )
-    if value.bit_length() + scaled * _LOG2_10 >= _COMPOSE_MIN_BITS:
+    if value.bit_length() + scaled * _LOG2_10_NUM // _LOG2_10_DEN >= _COMPOSE_MIN_BITS:
         factors = _prime_factors(order)
         if len(factors) > 1:
             _radicand_guard(value, d, factors[-1], _GUARD_DIGITS, config)
@@ -169,9 +173,9 @@ def scaled_root_floor(value: int, order: int, d: int, config: Config = DEFAULT_C
 
 def _radicand_guard(value: int, digits: int, order: int, guard: int, config: Config) -> None:
     ceiling = config.radicand_bit_ceiling
-    bits_estimate = value.bit_length() + int((digits + guard) * order * _LOG2_10) + 2
+    bits_estimate = value.bit_length() + (digits + guard) * order * _LOG2_10_NUM // _LOG2_10_DEN + 2
     if bits_estimate > ceiling:
-        feasible = int((ceiling - value.bit_length() - 2) / (order * _LOG2_10)) - guard
+        feasible = (ceiling - value.bit_length() - 2) * _LOG2_10_DEN // (order * _LOG2_10_NUM) - guard
         raise BitCeilingError(
             f"radicand for {digits} digits at root order {order} needs about "
             f"{bits_estimate} bits, above the ceiling {ceiling}; at most "

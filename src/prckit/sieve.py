@@ -54,8 +54,16 @@ _PATTERN_PRIMES = (7, 11, 13, 17)
 _PATTERN_PERIOD = math.prod(_PATTERN_PRIMES)  # 17017
 _pattern = None
 # Primes from a row's length // _FEW strike it at most _FEW times: cheaper
-# in one index over all their hits than in a slice each.
+# in one index over the hits of them all than in a slice each.  Up to
+# eight rows of up to _GROUP entries in all (``_row_buffer``) are struck
+# together: one pass of the per-prime work (the starts, that index) serves
+# them all, and its temporaries stay small enough to reuse the
+# allocator's pages.  The
+# sweeps of both are in BENCH_28.json: slicing every prime below the row
+# length doubles the time of narrow windows' counts, and groups of all
+# eight rows of any length slow the (2, 31) forest's counts by a third.
 _FEW = 64
+_GROUP = 1 << 16
 
 
 def _class_pattern() -> np.ndarray:
@@ -66,15 +74,19 @@ def _class_pattern() -> np.ndarray:
     global _pattern
     if _pattern is None:
         primes = np.array(_PATTERN_PRIMES, dtype=np.int64)
-        rows = _class_rows(np.empty(_PATTERN_PERIOD, dtype=bool), _PATTERN_PERIOD, primes)
-        _pattern = np.array([row.copy() for _, row in rows])
+        buffer = np.empty(len(_CLASSES) * _PATTERN_PERIOD, dtype=bool)
+        blocks = _class_rows(buffer, _PATTERN_PERIOD, _PATTERN_PERIOD, primes)
+        _pattern = np.concatenate([block.copy() for _, block in blocks])
     return _pattern
 
 
-def _class_rows(buffer: np.ndarray, k0: int, base: np.ndarray):
-    """Yield (r, row) for each r of ``_CLASSES``: ``buffer`` filled with the
-    sieve mask of the numbers 30k + r for k in [k0, k0 + buffer.size), and
-    refilled for the next r, so a row is valid until the next is yielded.
+def _class_rows(buffer: np.ndarray, k0: int, length: int, base: np.ndarray):
+    """Yield (c, block) for the classes of ``_CLASSES`` in groups of
+    g = min(8, buffer.size // length), from c = 0 on: row i of ``block``,
+    a (g, length) view of ``buffer`` (the last group's may have fewer
+    rows), is the sieve mask of the numbers 30k + _CLASSES[c + i] for k in
+    [k0, k0 + length).  The buffer is refilled for the next group, so a
+    block is valid until the next is yielded.
 
     ``k0`` is at least 0 and 30*k0 below 2^62; ``base`` holds ascending
     primes from 7.  An entry is False exactly when its number is p*m with p
@@ -85,15 +97,16 @@ def _class_rows(buffer: np.ndarray, k0: int, base: np.ndarray):
     When ``base`` begins 7, 11, 13, 17 and goes on, each row starts from
     the cached pattern of those four and only the rest strike; four primes
     alone take the plain path, which is how the pattern itself is built.
-    A prime p strikes from s, taken from the inverse of 30 modulo p, never
-    below p^2: by row[s::p] below length // _FEW, and by one index per row
-    over the hits of the primes from there to the rows' span 30 * length;
-    the larger ones, with at most one multiple in the span, strike by one
-    index per row over those multiples.
+    A prime p below the rows' span 30 * length strikes each row from s,
+    taken from the inverse of 30 modulo p, never below p^2: by row[s::p]
+    below length // _FEW, and from there by one index per group over the
+    hits of them all (at most one a row from ``length`` on).  The larger
+    primes, with at most one multiple in the span, strike by one index per
+    group over those multiples.
     """
     import numpy as np
 
-    length = buffer.size
+    g = min(len(_CLASSES), buffer.size // length)
     four = len(_PATTERN_PRIMES)
     patterned = base.size > four and int(base[four - 1]) == _PATTERN_PRIMES[-1]
     if patterned:
@@ -105,67 +118,95 @@ def _class_rows(buffer: np.ndarray, k0: int, base: np.ndarray):
     # start; the larger ones have at most one multiple in the span
     split = int(np.searchsorted(base, 30 * length))
     near, far = base[:split], base[split:]
-    # p divides 30(k0 + s) + r for s = (shift - r * inverse) % p
+    few = int(np.searchsorted(near, length // _FEW))
+    sliced = near[:few].tolist()
+    # a column: the starts are (prime, row) arrays, p divides 30(k0 + s) + r
+    # for s = (shift - r * inverse) % p
+    near = near[:, None]
     inverse = (1 + near * np.array(_STEP)[near % 30]) // 30
     shift = -(k0 % near)
     # smaller multiples of p than p*p are struck by their other, smaller
     # prime factor, and p itself is prime
-    square = near * near if near.size and 30 * k0 + 1 < int(near[-1]) ** 2 else None
-    # the primes from length // _FEW strike few times each: a row's hits
-    # s + p*i of all of them in one index
-    few = int(np.searchsorted(near, length // _FEW))
-    sliced, p = near[:few].tolist(), near[few:]
+    square = near * near if near.size and 30 * k0 + 1 < int(near[-1, 0]) ** 2 else None
+    p = near[few:]
     # the larger primes' multiples p*m >= p^2 in the span: their rows (-1
     # off the classes) and entries
-    n = far * np.maximum(-(-30 * k0 // far), far)
-    k, row = np.divmod(n[n < 30 * (k0 + length)], 30)
-    row_of = np.full(30, -1)
-    row_of[list(_CLASSES)] = np.arange(len(_CLASSES))
-    row = row_of[row]
-    far_row, far_at = row[row >= 0], k[row >= 0] - k0
-    for c, r in enumerate(_CLASSES):
+    far_row = far_at = far[:0]
+    if far.size:
+        n = far * np.maximum(-(-30 * k0 // far), far)
+        k, row = np.divmod(n[n < 30 * (k0 + length)], 30)
+        row_of = np.full(30, -1)
+        row_of[list(_CLASSES)] = np.arange(len(_CLASSES))
+        row = row_of[row]
+        far_row, far_at = row[row >= 0], k[row >= 0] - k0
+    classes = np.array(_CLASSES, dtype=np.int64)
+    for c in range(0, len(_CLASSES), g):
+        r = classes[c : c + g]
+        flat = buffer[: r.size * length]
+        block = flat.reshape(r.size, length)
         start = (shift - r * inverse) % near
         if square is not None:
             least = (square - r + 29) // 30 - k0
             start = np.where(least > start, start + (least - start + near - 1) // near * near, start)
         if patterned:
-            buffer[:head] = pattern[c, j : j + head]
-            buffer[head:whole].reshape(-1, _PATTERN_PERIOD)[:] = pattern[c]
-            buffer[whole:] = pattern[c, : length - whole]
-            if k0 == 0 and r in _PATTERN_PRIMES:  # the pattern's primes are prime
-                buffer[0] = True
+            rows = pattern[c : c + r.size]
+            block[:, :head] = rows[:, j : j + head]
+            block[:, head:whole].reshape(r.size, -1, _PATTERN_PERIOD)[:] = rows[:, None]
+            block[:, whole:] = rows[:, : length - whole]
+            if k0 == 0:  # the pattern's primes are prime
+                block[:, 0] |= np.isin(r, _PATTERN_PRIMES)
         else:
-            buffer[:] = True
-        for q, t in zip(sliced, start[:few].tolist()):
-            buffer[t::q] = False
-        s = start[few:]
-        hits = np.maximum((length - 1 - s) // p + 1, 0)
-        ends = np.cumsum(hits)  # of each prime's run of hits
-        # built in place: each fresh temporary as long as a row's hits
+            block[:] = True
+        for entries, starts in zip(block, start[:few].T.tolist()):
+            for q, t in zip(sliced, starts):
+                entries[t::q] = False
+        # the hits s + p*i of the other near primes, at i*length + s in
+        # ``flat`` for row i, in one index built in place over the (prime,
+        # row) pairs with hits: each fresh temporary as long as the hits
         # costs its page faults
-        at = np.repeat(p, hits)
+        s = start[few:]
+        hits = np.maximum((length - 1 - s) // p + 1, 0).ravel()
+        runs = hits > 0
+        s = (s + np.arange(0, flat.size, length)).ravel()[runs]
+        steps, hits = np.repeat(p, r.size)[runs], hits[runs]
+        firsts = np.cumsum(hits) - hits  # of each pair's run of hits
+        at = np.repeat(steps, hits)
         at *= np.arange(at.size)
-        at += np.repeat(s - p * (ends - hits), hits)
-        buffer[at] = False
-        buffer[far_at[far_row == c]] = False
-        yield r, buffer
+        at += np.repeat(s - steps * firsts, hits)
+        flat[at] = False
+        if far_row.size:
+            mine = (far_row >= c) & (far_row < c + r.size)
+            flat[(far_row[mine] - c) * length + far_at[mine]] = False
+        yield c, block
+
+
+def _row_buffer(length: int) -> np.ndarray:
+    """The one buffer of a walk whose segments have rows of up to
+    ``length`` entries: for one row, or for as many as ``_GROUP`` entries
+    hold, up to all eight."""
+    import numpy as np
+
+    return np.empty(max(length, min(len(_CLASSES) * length, _GROUP)), dtype=bool)
 
 
 def _row_walk(lo: int, hi: int, base: np.ndarray):
-    """Yield (n, row) for the class rows of [lo, hi), lo >= 2, in ascending
-    segments of up to ``_SIEVE_SEGMENT`` values of k: ``row`` is the
-    ``_class_rows`` mask of n, n + 30, ..., trimmed to [lo, hi).  Every row
-    is a view of one buffer allocated per walk."""
+    """Yield (n, block) for the class rows of [lo, hi), lo >= 2, in
+    ascending segments of up to ``_SIEVE_SEGMENT`` values of k, each in the
+    groups of ``_class_rows``: ``block`` is a group's mask with the entries
+    outside [lo, hi) cleared, and ``n`` the int64 array of its rows' first
+    numbers 30k + r.  Every block is a view of one buffer allocated per
+    walk, ``_row_buffer``'s."""
     import numpy as np
 
     k, k_end = lo // 30, (hi - 1) // 30 + 1
-    buffer = np.empty(min(_SIEVE_SEGMENT, k_end - k), dtype=bool)
+    buffer = _row_buffer(min(_SIEVE_SEGMENT, k_end - k))
     while k < k_end:
-        length = min(buffer.size, k_end - k)
-        for r, row in _class_rows(buffer[:length], k, base):
-            n = 30 * k + r
-            cut = int(n < lo)
-            yield n + 30 * cut, row[cut : length - int(n + 30 * (length - 1) >= hi)]
+        length = min(_SIEVE_SEGMENT, k_end - k)
+        for c, block in _class_rows(buffer, k, length, base):
+            n = 30 * k + np.array(_CLASSES[c : c + len(block)], dtype=np.int64)
+            block[:, 0] &= n >= lo
+            block[:, -1] &= n + 30 * (length - 1) < hi
+            yield n, block
         k += length
 
 
@@ -173,22 +214,24 @@ def _odd_walk(first: int, count: int, base: np.ndarray):
     """Yield (a, mask) for ascending segments of ``_SIEVE_SEGMENT`` odd
     numbers covering the ``count`` odd numbers from ``first`` (odd, at
     least 3): ``mask`` marks the numbers among a, a + 2, ... that the
-    class rows covering them leave standing, and 3 and 5.  The rows are
-    interleaved into one buffer of odd numbers allocated per walk, whose
-    entries for the other multiples of 3 and 5 stay False, so a mask is
-    valid until the next is yielded."""
+    class rows covering them leave standing, and 3 and 5.  The rows, in
+    ``_row_buffer``'s buffer, are interleaved into one buffer of odd
+    numbers allocated per walk, whose entries for the other multiples of 3
+    and 5 stay False, so a mask is valid until the next is yielded."""
     import numpy as np
 
     size = min(_SIEVE_SEGMENT, count)
-    rows = np.empty(size // 15 + 2, dtype=bool)
-    odd = np.zeros(15 * rows.size, dtype=bool)  # entry i: 30k + 2i + 1
+    span_max = size // 15 + 2  # rows a segment's numbers fall in
+    rows = _row_buffer(span_max)
+    odd = np.zeros(15 * span_max, dtype=bool)  # entry i: 30k + 2i + 1
     done = 0
     while done < count:
         a, length = first + 2 * done, min(size, count - done)
         k = a // 30
         span = (a + 2 * length - 2) // 30 + 1 - k
-        for r, row in _class_rows(rows[:span], k, base):
-            odd[(r - 1) // 2 : 15 * span : 15] = row
+        for c, block in _class_rows(rows, k, span, base):
+            for r, row in zip(_CLASSES[c:], block):
+                odd[(r - 1) // 2 : 15 * span : 15] = row
         odd[1:3] = k == 0  # 3 and 5
         at = (a - 30 * k) // 2
         yield a, odd[at : at + length]
@@ -292,10 +335,11 @@ def _sieve_segments(lo: int, hi: int, strike: int):
 
 
 def _sieve_rows(lo: int, hi: int, strike: int):
-    """Yield (n, row) covering the numbers prime to 30 of [max(lo, 2), hi).
+    """Yield (n, block) covering the numbers prime to 30 of [max(lo, 2), hi).
 
-    ``row`` marks the numbers among n, n + 30, ... with no prime factor
-    from 7 up to ``strike`` but themselves.  Nothing is refused here.
+    Row i of ``block`` marks the numbers among n[i], n[i] + 30, ... in
+    [lo, hi) with no prime factor from 7 up to ``strike`` but themselves.
+    Nothing is refused here.
     """
     return _struck(strike, _row_walk, max(lo, 2), hi)
 
@@ -325,8 +369,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 # largest x reaches its bound; swapped whole, as _base_cache is.
 _table: tuple = (0, None, None)
 # Entries per piece of a prime_pi lookup: its temporaries, 64 KiB each,
-# stay below glibc's mmap threshold and so reuse heap pages (134k lookups
-# took 4.6 ms in one piece and 1.7 ms in pieces of this size).
+# stay below glibc's 128 KiB mmap threshold and so reuse heap pages.  A
+# count of a window 6*10^5 wide near 9*10^10 took 2.1-2.4 ms so, against
+# 2.7-4.8 ms with one unpieced call per bound; the (2, 31) forest's
+# lookups, about 10^5 bounds a count, take 1.5 ms so and 2.9-3.3 ms in
+# one piece (BENCH_28.json, prime_pi_lookups).
 _PI_PIECE = 1 << 13
 
 

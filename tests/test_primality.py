@@ -550,7 +550,8 @@ class TestCountOnly:
         monkeypatch.setattr(
             sieve,
             "_class_rows",
-            lambda buffer, k0, base: struck.append(base.copy()) or rows(buffer, k0, base),
+            lambda buffer, k0, length, base: struck.append(base.copy())
+            or rows(buffer, k0, length, base),
         )
         assert pk.count_primes_in_range(lo, hi) == 256666
         t = rough_bound(hi)
@@ -799,18 +800,20 @@ PRIMES_FROM_7 = sieve_list(2000)[3:]
 
 @st.composite
 def row_args(draw):
-    """(k0, length, base) for ``_class_rows``: k0 from 0 up to 2^62 / 30, as
-    far as exact sieves reach (hi <= 10^16), small ones (the pattern's
-    primes at k0 = 0, and rows starting below p^2 for base primes p) drawn
-    often; lengths up to three pattern periods and more, and short ones,
-    below which base primes strike a row at most once and whose span
+    """(k0, length, base, size) for ``_class_rows``: k0 from 0 up to
+    2^62 / 30, as far as exact sieves reach (hi <= 10^16), small ones (the
+    pattern's primes at k0 = 0, and rows starting below p^2 for base primes
+    p) drawn often; lengths up to three pattern periods and more, and short
+    ones, below which base primes strike a row at most once and whose span
     30 * length the largest base primes pass; bases that begin at 7 (the
-    pattern) or further on (the plain path)."""
+    pattern) or further on (the plain path); buffers of ``size`` entries
+    that hold from one row to all eight, and some to spare."""
     k0 = draw(st.one_of(st.integers(0, 3), st.integers(0, 140_000), st.integers(0, 2**62 // 30 - 1)))
     length = draw(st.one_of(st.integers(1, 40), st.integers(1, 3 * 17017 + 7)))
     first = draw(st.one_of(st.just(0), st.integers(0, len(PRIMES_FROM_7))))
-    size = draw(st.integers(0, 60))
-    return k0, length, np.array(PRIMES_FROM_7[first : first + size], dtype=np.int64)
+    count = draw(st.integers(0, 60))
+    size = draw(st.integers(1, 9)) * length + draw(st.integers(0, length - 1))
+    return k0, length, np.array(PRIMES_FROM_7[first : first + count], dtype=np.int64), size
 
 
 def trial_division_row(k0: int, r: int, length: int, base: np.ndarray) -> np.ndarray:
@@ -827,33 +830,47 @@ def trial_division_row(k0: int, r: int, length: int, base: np.ndarray) -> np.nda
 @given(row_args())
 @settings(max_examples=200, deadline=None)
 def test_odd_mask_matches_trial_division(args):
-    # each class row, with every prime from 7 up to its last in ``base``
+    # each class row, struck in groups of as many rows as the buffer holds
+    # (eight at most), with every prime from 7 up to its last in ``base``
     # (so with the pattern), is False exactly when its number has a factor
     # in base other than itself
-    k0, length, base = args
-    rows = [(r, row.copy()) for r, row in sieve._class_rows(np.empty(length, dtype=bool), k0, base)]
+    k0, length, base, size = args
+    buffer = np.empty(size, dtype=bool)
+    g = min(8, size // length)
+    rows = []
+    for c, block in sieve._class_rows(buffer, k0, length, base):
+        assert c == len(rows) and block.shape == (min(g, 8 - c), length)
+        assert np.shares_memory(block, buffer)
+        rows += [(sieve._CLASSES[c + i], row.copy()) for i, row in enumerate(block)]
     assert [r for r, _ in rows] == list(sieve._CLASSES)
     for r, row in rows:
         assert np.array_equal(row, trial_division_row(k0, r, length, base)), r
 
 
 def test_walk_fills_one_buffer(monkeypatch):
-    # every row of a count's walk is a view of the one buffer the walk
-    # allocated, trimmed to the range, the last and shorter segment's
-    # included; a listing's masks are views of its one odd-number buffer
+    # a count's walk fills the one buffer it allocated: segments of up to
+    # _SIEVE_SEGMENT rows, in groups of as many rows as _GROUP entries
+    # hold (three of 2^9 here, and all eight of the last and shorter
+    # segment), the entries outside the range cleared; a listing's masks
+    # are views of its one odd-number buffer
     monkeypatch.setattr(sieve, "_SIEVE_SEGMENT", 1 << 9)
+    monkeypatch.setattr(sieve, "_GROUP", 3 << 9)
     base = np.array(PRIMES_FROM_7[:40], dtype=np.int64)
     lo, hi = 10**6 + 7, 10**6 + 30 * (5 * (1 << 9) + 77) - 3
-    rows = list(sieve._row_walk(lo, hi, base))
-    assert len(rows) == 8 * 6
-    buffer = rows[0][1].base
-    assert buffer is not None and buffer.size == 1 << 9
-    assert all(row.base is buffer for _, row in rows)
-    numbers = sorted(n + 30 * i for n, row in rows for i in range(row.size))
-    assert numbers == [n for n in range(lo, hi) if math.gcd(n, 30) == 1]
-    n, last = rows[-1]
-    assert n % 30 == 29 and last.size == 77
-    assert np.array_equal(last, trial_division_row((n - 29) // 30, 29, 77, base))
+    k, k_end = lo // 30, (hi - 1) // 30 + 1
+    assert k_end - k == 5 * (1 << 9) + 78
+    blocks = [(n.copy(), block.copy(), block.base) for n, block in sieve._row_walk(lo, hi, base)]
+    assert [block.shape for _, block, _ in blocks] == [(3, 512), (3, 512), (2, 512)] * 5 + [(8, 78)]
+    buffer = blocks[0][2]
+    assert buffer is not None and buffer.size == 3 << 9
+    assert all(owner is buffer for _, _, owner in blocks)
+    firsts = [first for n, _, _ in blocks for first in n.tolist()]
+    assert firsts == [30 * k0 + r for k0 in range(k, k_end, 512) for r in sieve._CLASSES]
+    for n, block, _ in blocks:
+        for first, row in zip(n.tolist(), block):
+            numbers = first + 30 * np.arange(row.size)
+            want = trial_division_row(first // 30, first % 30, row.size, base)
+            assert np.array_equal(row, want & (lo <= numbers) & (numbers < hi)), first
     masks = list(sieve._odd_walk(10**6 + 1, 5 * (1 << 9) + 77, base))
     assert [mask.size for _, mask in masks] == [1 << 9] * 5 + [77]
     assert len({id(mask.base) for _, mask in masks}) == 1

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import prckit as pk
@@ -224,6 +225,16 @@ class TestCertifiedRootEnclosure:
         with pytest.raises(pk.BitCeilingError, match="at a 575152-bit root order"):
             pk.prc_digits(self.decoded_powfact_chain(9), 10)
         assert time.monotonic() - started < 1
+        # from 2^1024 down, the bit estimates are taken in integers too: a
+        # 1024-bit order that rounds to 2^1024 as a float, and an order 2q
+        # whose largest factor q (near 2^1020, none below 2^10) passes the
+        # float range in the guard of the composed roots, are refused there
+        q = sympy.nextprime(2**1020)
+        for order in (2**1024 - 1, 2 * q):
+            assert order.bit_length() <= 1024
+            with pytest.raises(pk.BitCeilingError, match="at root order") as err:
+                radix.scaled_root_floor(2, order, 1)
+            assert err.value.max_feasible_digits == 0
         # below 2^1024 nothing changes: five primes give digits (order
         # 3^120), a 1024-bit order 3^646 composes 646 cube roots, and 1006
         # digits at order 3^9 (a const:3 depth-9 chain's 1000 places)
