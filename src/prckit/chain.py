@@ -330,12 +330,16 @@ def convergence_bound_check(
         raise ValueError(f"need 1 <= k < depth, got k={k} depth={chain.depth}")
     p1 = chain.primes[0]
     c1 = chain.exps.term(1)
+    # a >= C_{k+1} / b below: a C_{k+1} of 2^bits(b * ceiling) or more
+    # refuses unbuilt (a powfact:3 C_11 has 6.3*10^7 bits)
+    b = (1 - THETA).denominator * c1
+    if chain.exps.product_bits_floor(k + 1) >= (b * config.radicand_bit_ceiling).bit_length():
+        return ConvergenceCheck(k, None, 0, 0, 0)
     pk, pk1 = chain.primes[k - 1], chain.primes[k]
     ck = chain.exps.partial_product(k)
     ck1 = chain.exps.partial_product(k + 1)
     # g = p1^(-a/b) with a/b = (1-theta) * C_{k+1} / c_1, reduced
     a = (1 - THETA).numerator * ck1
-    b = (1 - THETA).denominator * c1
     g = math.gcd(a, b)
     a //= g
     b //= g

@@ -13,8 +13,9 @@ Exit codes: 0 success / all checks passed; 1 a verification check failed;
 exceed the chain bit ceiling and an output integer past the interpreter's
 int-string limit), with a partial artifact when one exists (a truncated
 chain refuses after its artifact, even where a check failed); 64 usage
-error (including out-of-range arguments, refused before any chain or
-forest is built, so before data errors); 65 bad input data
+error (including out-of-range arguments and a ``PRC_BIT_CEILING`` that is
+not a positive decimal, refused before any chain or forest is built, so
+before data errors); 65 bad input data
 (composite seed); 66 missing or malformed input file (including JSON that
 cannot be decoded, integers that are not decimal strings and primes below
 2).  ``digits --format text`` writes no prime, so only its JSON output
@@ -110,7 +111,13 @@ def _config(args):
     kwargs = {}
     env_ceiling = os.environ.get("PRC_BIT_CEILING")
     if env_ceiling:
-        kwargs["radicand_bit_ceiling"] = int(env_ceiling)
+        try:
+            ceiling = int(env_ceiling) if env_ceiling.isascii() and env_ceiling.isdigit() else 0
+        except ValueError as exc:  # past the interpreter's int-string limit
+            raise ValueError(f"PRC_BIT_CEILING: {exc}") from None
+        if ceiling < 1:
+            raise ValueError(f"PRC_BIT_CEILING must be a positive decimal, got {env_ceiling!r}")
+        kwargs["radicand_bit_ceiling"] = ceiling
     budget = getattr(args, "window_budget", None)
     if budget is not None:
         if budget < 1:

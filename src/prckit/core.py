@@ -160,6 +160,14 @@ class ExponentSequence:
             out *= self.term(j)
         return out
 
+    def product_bits_floor(self, k: int) -> int:
+        """A lower bound on log2(C_k), its floor but for powfact, whose C_k
+        = b^(k!) >= 2^((bits of b - 1) * k!) is not built."""
+        if self.kind == "powfact":
+            self._check_depth(k)
+            return (self.base.bit_length() - 1) * math.factorial(k)
+        return self.partial_product(k).bit_length() - 1
+
     def _check_depth(self, k: int) -> None:
         if k < 1:
             raise ExponentSpecError(f"term index must be positive, got {k}")

@@ -232,11 +232,19 @@ def prc_digits(
 
     Precision rises until the agreed prefix stops growing (the bracket
     width, roughly 1/(C_K * p_K), is the ceiling) or max_digits is reached.
+    A C_K of more bits than the radicand ceiling is refused unbuilt.
     """
     if max_digits < 1:
         raise ValueError("max_digits must be positive")
     p = chain.primes[-1]
     depth = chain.depth
+    bits = chain.exps.product_bits_floor(depth)
+    if bits >= config.radicand_bit_ceiling:
+        raise BitCeilingError(
+            f"root order C_{depth} of over {bits} bits needs a radicand above the "
+            f"ceiling {config.radicand_bit_ceiling}; at most ~0 digits are feasible",
+            max_feasible_digits=0,
+        )
     order = chain.exps.partial_product(depth)
     # the bracket closes near 1/(order * p): the digit count overshoots by a hair
     estimate = decimal_length(p) + decimal_length(order) - 1

@@ -2,20 +2,20 @@
 for the explorer; chains, verification and digits only scan (``primality``).
 
 One numpy kernel, imported on first use, sieves millions of numbers in
-class rows: the row of r holds the numbers 30k + r for one of the eight
-residues r prime to 30, so no multiple of 2, 3 or 5 is stored.
-``_class_rows`` is its one loop that strikes multiples (from a cached
-pattern of the numbers prime to 7*11*13*17 when its base primes begin 7,
-11, 13, 17).  Exact primes come one way: ``_struck`` strikes a range with
-the base primes up to a bound, sqrt(hi) for a listing (``_sieve_segments``,
-the rows interleaved into masks of the odd numbers: ``primes_in_range``,
-the fill of the base-prime cache to 2^23, the base primes past it,
-uncached, and the prime-count table below 2^23) and a t from cbrt(hi) for
-a count (``count_primes_in_range``, which counts the rows of
-``_sieve_rows`` and subtracts Lehmer's P2 term by one lookup in that
-table, ``prime_pi``).  ``enumerable_window`` is the one rule for which
-windows are enumerated; the explorer lists or counts the windows it lets
-through.  ``ENUMERATION_CAP`` and ``MAX_SIEVE_BASE`` are read at call time.
+class rows, the only layout: the row of r holds the numbers 30k + r for
+one of the eight residues r prime to 30, so no multiple of 2, 3 or 5 is
+stored.  ``_class_rows`` is its one loop that strikes multiples (from a
+cached pattern of the numbers prime to 7*11*13*17 when its base primes
+begin 7, 11, 13, 17), and ``_struck`` strikes a range's rows with the base
+primes up to sqrt(hi) for a listing and to a t from cbrt(hi) for a count.
+A listing (``primes_in_range``, the base-prime cache fill, the uncached
+base primes past 2^23) reads the primes from 7 off each segment's rows
+interleaved k-major (``_masks``); a count (``count_primes_in_range``) sums
+the rows and subtracts Lehmer's P2 term by one lookup in the prime-count
+table of ``prime_pi``, a byte of eight row bits per k.
+``enumerable_window`` is the one rule for which windows are enumerated;
+the explorer lists or counts the windows it lets through.
+``ENUMERATION_CAP`` and ``MAX_SIEVE_BASE`` are read at call time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from math import isqrt
 
 from .core import EnumerationCapError, Window
-from .primality import _TRIAL_PRIMES, _scan_layout
+from .primality import _TRIAL_PRIMES
 from .radix import nth_root_floor
 
 # Widest window an exact enumeration takes: wider ones are refused.
@@ -33,8 +33,8 @@ ENUMERATION_CAP = 10_000_000
 # are refused.
 MAX_SIEVE_BASE = 100_000_000
 _SEGMENT_WIDTH_LIMIT = 50_000_000
-# Entries per segment of the exact sieve: a count's class rows, of up to
-# 1 MiB, or a listing's odd numbers, a 1 MiB mask.
+# Entries per segment of the exact sieve: each of a count's class rows, of
+# up to 1 MiB, or a listing's eight rows interleaved, a 1 MiB mask.
 _SIEVE_SEGMENT = 1 << 20
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ _PATTERN_PERIOD = math.prod(_PATTERN_PRIMES)  # 17017
 _pattern = None
 # Primes from a row's length // _FEW strike it at most _FEW times: cheaper
 # in one index over the hits of them all than in a slice each.  Up to
-# eight rows of up to _GROUP entries in all (``_row_buffer``) are struck
+# eight rows of up to _GROUP entries in all (``_row_walk``) are struck
 # together: one pass of the per-prime work (the starts, that index) serves
 # them all, and its temporaries stay small enough to reuse the
 # allocator's pages.  The
@@ -180,62 +180,26 @@ def _class_rows(buffer: np.ndarray, k0: int, length: int, base: np.ndarray):
         yield c, block
 
 
-def _row_buffer(length: int) -> np.ndarray:
-    """The one buffer of a walk whose segments have rows of up to
-    ``length`` entries: for one row, or for as many as ``_GROUP`` entries
-    hold, up to all eight."""
-    import numpy as np
-
-    return np.empty(max(length, min(len(_CLASSES) * length, _GROUP)), dtype=bool)
-
-
-def _row_walk(lo: int, hi: int, base: np.ndarray):
-    """Yield (n, block) for the class rows of [lo, hi), lo >= 2, in
-    ascending segments of up to ``_SIEVE_SEGMENT`` values of k, each in the
-    groups of ``_class_rows``: ``block`` is a group's mask with the entries
-    outside [lo, hi) cleared, and ``n`` the int64 array of its rows' first
-    numbers 30k + r.  Every block is a view of one buffer allocated per
-    walk, ``_row_buffer``'s."""
+def _row_walk(lo: int, hi: int, base: np.ndarray, span: int):
+    """Yield (k, c, block) for the class rows of [max(lo, 2), hi) in
+    ascending segments of up to ``span`` values of k, each in the groups of
+    ``_class_rows``: row i of ``block`` marks the numbers 30(k + j) +
+    _CLASSES[c + i], with the entries outside that range cleared.  Every
+    block is a view of one buffer allocated per walk, for one row of the
+    longest segment or as many as ``_GROUP`` entries hold, up to all eight."""
     import numpy as np
 
     k, k_end = lo // 30, (hi - 1) // 30 + 1
-    buffer = _row_buffer(min(_SIEVE_SEGMENT, k_end - k))
+    length = min(span, k_end - k)
+    buffer = np.empty(max(length, min(len(_CLASSES) * length, _GROUP)), dtype=bool)
     while k < k_end:
-        length = min(_SIEVE_SEGMENT, k_end - k)
+        length = min(span, k_end - k)
         for c, block in _class_rows(buffer, k, length, base):
             n = 30 * k + np.array(_CLASSES[c : c + len(block)], dtype=np.int64)
-            block[:, 0] &= n >= lo
+            block[:, 0] &= n >= max(lo, 2)
             block[:, -1] &= n + 30 * (length - 1) < hi
-            yield n, block
+            yield k, c, block
         k += length
-
-
-def _odd_walk(first: int, count: int, base: np.ndarray):
-    """Yield (a, mask) for ascending segments of ``_SIEVE_SEGMENT`` odd
-    numbers covering the ``count`` odd numbers from ``first`` (odd, at
-    least 3): ``mask`` marks the numbers among a, a + 2, ... that the
-    class rows covering them leave standing, and 3 and 5.  The rows, in
-    ``_row_buffer``'s buffer, are interleaved into one buffer of odd
-    numbers allocated per walk, whose entries for the other multiples of 3
-    and 5 stay False, so a mask is valid until the next is yielded."""
-    import numpy as np
-
-    size = min(_SIEVE_SEGMENT, count)
-    span_max = size // 15 + 2  # rows a segment's numbers fall in
-    rows = _row_buffer(span_max)
-    odd = np.zeros(15 * span_max, dtype=bool)  # entry i: 30k + 2i + 1
-    done = 0
-    while done < count:
-        a, length = first + 2 * done, min(size, count - done)
-        k = a // 30
-        span = (a + 2 * length - 2) // 30 + 1 - k
-        for c, block in _class_rows(rows, k, span, base):
-            for r, row in zip(_CLASSES[c:], block):
-                odd[(r - 1) // 2 : 15 * span : 15] = row
-        odd[1:3] = k == 0  # 3 and 5
-        at = (a - 30 * k) // 2
-        yield a, odd[at : at + length]
-        done += length
 
 
 # Base primes up to this bound stay cached once sieved: the explorer's under
@@ -267,20 +231,28 @@ def _base_primes(limit: int) -> np.ndarray:
         grown = min(max(limit, 2 * cached, 1 << 16), _BASE_CACHE_LIMIT)
         _base_primes(isqrt(grown))  # may grow the cache itself
         cached, primes = _base_cache
-        primes = np.concatenate((primes, *_odd_primes(cached + 1, grown + 1, isqrt(grown))))
+        primes = np.concatenate((primes, *_listed(cached + 1, grown + 1, isqrt(grown))))
         _base_cache = (grown, primes)
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-def _odd_primes(lo: int, hi: int, strike: int):
-    """Yield the numbers ``_sieve_segments(lo, hi, strike)`` marks as
-    ascending int64 arrays, one per segment: the odd primes of [lo, hi)
-    when ``strike`` is at least sqrt(hi - 1)."""
+def _listed(lo: int, hi: int, strike: int):
+    """Yield the numbers ``_masks(lo, hi, strike)`` marks as ascending int64
+    arrays, one per segment: the primes of [lo, hi) from 7 when ``strike``
+    is at least sqrt(hi - 1)."""
     import numpy as np
 
-    for a, mask in _sieve_segments(lo, hi, strike):
-        i = np.flatnonzero(mask)  # a + 2i in place: no temporary per segment
-        yield np.add(np.multiply(i, 2, out=i), a, out=i)
+    classes = np.array(_CLASSES, dtype=np.uint8)
+    for k, mask in _masks(lo, hi, strike):
+        # 30(k + i // 8) + classes[i % 8] in place, the classes read through
+        # byte-wide temporaries: int64 ones of 2 MB fault in on every call
+        i = np.flatnonzero(mask)
+        r = classes[np.bitwise_and(i, 7, dtype=np.uint8, casting="unsafe")]
+        i >>= 3
+        i *= 30
+        i += 30 * k
+        i += r
+        yield i
 
 
 def _sieve_bound(lo: int, hi: int) -> int:
@@ -304,44 +276,44 @@ def _sieve_bound(lo: int, hi: int) -> int:
     return need
 
 
-def _struck(strike: int, walk, *args):
-    """Yield the segments of ``walk(*args, base)`` (``_odd_walk`` or
-    ``_row_walk``) struck by every prime from 7 up to ``strike``.
+def _struck(lo: int, hi: int, strike: int, span: int):
+    """Yield the groups of ``_row_walk(lo, hi, base, span)`` struck by every
+    prime from 7 up to ``strike``: a row marks the numbers with no such
+    prime factor but themselves, exactly the primes when ``strike`` is at
+    least sqrt(hi - 1).  Nothing is refused here; the public sieves call
+    ``_sieve_bound`` first.
 
     The base primes past the cache come from this same sieve, batch by
-    batch, and each batch strikes every segment in turn, so all the
-    segments' masks are kept (copied out of the walk's one buffer) until
-    the last batch.
+    batch, and each batch strikes every group in turn, so all the groups'
+    blocks are kept (copied out of the walk's one buffer) until the last
+    batch.
     """
-    segments = walk(*args, _base_primes(strike)[3:])
+    groups = _row_walk(lo, hi, _base_primes(strike)[3:], span)
     if strike > _BASE_CACHE_LIMIT:
-        segments = [(n, mask.copy()) for n, mask in segments]
-        for batch in _odd_primes(_BASE_CACHE_LIMIT + 1, strike + 1, isqrt(strike)):
-            for (_, mask), (_, more) in zip(segments, walk(*args, batch)):
-                mask &= more
-    yield from segments
+        groups = [(k, c, block.copy()) for k, c, block in groups]
+        for batch in _listed(_BASE_CACHE_LIMIT + 1, strike + 1, isqrt(strike)):
+            for (*_, block), (*_, more) in zip(groups, _row_walk(lo, hi, batch, span)):
+                block &= more
+    yield from groups
 
 
-def _sieve_segments(lo: int, hi: int, strike: int):
-    """Yield (a, mask) covering the odd numbers of [max(lo, 3), hi).
+def _masks(lo: int, hi: int, strike: int):
+    """Yield (k, mask) for ascending segments covering the class rows of
+    [max(lo, 2), hi): ``mask`` holds the struck rows of ``_struck(lo, hi,
+    strike)`` k-major, with shape (length, 8), so entry 8i + c of its flat
+    view stands for 30(k + i) + _CLASSES[c].  Every mask is a view of one
+    buffer of at most ``_SIEVE_SEGMENT`` entries allocated per walk, filled
+    by strided copies of the rows."""
+    import numpy as np
 
-    ``mask`` marks the numbers among a, a + 2, ... with no odd prime
-    factor up to max(``strike``, 5) but themselves: exactly the primes
-    when ``strike`` is at least sqrt(hi - 1).  Nothing is refused here; the
-    public sieves call ``_sieve_bound`` first.  Callers add 2.
-    """
-    _, first, odd = _scan_layout(lo, hi)
-    return _struck(strike, _odd_walk, first, odd)
-
-
-def _sieve_rows(lo: int, hi: int, strike: int):
-    """Yield (n, block) covering the numbers prime to 30 of [max(lo, 2), hi).
-
-    Row i of ``block`` marks the numbers among n[i], n[i] + 30, ... in
-    [lo, hi) with no prime factor from 7 up to ``strike`` but themselves.
-    Nothing is refused here.
-    """
-    return _struck(strike, _row_walk, max(lo, 2), hi)
+    span = _SIEVE_SEGMENT // len(_CLASSES)
+    rows = min(span, (hi - 1) // 30 + 1 - lo // 30)
+    buffer = np.empty((rows, len(_CLASSES)), dtype=bool)
+    for k, c, block in _struck(lo, hi, strike, span):
+        mask = buffer[: block.shape[1]]
+        mask[:, c : c + len(block)] = block.T
+        if c + len(block) == len(_CLASSES):
+            yield k, mask
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -353,8 +325,8 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    primes = [2] if lo == 2 else []
-    for batch in _odd_primes(lo, hi, _sieve_bound(lo, hi)):
+    primes = [p for p in (2, 3, 5) if lo <= p < hi]
+    for batch in _listed(lo, hi, _sieve_bound(lo, hi)):
         primes += batch.tolist()
     return primes
 
@@ -362,11 +334,12 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # counts: pi(x) below the cache bound, and Lehmer's P2 term
 
-# (bound, words, counts), the table of the odd numbers of [3, bound): bit
-# i of words[w] (little-endian uint64) is set exactly when 3 + 2*(64w + i)
-# is prime, and counts[w] (int32) is the number of bits set in the words
-# before w.  Built once, to _BASE_CACHE_LIMIT, by the first prime_pi whose
-# largest x reaches its bound; swapped whole, as _base_cache is.
+# (bound, words, counts), the table of the class rows of [2, bound): byte
+# k of words (little-endian uint64) has bit c set exactly when 30k +
+# _CLASSES[c] is prime, so word w stands for [240w, 240w + 240), and
+# counts[w] (int32) is the number of bits set in the words before w.  Built
+# once, to _BASE_CACHE_LIMIT, by the first prime_pi whose largest x reaches
+# its bound; swapped whole, as _base_cache is.
 _table: tuple = (0, None, None)
 # Entries per piece of a prime_pi lookup: its temporaries, 64 KiB each,
 # stay below glibc's 128 KiB mmap threshold and so reuse heap pages.  A
@@ -375,6 +348,8 @@ _table: tuple = (0, None, None)
 # lookups, about 10^5 bounds a count, take 1.5 ms so and 2.9-3.3 ms in
 # one piece (BENCH_28.json, prime_pi_lookups).
 _PI_PIECE = 1 << 13
+# At x % 240, the bits of x's word that stand for numbers up to x.
+_LOW = tuple((1 << 8 * (m // 30) + sum(r <= m % 30 for r in _CLASSES)) - 1 for m in range(240))
 
 
 def popcount64(x: np.ndarray) -> np.ndarray:
@@ -389,33 +364,28 @@ def popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def _build(bound: int) -> tuple:
-    """``_table`` to ``bound``, sieved one segment at a time: each mask is
-    packed into its words and summed, 64 entries at a time, into their
-    counts (segments hold a multiple of 64 odd numbers)."""
+    """``_table`` to ``bound``: each struck row's bytes, shifted by its
+    class, are OR-ed into the table's bytes, and the words' counts summed
+    from their popcounts."""
     import numpy as np
 
-    size = (bound - 2) // 2 // 64 + 1  # to the word of x = bound - 1 in prime_pi
+    size = (bound - 1) // 240 + 1  # to the word of x = bound - 1 in prime_pi
     words = np.zeros(size, dtype="<u8")
-    counts = np.zeros(size + 1, dtype=np.int32)  # the words' counts, shifted by one
     raw = words.view(np.uint8)
-    for a, mask in _sieve_segments(3, bound, isqrt(bound - 1)):
-        at = (a - 3) // 2
-        packed = np.packbits(mask, bitorder="little")
-        raw[at // 8 : at // 8 + packed.size] = packed
-        full, w = mask.size // 64, at // 64
-        counts[w + 1 : w + 1 + full] = mask[: 64 * full].reshape(full, 64).sum(axis=1)
-        if mask.size % 64:
-            counts[w + 1 + full] = np.count_nonzero(mask[64 * full :])
-    np.cumsum(counts, out=counts)
-    return bound, words, counts[:size]
+    for k, c, block in _struck(2, bound, isqrt(bound - 1), _SIEVE_SEGMENT):
+        for shift, row in enumerate(block, start=c):
+            raw[k : k + row.size] |= row.view(np.uint8) << shift
+    counts = np.zeros(size, dtype=np.int32)
+    counts[1:] = np.cumsum(popcount64(words[:-1]))
+    return bound, words, counts
 
 
 def prime_pi(x: np.ndarray) -> np.ndarray:
     """pi(x) for each entry of an int64 array x >= 1, as int64, from
     ``_table``, which is rebuilt to ``_BASE_CACHE_LIMIT`` when the largest
     x reaches its bound: the count of the words before x's and the popcount
-    of the bits of x's word up to x, plus 1 for the prime 2, taken in pieces
-    of ``_PI_PIECE`` entries."""
+    of the bits of x's word up to x, plus the primes 2, 3 and 5 up to x,
+    taken in pieces of ``_PI_PIECE`` entries."""
     import numpy as np
 
     global _table
@@ -423,13 +393,15 @@ def prime_pi(x: np.ndarray) -> np.ndarray:
     if int(x.max()) >= table[0]:
         table = _table = _build(_BASE_CACHE_LIMIT)
     _, words, counts = table
+    low = np.array(_LOW, dtype=np.uint64)
+    small = np.array((0, 0, 1, 2, 2, 3))  # the primes 2, 3 and 5 up to x
     pi = np.empty_like(x)
     for i in range(0, x.size, _PI_PIECE):
         part = x[i : i + _PI_PIECE]
-        n = (part - 1) >> 1  # the odd numbers of [3, x]
-        w, below = n >> 6, (n & 63).astype(np.uint64)
-        bits = words[w] & ((np.uint64(1) << below) - np.uint64(1))
-        pi[i : i + _PI_PIECE] = counts[w] + popcount64(bits).astype(np.int64) + (part >= 2)
+        w = part // 240
+        bits = words[w] & low[part - 240 * w]
+        found = counts[w] + popcount64(bits).astype(np.int64)
+        pi[i : i + _PI_PIECE] = found + small[np.minimum(part, 5)]
     return pi
 
 
@@ -438,8 +410,8 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     building the list.
 
     With t = min(max(cbrt(hi - 1) + 1, (hi - 1) // _BASE_CACHE_LIMIT + 1,
-    7), sqrt(hi - 1) + 1), ``_sieve_rows`` strikes the class rows (which
-    hold no multiple of 2, 3 or 5) only with the primes from 7 below t.
+    7), sqrt(hi - 1) + 1), ``_struck`` strikes the class rows (which hold
+    no multiple of 2, 3 or 5) only with the primes from 7 below t.
     As t^3 > hi - 1, the composites left standing are exactly the products
     p*q of primes t <= p <= q, and for each p up to sqrt(hi - 1) with such
     a product in the window the q are counted as pi(q_hi) - pi(q_lo - 1)
@@ -469,7 +441,7 @@ def count_primes_in_range(lo: int, hi: int) -> int:
         pi = prime_pi(np.concatenate((q_hi[hit], q_lo[hit] - 1)))
         half = pi.size // 2
         count -= int(pi[:half].sum() - pi[half:].sum())
-    return count + sum(int(np.count_nonzero(row)) for _, row in _sieve_rows(lo, hi, t - 1))
+    return count + sum(int(np.count_nonzero(b)) for *_, b in _struck(lo, hi, t - 1, _SIEVE_SEGMENT))
 
 
 def enumerable_window(p: int, c: int) -> Window:

@@ -249,6 +249,21 @@ class TestDigitsCommand:
         assert code == 0 and out == golden.read_text()
 
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "000", "12x", "+64"])
+    def test_env_ceiling_must_be_a_positive_decimal(self, capsys, monkeypatch, value):
+        # refused before any chain is built, as a --window-budget below 1 is
+        monkeypatch.setenv("PRC_BIT_CEILING", value)
+        code, out, err = run_cli(
+            capsys, "digits", "--exps", "const:3", "--seed", "2", "--depth", "3"
+        )
+        assert code == 64 and out == ""
+        assert re.fullmatch(
+            rf"bad argument: PRC_BIT_CEILING must be a positive decimal, got "
+            rf"'{re.escape(value)}'\nelapsed_ms=\d+\n",
+            err,
+        ), err
+
+
 class TestVerifyCommand:
     def test_roundtrip(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, *CHAIN_ARGS)

@@ -520,20 +520,23 @@ class TestCountOnly:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sieve, "_BASE_CACHE_LIMIT", 1 << 10)
             mp.setattr(sieve, "_base_cache", (0, None))
-            rows = sieve._sieve_rows
+            struck = sieve._struck
             mp.setattr(
                 sieve,
-                "_sieve_rows",
-                lambda lo, hi, strike: calls.append((lo, hi, strike)) or rows(lo, hi, strike),
+                "_struck",
+                lambda lo, hi, strike, span: calls.append((lo, hi, strike))
+                or struck(lo, hi, strike, span),
             )
             for lo, hi, rough in ((2 * 10**6, 2 * 10**6 + 5000, False), (4000, 5000, True)):
                 need = isqrt(hi - 1)
                 assert (rough_bound(hi) <= need) == rough
                 calls.clear()
                 assert pk.count_primes_in_range(lo, hi) == len(primes_between(lo, hi))
-                # the count's own sieve, its only class-row sieve
+                # the count's own sieve, its only sieve of the window: the
+                # others fill the base primes, the uncached ones and the
+                # table, all below sqrt(hi - 1) or the tiny cache bound
                 strikes = [strike for a, b, strike in calls if (a, b) == (lo, hi)]
-                assert len(calls) == 1
+                assert all(b <= max(need, 1 << 10) + 1 for a, b, _ in calls if (a, b) != (lo, hi))
                 assert strikes == [rough_bound(hi) - 1 if rough else need]
                 assert (strikes[0] < need) == rough
             assert sieve._table[0] == 1 << 10
@@ -624,7 +627,7 @@ class TestSieves:
         assert pk.primes_in_range(lo, hi) == primes_between(lo, hi)
 
     def test_primes_in_range_across_segments(self):
-        # 2.25M odd positions: three segments of the exact sieve
+        # 150,000 values of k: two segments of a listing, 2^17 and 18,928
         assert pk.primes_in_range(0, 4_500_000) == sieve_list(4_499_999)
 
     def test_primes_in_range_high_segment(self):
@@ -652,7 +655,7 @@ class TestSieves:
         def sieved(*args):
             raise AssertionError(f"sieved {args} before refusing")
 
-        monkeypatch.setattr(sieve, "_sieve_segments", sieved)
+        monkeypatch.setattr(sieve, "_struck", sieved)
         with pytest.raises(pk.EnumerationCapError):
             pk.primes_in_range(2, limit + 1)
 
@@ -668,7 +671,7 @@ class TestSieves:
 
 
 class TestSieveKernel:
-    """``_odd_primes`` (and so ``_sieve_segments`` and ``_class_rows``, the
+    """``_listed`` (and so ``_masks``, ``_struck`` and ``_class_rows``, the
     one striking loop), the cached ``_base_primes`` and ``primes_in_range``
     against a plain bytearray sieve."""
 
@@ -678,10 +681,10 @@ class TestSieveKernel:
     def _check(self, limit):
         count = bisect.bisect_right(self.ORACLE, limit)
         for first in (0, limit // 2):
-            batches = list(sieve._odd_primes(first, limit + 1, isqrt(limit)))
+            batches = list(sieve._listed(first, limit + 1, isqrt(limit)))
             assert all(b.dtype == np.int64 for b in batches), limit
             got = np.concatenate([np.empty(0, np.int64), *batches])
-            skip = bisect.bisect_left(self.ORACLE, max(first, 3))  # odd primes only
+            skip = bisect.bisect_left(self.ORACLE, max(first, 7))  # primes from 7 only
             assert np.array_equal(got, self.ORACLE_ARRAY[skip:count]), (first, limit)
         cached = bisect.bisect_right(self.ORACLE, sieve._BASE_CACHE_LIMIT)
         got = sieve._base_primes(limit)
@@ -726,12 +729,12 @@ class TestSieveKernel:
         monkeypatch.setattr(sieve, "_SIEVE_SEGMENT", 1 << 9)
         monkeypatch.setattr(sieve, "_base_cache", (0, None))
         fills = []
-        odd_primes = sieve._odd_primes
+        listed = sieve._listed
         monkeypatch.setattr(
             sieve,
-            "_odd_primes",
+            "_listed",
             lambda lo, hi, strike: fills.append((lo, hi - 1, strike))
-            or odd_primes(lo, hi, strike),
+            or listed(lo, hi, strike),
         )
         for limit in (10, 1 << 16, 70_000, 300_000, 1 << 20):
             sieve._base_primes(limit)
@@ -752,11 +755,11 @@ class TestSieveKernel:
         # what their own fill (to 2^16) left in the cache
         monkeypatch.setattr(sieve, "_base_cache", (0, None))
         fills = []
-        odd_primes = sieve._odd_primes
+        listed = sieve._listed
         monkeypatch.setattr(
             sieve,
-            "_odd_primes",
-            lambda lo, hi, strike: fills.append((lo, hi)) or odd_primes(lo, hi, strike),
+            "_listed",
+            lambda lo, hi, strike: fills.append((lo, hi)) or listed(lo, hi, strike),
         )
         sieve._base_primes(1 << 23)
         fills.sort()
@@ -775,7 +778,7 @@ DIFFERENTIAL_ORACLE = sieve_list(DIFFERENTIAL_TOP)
 )
 @settings(max_examples=40, deadline=None)
 def test_sieves_across_a_tiny_cache_bound(lo, width):
-    # with a cache bound of 2^6 and segments of 2^9 odd numbers, the cache
+    # with a cache bound of 2^6 and segments of 2^9 entries, the cache
     # holds only its seed and every base prime past 64 comes from the
     # sieve's own uncached batches, over many segments
     hi = min(lo + width, DIFFERENTIAL_TOP + 1)
@@ -852,28 +855,42 @@ def test_walk_fills_one_buffer(monkeypatch):
     # _SIEVE_SEGMENT rows, in groups of as many rows as _GROUP entries
     # hold (three of 2^9 here, and all eight of the last and shorter
     # segment), the entries outside the range cleared; a listing's masks
-    # are views of its one odd-number buffer
+    # are views of its one k-major buffer of _SIEVE_SEGMENT entries, in
+    # segments of _SIEVE_SEGMENT / 8 values of k, holding the same rows
     monkeypatch.setattr(sieve, "_SIEVE_SEGMENT", 1 << 9)
     monkeypatch.setattr(sieve, "_GROUP", 3 << 9)
     base = np.array(PRIMES_FROM_7[:40], dtype=np.int64)
     lo, hi = 10**6 + 7, 10**6 + 30 * (5 * (1 << 9) + 77) - 3
     k, k_end = lo // 30, (hi - 1) // 30 + 1
     assert k_end - k == 5 * (1 << 9) + 78
-    blocks = [(n.copy(), block.copy(), block.base) for n, block in sieve._row_walk(lo, hi, base)]
-    assert [block.shape for _, block, _ in blocks] == [(3, 512), (3, 512), (2, 512)] * 5 + [(8, 78)]
-    buffer = blocks[0][2]
+    blocks = [
+        (k0, c, block.copy(), block.base) for k0, c, block in sieve._row_walk(lo, hi, base, 1 << 9)
+    ]
+    shapes = [(3, 512), (3, 512), (2, 512)] * 5 + [(8, 78)]
+    assert [block.shape for *_, block, _ in blocks] == shapes
+    buffer = blocks[0][3]
     assert buffer is not None and buffer.size == 3 << 9
-    assert all(owner is buffer for _, _, owner in blocks)
-    firsts = [first for n, _, _ in blocks for first in n.tolist()]
+    assert all(owner is buffer for *_, owner in blocks)
+    firsts = [
+        30 * k0 + sieve._CLASSES[c + i] for k0, c, block, _ in blocks for i in range(len(block))
+    ]
     assert firsts == [30 * k0 + r for k0 in range(k, k_end, 512) for r in sieve._CLASSES]
-    for n, block, _ in blocks:
-        for first, row in zip(n.tolist(), block):
-            numbers = first + 30 * np.arange(row.size)
-            want = trial_division_row(first // 30, first % 30, row.size, base)
-            assert np.array_equal(row, want & (lo <= numbers) & (numbers < hi)), first
-    masks = list(sieve._odd_walk(10**6 + 1, 5 * (1 << 9) + 77, base))
-    assert [mask.size for _, mask in masks] == [1 << 9] * 5 + [77]
-    assert len({id(mask.base) for _, mask in masks}) == 1
+    want = {}
+    for first, row in zip(firsts, (row for *_, block, _ in blocks for row in block)):
+        numbers = first + 30 * np.arange(row.size)
+        struck = trial_division_row(first // 30, first % 30, row.size, base)
+        assert np.array_equal(row, struck & (lo <= numbers) & (numbers < hi)), first
+        want.update(zip(numbers.tolist(), row.tolist()))
+    masks = [(k0, mask.copy(), mask.base) for k0, mask in sieve._masks(lo, hi, PRIMES_FROM_7[39])]
+    assert [mask.shape for _, mask, _ in masks] == [(64, 8)] * 41 + [(14, 8)]
+    assert masks[0][2].size == 1 << 9 and all(owner is masks[0][2] for *_, owner in masks)
+    assert [k0 for k0, _, _ in masks] == list(range(k, k_end, 64))
+    got = {
+        30 * (k0 + i // 8) + sieve._CLASSES[i % 8]: standing
+        for k0, mask, _ in masks
+        for i, standing in enumerate(mask.ravel().tolist())
+    }
+    assert got == want
 
 
 def test_wheel_pattern_is_built_on_first_use():
@@ -967,20 +984,24 @@ print(count == len(prckit.primes_in_range(lo, hi)), sieve._base_cache[0], peak /
 
 
 # A count table with a partial last word and segment: its bound is odd and
-# segments hold 2^9 odd numbers.
+# segments hold 2^9 values of k.
 TABLE_BOUND = 70_001
 TABLE_SEGMENT = 1 << 9
 TABLE_ORACLE = sieve_list(TABLE_BOUND - 1)
 
 
 def table_points():
-    """x in [1, TABLE_BOUND): anywhere, or within 3 of 2, of the bound and
-    of the first odd number of a 64-bit word or of a segment (3 + 128w,
-    3 + 2 * TABLE_SEGMENT * k)."""
+    """x in [1, TABLE_BOUND): anywhere, or within 3 of 2, 3, 5, 7, of the
+    bound, of the first number of a 64-bit word (240w, the word of k from
+    8w), of a segment (30 * TABLE_SEGMENT * j) and of a number 30k + r of
+    the table."""
     edge = st.one_of(
-        st.sampled_from((2, TABLE_BOUND - 1)),
-        st.integers(0, TABLE_BOUND // 128).map(lambda w: 3 + 128 * w),
-        st.integers(0, TABLE_BOUND // (2 * TABLE_SEGMENT)).map(lambda k: 3 + 2 * TABLE_SEGMENT * k),
+        st.sampled_from((2, 3, 5, 7, TABLE_BOUND - 1)),
+        st.integers(0, TABLE_BOUND // 240).map(lambda w: 240 * w),
+        st.integers(0, TABLE_BOUND // (30 * TABLE_SEGMENT)).map(lambda j: 30 * TABLE_SEGMENT * j),
+        st.tuples(st.integers(0, TABLE_BOUND // 30), st.sampled_from(sieve._CLASSES)).map(
+            lambda kr: 30 * kr[0] + kr[1]
+        ),
     )
     near = st.tuples(edge, st.integers(-3, 3)).map(sum)
     return (near | st.integers(1, TABLE_BOUND - 1)).filter(lambda x: 1 <= x < TABLE_BOUND)
@@ -1005,8 +1026,9 @@ def test_prime_pi_to_the_cache_bound():
     got = sieve.prime_pi(np.array([1, 2, 3, bound - 1], dtype=np.int64))
     assert got.tolist() == [0, 1, 2, sympy.primepi(bound - 1)]
     assert sieve._table[0] == bound
-    # 2^22 - 1 odd numbers from 3, 64 to a word: 0.5 MB of words, 0.25 MB of counts
-    assert sieve._table[1].nbytes + sieve._table[2].nbytes == 3 << 18
+    # a byte per k of [0, 279620], 8 to a word: 34953 words of 8 bytes and
+    # counts of 4
+    assert sieve._table[1].nbytes + sieve._table[2].nbytes == 419_436
 
 
 @given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from((1, 2**63, 2**64 - 2))))

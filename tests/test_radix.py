@@ -7,6 +7,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import prckit as pk
+from conftest import run_probe
 from prckit.core import CertifiedDecimalInterval
 
 
@@ -363,6 +364,46 @@ class TestDeepDigits:
         result = pk.prc_digits(chain, 5000)
         assert result.agreed_places == 1770
         self.assert_matches_mpmath(chain, result)
+
+
+def test_orders_past_the_ceiling_are_decided_unbuilt():
+    """A decoded powfact:3 chain of primes "2" has the order C_k = 3^(k!):
+    at depth 11 (6.3*10^7 bits), ``convergence_bound_check`` and
+    ``prc_digits`` answer in under 1 s without building it, as they answer
+    at depth 10 (holds None; BitCeilingError, no digit feasible), and at
+    depth 9 they answer as they always did."""
+    probe = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import prckit as pk
+
+seed = pk.build_chain(pk.parse_exponent_spec("powfact:3"), 2, 2, "min", pk.EMPIRICAL)
+for depth in (9, 10, 11):
+    doc = seed.to_json_dict()
+    doc.update(primes=["2"] * depth, certainty=["deterministic"] * depth)
+    doc["requested_depth"] = str(depth)
+    chain = pk.PrimeChain.from_json_dict(doc)
+    started = time.monotonic()
+    check = pk.convergence_bound_check(chain, depth - 1)
+    try:
+        pk.prc_digits(chain, 10)
+    except pk.BitCeilingError as exc:
+        refused = exc
+    print(depth, time.monotonic() - started, check, refused.max_feasible_digits, refused)
+"""
+    lines = run_probe(probe, timeout=60)[:3]
+    answers = {}
+    for line in lines:
+        depth, seconds, rest = line.split(" ", 2)
+        answers[int(depth)] = (float(seconds), rest)
+    assert answers[11][0] < 1
+    for depth in (9, 10, 11):
+        check = f"ConvergenceCheck(k={depth - 1}, holds=None, precision=0, lhs_bits=0, rhs_bits=0)"
+        assert answers[depth][1].startswith(f"{check} 0 "), depth
+    assert answers[9][1].endswith(
+        " 0 radicand for 16 digits at a 575152-bit root order needs over 2^575155 bits, "
+        "above the ceiling 16777216; at most ~0 digits are feasible"
+    )
 
 
 class TestVerifyFloorRecovery:
