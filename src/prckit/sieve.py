@@ -307,8 +307,7 @@ def _masks(lo: int, hi: int, strike: int):
     import numpy as np
 
     span = _SIEVE_SEGMENT // len(_CLASSES)
-    rows = min(span, (hi - 1) // 30 + 1 - lo // 30)
-    buffer = np.empty((rows, len(_CLASSES)), dtype=bool)
+    buffer = np.empty((min(span, (hi - 1) // 30 + 1 - lo // 30), len(_CLASSES)), dtype=bool)
     for k, c, block in _struck(lo, hi, strike, span):
         mask = buffer[: block.shape[1]]
         mask[:, c : c + len(block)] = block.T
@@ -325,10 +324,12 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    primes = [p for p in (2, 3, 5) if lo <= p < hi]
-    for batch in _listed(lo, hi, _sieve_bound(lo, hi)):
-        primes += batch.tolist()
-    return primes
+    need = _sieve_bound(lo, hi)
+    import numpy as np
+
+    # one list at the end: a list grown batch by batch reallocates megabytes
+    small = np.array([p for p in (2, 3, 5) if lo <= p < hi], dtype=np.int64)
+    return np.concatenate((small, *_listed(lo, hi, need))).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +372,9 @@ def _build(bound: int) -> tuple:
 
     size = (bound - 1) // 240 + 1  # to the word of x = bound - 1 in prime_pi
     words = np.zeros(size, dtype="<u8")
-    raw = words.view(np.uint8)
     for k, c, block in _struck(2, bound, isqrt(bound - 1), _SIEVE_SEGMENT):
         for shift, row in enumerate(block, start=c):
-            raw[k : k + row.size] |= row.view(np.uint8) << shift
+            words.view(np.uint8)[k : k + row.size] |= row.view(np.uint8) << shift
     counts = np.zeros(size, dtype=np.int32)
     counts[1:] = np.cumsum(popcount64(words[:-1]))
     return bound, words, counts
