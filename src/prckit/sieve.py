@@ -194,10 +194,12 @@ def _row_walk(lo: int, hi: int, base: np.ndarray, span: int):
     buffer = np.empty(max(length, min(len(_CLASSES) * length, _GROUP)), dtype=bool)
     while k < k_end:
         length = min(span, k_end - k)
+        # rows [0, below) start below max(lo, 2); rows from above on end past hi - 1
+        below = sum(r < max(lo, 2) - 30 * k for r in _CLASSES)
+        above = sum(r < hi - 30 * (k + length - 1) for r in _CLASSES)
         for c, block in _class_rows(buffer, k, length, base):
-            n = 30 * k + np.array(_CLASSES[c : c + len(block)], dtype=np.int64)
-            block[:, 0] &= n >= max(lo, 2)
-            block[:, -1] &= n + 30 * (length - 1) < hi
+            block[: max(below - c, 0), 0] = False
+            block[max(above - c, 0) :, -1] = False
             yield k, c, block
         k += length
 
@@ -244,10 +246,8 @@ def _listed(lo: int, hi: int, strike: int):
 
     classes = np.array(_CLASSES, dtype=np.uint8)
     for k, mask in _masks(lo, hi, strike):
-        # 30(k + i // 8) + classes[i % 8] in place, the classes read through
-        # byte-wide temporaries: int64 ones of 2 MB fault in on every call
-        i = np.flatnonzero(mask)
-        r = classes[np.bitwise_and(i, 7, dtype=np.uint8, casting="unsafe")]
+        i = np.flatnonzero(mask)  # 30(k + i // 8) + classes[i % 8], in place
+        r = classes[i & 7]
         i >>= 3
         i *= 30
         i += 30 * k
@@ -338,7 +338,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 # (bound, words, counts), the table of the class rows of [2, bound): byte
 # k of words (little-endian uint64) has bit c set exactly when 30k +
 # _CLASSES[c] is prime, so word w stands for [240w, 240w + 240), and
-# counts[w] (int32) is the number of bits set in the words before w.  Built
+# counts[w] (int32) is the number of bits set in the words up to w.  Built
 # once, to _BASE_CACHE_LIMIT, by the first prime_pi whose largest x reaches
 # its bound; swapped whole, as _base_cache is.
 _table: tuple = (0, None, None)
@@ -349,8 +349,10 @@ _table: tuple = (0, None, None)
 # lookups, about 10^5 bounds a count, take 1.5 ms so and 2.9-3.3 ms in
 # one piece (BENCH_28.json, prime_pi_lookups).
 _PI_PIECE = 1 << 13
-# At x % 240, the bits of x's word that stand for numbers up to x.
-_LOW = tuple((1 << 8 * (m // 30) + sum(r <= m % 30 for r in _CLASSES)) - 1 for m in range(240))
+# At x % 240, the bits of x's word that stand for numbers above x.
+_ABOVE = tuple(
+    (1 << 64) - (1 << 8 * (m // 30) + sum(r <= m % 30 for r in _CLASSES)) for m in range(240)
+)
 
 
 def popcount64(x: np.ndarray) -> np.ndarray:
@@ -366,8 +368,8 @@ def popcount64(x: np.ndarray) -> np.ndarray:
 
 def _build(bound: int) -> tuple:
     """``_table`` to ``bound``: each struck row's bytes, shifted by its
-    class, are OR-ed into the table's bytes, and the words' counts summed
-    from their popcounts."""
+    class, are OR-ed into the table's bytes, and the words' popcounts
+    summed into their counts."""
     import numpy as np
 
     size = (bound - 1) // 240 + 1  # to the word of x = bound - 1 in prime_pi
@@ -375,16 +377,14 @@ def _build(bound: int) -> tuple:
     for k, c, block in _struck(2, bound, isqrt(bound - 1), _SIEVE_SEGMENT):
         for shift, row in enumerate(block, start=c):
             words.view(np.uint8)[k : k + row.size] |= row.view(np.uint8) << shift
-    counts = np.zeros(size, dtype=np.int32)
-    counts[1:] = np.cumsum(popcount64(words[:-1]))
-    return bound, words, counts
+    return bound, words, np.cumsum(popcount64(words)).astype(np.int32)
 
 
 def prime_pi(x: np.ndarray) -> np.ndarray:
     """pi(x) for each entry of an int64 array x >= 1, as int64, from
     ``_table``, which is rebuilt to ``_BASE_CACHE_LIMIT`` when the largest
-    x reaches its bound: the count of the words before x's and the popcount
-    of the bits of x's word up to x, plus the primes 2, 3 and 5 up to x,
+    x reaches its bound: the count of the words up to x's less the popcount
+    of the bits of x's word above x, plus the primes 2, 3 and 5 up to x,
     taken in pieces of ``_PI_PIECE`` entries."""
     import numpy as np
 
@@ -393,14 +393,14 @@ def prime_pi(x: np.ndarray) -> np.ndarray:
     if int(x.max()) >= table[0]:
         table = _table = _build(_BASE_CACHE_LIMIT)
     _, words, counts = table
-    low = np.array(_LOW, dtype=np.uint64)
+    above = np.array(_ABOVE, dtype=np.uint64)
     small = np.array((0, 0, 1, 2, 2, 3))  # the primes 2, 3 and 5 up to x
     pi = np.empty_like(x)
     for i in range(0, x.size, _PI_PIECE):
         part = x[i : i + _PI_PIECE]
         w = part // 240
-        bits = words[w] & low[part - 240 * w]
-        found = counts[w] + popcount64(bits).astype(np.int64)
+        bits = words[w] & above[part - 240 * w]
+        found = counts[w] - popcount64(bits).astype(np.int64)
         pi[i : i + _PI_PIECE] = found + small[np.minimum(part, 5)]
     return pi
 
