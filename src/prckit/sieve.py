@@ -21,6 +21,7 @@ the explorer lists or counts the windows it lets through.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from math import isqrt
 
 from .core import EnumerationCapError, Window
@@ -58,10 +59,9 @@ _pattern = None
 # eight rows of up to _GROUP entries in all (``_row_walk``) are struck
 # together: one pass of the per-prime work (the starts, that index) serves
 # them all, and its temporaries stay small enough to reuse the
-# allocator's pages.  The
-# sweeps of both are in BENCH_28.json: slicing every prime below the row
-# length doubles the time of narrow windows' counts, and groups of all
-# eight rows of any length slow the (2, 31) forest's counts by a third.
+# allocator's pages.  The sweeps of both are in BENCH_28.json: slicing
+# every prime below the row length doubles the time of narrow windows'
+# counts; groups of eight rows of any length slow (2, 31)'s by a third.
 _FEW = 64
 _GROUP = 1 << 16
 
@@ -157,9 +157,10 @@ def _class_rows(buffer: np.ndarray, k0: int, length: int, base: np.ndarray):
                 block[:, 0] |= np.isin(r, _PATTERN_PRIMES)
         else:
             block[:] = True
-        for entries, starts in zip(block, start[:few].T.tolist()):
-            for q, t in zip(sliced, starts):
-                entries[t::q] = False
+        if sliced:  # else a narrow group makes no row views
+            for entries, starts in zip(block, start[:few].T.tolist()):
+                for q, t in zip(sliced, starts):
+                    entries[t::q] = False
         # the hits s + p*i of the other near primes, at i*length + s in
         # ``flat`` for row i, in one index built in place over the (prime,
         # row) pairs with hits: each fresh temporary as long as the hits
@@ -195,8 +196,8 @@ def _row_walk(lo: int, hi: int, base: np.ndarray, span: int):
     while k < k_end:
         length = min(span, k_end - k)
         # rows [0, below) start below max(lo, 2); rows from above on end past hi - 1
-        below = sum(r < max(lo, 2) - 30 * k for r in _CLASSES)
-        above = sum(r < hi - 30 * (k + length - 1) for r in _CLASSES)
+        below = bisect_left(_CLASSES, max(lo, 2) - 30 * k)
+        above = bisect_left(_CLASSES, hi - 30 * (k + length - 1))
         for c, block in _class_rows(buffer, k, length, base):
             block[: max(below - c, 0), 0] = False
             block[max(above - c, 0) :, -1] = False
@@ -244,13 +245,11 @@ def _listed(lo: int, hi: int, strike: int):
     is at least sqrt(hi - 1)."""
     import numpy as np
 
-    classes = np.array(_CLASSES, dtype=np.uint8)
     for k, mask in _masks(lo, hi, strike):
-        i = np.flatnonzero(mask)  # 30(k + i // 8) + classes[i % 8], in place
-        r = classes[i & 7]
+        i = np.flatnonzero(mask)  # 30(k + i // 8) + _CLASSES[i % 8], in place
+        r = (30 * k + np.array(_CLASSES))[i & 7]
         i >>= 3
         i *= 30
-        i += 30 * k
         i += r
         yield i
 
@@ -328,8 +327,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     import numpy as np
 
     # one list at the end: a list grown batch by batch reallocates megabytes
-    small = np.array([p for p in (2, 3, 5) if lo <= p < hi], dtype=np.int64)
-    return np.concatenate((small, *_listed(lo, hi, need))).tolist()
+    primes = np.concatenate(tuple(_listed(lo, hi, need))).tolist()
+    primes[:0] = [p for p in (2, 3, 5) if lo <= p < hi]
+    return primes
 
 
 # ---------------------------------------------------------------------------

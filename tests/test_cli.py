@@ -248,7 +248,6 @@ class TestDigitsCommand:
         golden = Path(__file__).parent / "golden" / "digits_powfact3_text.out"
         assert code == 0 and out == golden.read_text()
 
-
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "000", "12x", "+64"])
     def test_env_ceiling_must_be_a_positive_decimal(self, capsys, monkeypatch, value):
         # refused before any chain is built, as a --window-budget below 1 is
