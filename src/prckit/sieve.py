@@ -37,6 +37,13 @@ _SEGMENT_WIDTH_LIMIT = 50_000_000
 # Entries per segment of the exact sieve: each of a count's class rows, of
 # up to 1 MiB, or a listing's eight rows interleaved, a 1 MiB mask.
 _SIEVE_SEGMENT = 1 << 20
+# Entries per piece of an int64 pass over a prime_pi lookup or a listing's
+# numbers: its temporaries, 64 KiB each, stay below glibc's 128 KiB mmap
+# threshold and so reuse heap pages.  The (2, 31) forest's lookups take
+# 1.5 ms a count so and 2.9-3.3 ms in one piece (BENCH_28.json); a listing
+# of [0, 4.5*10^6) faults in 2,400 pages a call so and 4,100 in one piece
+# (BENCH_29.json).
+_PIECE = 1 << 13
 
 # ---------------------------------------------------------------------------
 # the numpy kernel: one striking loop over class rows
@@ -184,7 +191,7 @@ def _class_rows(buffer: np.ndarray, k0: int, length: int, base: np.ndarray):
 def _row_walk(lo: int, hi: int, base: np.ndarray, span: int):
     """Yield (k, c, block) for the class rows of [max(lo, 2), hi) in
     ascending segments of up to ``span`` values of k, each in the groups of
-    ``_class_rows``: row i of ``block`` marks the numbers 30(k + j) +
+    ``_class_rows``: entry j of row i of ``block`` stands for 30(k + j) +
     _CLASSES[c + i], with the entries outside that range cleared.  Every
     block is a view of one buffer allocated per walk, for one row of the
     longest segment or as many as ``_GROUP`` entries hold, up to all eight."""
@@ -246,11 +253,10 @@ def _listed(lo: int, hi: int, strike: int):
     import numpy as np
 
     for k, mask in _masks(lo, hi, strike):
-        i = np.flatnonzero(mask)  # 30(k + i // 8) + _CLASSES[i % 8], in place
-        r = (30 * k + np.array(_CLASSES))[i & 7]
-        i >>= 3
-        i *= 30
-        i += r
+        i = np.flatnonzero(mask)
+        for at in range(0, i.size, _PIECE):
+            part = i[at : at + _PIECE]
+            part[:] = 30 * (k + (part >> 3)) + np.array(_CLASSES)[part & 7]
         yield i
 
 
@@ -342,13 +348,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 # once, to _BASE_CACHE_LIMIT, by the first prime_pi whose largest x reaches
 # its bound; swapped whole, as _base_cache is.
 _table: tuple = (0, None, None)
-# Entries per piece of a prime_pi lookup: its temporaries, 64 KiB each,
-# stay below glibc's 128 KiB mmap threshold and so reuse heap pages.  A
-# count of a window 6*10^5 wide near 9*10^10 took 2.1-2.4 ms so, against
-# 2.7-4.8 ms with one unpieced call per bound; the (2, 31) forest's
-# lookups, about 10^5 bounds a count, take 1.5 ms so and 2.9-3.3 ms in
-# one piece (BENCH_28.json, prime_pi_lookups).
-_PI_PIECE = 1 << 13
 # At x % 240, the bits of x's word that stand for numbers above x.
 _ABOVE = tuple(
     (1 << 64) - (1 << 8 * (m // 30) + sum(r <= m % 30 for r in _CLASSES)) for m in range(240)
@@ -385,7 +384,7 @@ def prime_pi(x: np.ndarray) -> np.ndarray:
     ``_table``, which is rebuilt to ``_BASE_CACHE_LIMIT`` when the largest
     x reaches its bound: the count of the words up to x's less the popcount
     of the bits of x's word above x, plus the primes 2, 3 and 5 up to x,
-    taken in pieces of ``_PI_PIECE`` entries."""
+    taken in pieces of ``_PIECE`` entries."""
     import numpy as np
 
     global _table
@@ -396,12 +395,12 @@ def prime_pi(x: np.ndarray) -> np.ndarray:
     above = np.array(_ABOVE, dtype=np.uint64)
     small = np.array((0, 0, 1, 2, 2, 3))  # the primes 2, 3 and 5 up to x
     pi = np.empty_like(x)
-    for i in range(0, x.size, _PI_PIECE):
-        part = x[i : i + _PI_PIECE]
+    for i in range(0, x.size, _PIECE):
+        part = x[i : i + _PIECE]
         w = part // 240
         bits = words[w] & above[part - 240 * w]
         found = counts[w] - popcount64(bits).astype(np.int64)
-        pi[i : i + _PI_PIECE] = found + small[np.minimum(part, 5)]
+        pi[i : i + _PIECE] = found + small[np.minimum(part, 5)]
     return pi
 
 

@@ -1014,7 +1014,7 @@ def test_prime_pi_matches_a_listing(xs):
         mp.setattr(sieve, "_BASE_CACHE_LIMIT", TABLE_BOUND)
         mp.setattr(sieve, "_SIEVE_SEGMENT", TABLE_SEGMENT)
         mp.setattr(sieve, "_table", (0, None, None))
-        mp.setattr(sieve, "_PI_PIECE", 3)  # lookups of several pieces
+        mp.setattr(sieve, "_PIECE", 3)  # lookups of several pieces
         got = sieve.prime_pi(np.array([*xs, 2, TABLE_BOUND - 1], dtype=np.int64))
         assert sieve._table[0] == TABLE_BOUND
     want = [bisect.bisect_right(TABLE_ORACLE, x) for x in (*xs, 2, TABLE_BOUND - 1)]
