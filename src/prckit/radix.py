@@ -7,11 +7,13 @@ provably correct, because the root itself is computed exactly.  For large
 radicands ``scaled_root_floor`` gets that same integer from composed
 prime-order roots: C is split into primes q and the q-th roots are taken
 one after another at fixed point, each on a radicand of about (d + guard)
-* q digits instead of d * C, with the one-shot root as the fallback when
-the composed bounds do not settle the floor.  The bit ceiling bounds every
-radicand ``scaled_root_floor`` builds, checked before it is built.  No
-floating point is involved anywhere; 86 or 254 certified decimal places
-cannot be had any other way at reasonable cost.
+* q digits instead of d * C.  That one chain of floors ends less than 2
+units below the exact scaled root, and the one-shot root is the fallback
+when those 2 units straddle a digit boundary.  Every root is one integer
+Newton descent from above, which stops at the floor by itself.  The bit
+ceiling bounds every radicand ``scaled_root_floor`` builds, checked before
+it is built.  No floating point is involved anywhere; 86 or 254 certified
+decimal places cannot be had any other way at reasonable cost.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ _LOG2_10 = 3.321928094887362
 _LOG2_10_NUM, _LOG2_10_DEN = _LOG2_10.as_integer_ratio()
 # One-shot radicands below this many bits are cheap enough to root directly.
 _COMPOSE_MIN_BITS = 1 << 14
-# Extra fixed-point digits carried through composed roots.  Each bound ends
-# within about two units of the exact scaled root, so the bounds disagree
-# (and the one-shot root decides) only when the root lies within a few
-# units of the last guard digit of a digit boundary.
+# Extra fixed-point digits carried through composed roots.  The chain ends
+# less than 2 units below the exact scaled root, so the one-shot root
+# decides only when it ends in _GUARD_DIGITS nines.
 _GUARD_DIGITS = 10
 # A d*order of more bits than this is refused before its order is factored
 # (a powfact:3 order 3^(9!) would take 362880 trial divisions of a
@@ -47,28 +48,15 @@ _GUARD_DIGITS = 10
 _SCALED_MAX_BITS = 1024
 
 
-def _newton_from_above(n: int, r: int, x: int) -> int:
-    """Floor of n^(1/r) given an overestimate x; monotone correction at the end."""
-    while True:
-        y = ((r - 1) * x + n // x ** (r - 1)) // r
-        if y >= x:
-            break
-        x = y
-    while x**r > n:
-        x -= 1
-    while (x + 1) ** r <= n:
-        x += 1
-    return x
-
-
 def nth_root_floor(n: int, r: int) -> int:
-    """Largest m with m**r <= n, by integer Newton iteration.
+    """Largest m with m**r <= n, by one integer Newton descent from above.
 
-    The iteration runs from above, seeded for large radicands by a
-    recursively computed half-precision root (floor((n >> r*k)^(1/r)) + 1,
-    shifted back up, is a strict overestimate), so only a couple of
-    full-precision steps remain; the trailing adjustment loops in the
-    worker absorb the off-by-one cases so the result is exactly the floor.
+    The step y = floor(((r-1)*x + floor(n / x^(r-1))) / r) is the floor of
+    ((r-1)*x + n/x^(r-1)) / r >= n^(1/r) (AM-GM), so y >= m; and x > m
+    means x^r > n, so n/x^(r-1) < x and y < x.  So from a start above m
+    the descent falls strictly to m and stops there, at the first x whose
+    step is not below it.  It starts at 2^ceil(bits/r), or for large roots
+    at the half-precision root floor((n >> r*k)^(1/r)) + 1 shifted back up.
 
     >>> nth_root_floor(26, 3)
     2
@@ -90,10 +78,15 @@ def nth_root_floor(n: int, r: int) -> int:
         return 1
     root_bits = bits // r
     if root_bits <= 32:
-        return _newton_from_above(n, r, 1 << -(-bits // r))
-    k = root_bits // 2
-    q = nth_root_floor(n >> (r * k), r)
-    return _newton_from_above(n, r, (q + 1) << k)
+        x = 1 << -(-bits // r)
+    else:
+        k = root_bits // 2
+        x = (nth_root_floor(n >> (r * k), r) + 1) << k
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -120,10 +113,13 @@ def scaled_root_floor(value: int, order: int, d: int, config: Config = DEFAULT_C
     ``nth_root_floor(value * 10**(d*order), order)``.  When that radicand
     is large and order is composite, the prime factors q of order are
     applied one after another as q-th roots at fixed point with
-    D = d + guard digits: a lower chain floors every step and an upper
-    chain adds one after every floor, so the two bracket
-    value^(1/order) * 10^D exactly.  Their common floor at d digits is the
-    answer; if they straddle a digit boundary the one-shot root decides.
+    D = d + guard digits and S = 10^D, each step flooring
+    x -> (x * S^(q-1))^(1/q).  For value >= 1 every x is at least S,
+    where that map's slope is at most 1/q <= 1/2, so an error below 2
+    stays below 2/2 + 1 after a floored step (below 1 after the first):
+    the chain's lo ends less than 2 units below R = value^(1/order) * S,
+    exactly on it for value 0.  So floor(R) is lo or lo + 1; when both give
+    the same d digits they are the answer, else the one-shot root decides.
 
     Raises BitCeilingError before building a radicand above the ceiling:
     composed steps need at most value.bit_length() + D*q*log2(10) + 2 bits
@@ -159,13 +155,10 @@ def scaled_root_floor(value: int, order: int, d: int, config: Config = DEFAULT_C
             _radicand_guard(value, d, factors[-1], _GUARD_DIGITS, config)
             scale = 10 ** (d + _GUARD_DIGITS)
             lo = nth_root_floor(value * scale ** factors[0], factors[0])
-            hi = lo + 1
             for q in factors[1:]:
-                lift = scale ** (q - 1)
-                lo = nth_root_floor(lo * lift, q)
-                hi = nth_root_floor(hi * lift, q) + 1
+                lo = nth_root_floor(lo * scale ** (q - 1), q)
             guard = 10**_GUARD_DIGITS
-            if lo // guard == (hi - 1) // guard:
+            if lo // guard == (lo + 1) // guard:
                 return lo // guard
     _radicand_guard(value, d, order, 0, config)
     return nth_root_floor(value * 10 ** (d * order), order)
@@ -232,17 +225,20 @@ def prc_digits(
 
     Precision rises until the agreed prefix stops growing (the bracket
     width, roughly 1/(C_K * p_K), is the ceiling) or max_digits is reached.
-    A C_K of more bits than the radicand ceiling is refused unbuilt.
+    A C_K at which every d >= 1 needs a radicand past the ceiling is
+    refused unbuilt: C_K >= 2^ceiling, or C_K >= 2^1024 and above the
+    ceiling, which ``scaled_root_floor`` refuses by d * C_K.
     """
     if max_digits < 1:
         raise ValueError("max_digits must be positive")
     p = chain.primes[-1]
     depth = chain.depth
+    ceiling = config.radicand_bit_ceiling
     bits = chain.exps.product_bits_floor(depth)
-    if bits >= config.radicand_bit_ceiling:
+    if bits >= min(ceiling, max(_SCALED_MAX_BITS, ceiling.bit_length())):
         raise BitCeilingError(
             f"root order C_{depth} of over {bits} bits needs a radicand above the "
-            f"ceiling {config.radicand_bit_ceiling}; at most ~0 digits are feasible",
+            f"ceiling {ceiling}; at most ~0 digits are feasible",
             max_feasible_digits=0,
         )
     order = chain.exps.partial_product(depth)

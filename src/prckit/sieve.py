@@ -341,17 +341,14 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # counts: pi(x) below the cache bound, and Lehmer's P2 term
 
-# (bound, words, counts), the table of the class rows of [2, bound): byte
-# k of words (little-endian uint64) has bit c set exactly when 30k +
-# _CLASSES[c] is prime, so word w stands for [240w, 240w + 240), and
-# counts[w] (int32) is the number of bits set in the words up to w.  Built
-# once, to _BASE_CACHE_LIMIT, by the first prime_pi whose largest x reaches
-# its bound; swapped whole, as _base_cache is.
-_table: tuple = (0, None, None)
-# At x % 240, the bits of x's word that stand for numbers above x.
-_ABOVE = tuple(
-    (1 << 64) - (1 << 8 * (m // 30) + sum(r <= m % 30 for r in _CLASSES)) for m in range(240)
-)
+# (bound, words, counts, above), the table of the class rows of [2,
+# bound): byte k of words (little-endian uint64) has bit c set exactly when
+# 30k + _CLASSES[c] is prime, so word w stands for [240w, 240w + 240),
+# counts[w] (int32) is the number of bits set in the words up to w, and
+# above[x % 240] (uint64) the bits of x's word that stand for numbers
+# above x.  Built once, to _BASE_CACHE_LIMIT, by the first prime_pi whose
+# largest x reaches its bound; swapped whole, as _base_cache is.
+_table: tuple = (0, None, None, None)
 
 
 def popcount64(x: np.ndarray) -> np.ndarray:
@@ -376,7 +373,9 @@ def _build(bound: int) -> tuple:
     for k, c, block in _struck(2, bound, isqrt(bound - 1), _SIEVE_SEGMENT):
         for shift, row in enumerate(block, start=c):
             words.view(np.uint8)[k : k + row.size] |= row.view(np.uint8) << shift
-    return bound, words, np.cumsum(popcount64(words)).astype(np.int32)
+    kept = [8 * (m // 30) + sum(r <= m % 30 for r in _CLASSES) for m in range(240)]
+    above = np.array([(1 << 64) - (1 << g) for g in kept], dtype=np.uint64)
+    return bound, words, np.cumsum(popcount64(words)).astype(np.int32), above
 
 
 def prime_pi(x: np.ndarray) -> np.ndarray:
@@ -391,8 +390,7 @@ def prime_pi(x: np.ndarray) -> np.ndarray:
     table = _table
     if int(x.max()) >= table[0]:
         table = _table = _build(_BASE_CACHE_LIMIT)
-    _, words, counts = table
-    above = np.array(_ABOVE, dtype=np.uint64)
+    _, words, counts, above = table
     small = np.array((0, 0, 1, 2, 2, 3))  # the primes 2, 3 and 5 up to x
     pi = np.empty_like(x)
     for i in range(0, x.size, _PIECE):

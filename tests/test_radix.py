@@ -18,6 +18,33 @@ def brute_root(n, r):
     return m
 
 
+def corrected_newton_root(n, r):
+    """Floor of n^(1/r) by the corrected descent ``nth_root_floor`` ran
+    before it relied on stopping at the floor by itself, kept as the
+    reference: the same starts and Newton steps, then loops that move x
+    down while x^r > n and up while (x + 1)^r <= n."""
+    if n < 2 or r == 1:
+        return n
+    bits = n.bit_length()
+    if r >= bits:
+        return 1
+    if bits // r <= 32:
+        x = 1 << -(-bits // r)
+    else:
+        k = bits // r // 2
+        x = (corrected_newton_root(n >> (r * k), r) + 1) << k
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            break
+        x = y
+    while x**r > n:
+        x -= 1
+    while (x + 1) ** r <= n:
+        x += 1
+    return x
+
+
 class TestNthRootFloor:
     @pytest.mark.parametrize(
         "n,r,expect",
@@ -48,6 +75,29 @@ class TestNthRootFloor:
         n = 11**81 * 10**729
         m = pk.nth_root_floor(n, 729)
         assert m**729 <= n < (m + 1) ** 729
+
+    @given(
+        st.integers(min_value=3, max_value=1200),
+        st.integers(min_value=0, max_value=2**12000),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_descent_matches_the_corrected_reference(self, r, n, data):
+        # a random radicand of up to 12k bits, and m^r - 2 ... m^r + 2 for
+        # an m drawn so that m^r has up to about 12k bits
+        m = data.draw(st.integers(min_value=1, max_value=1 << max(12000 // r, 1)))
+        for radicand in [n] + [m**r + offset for offset in range(-2, 3)]:
+            if radicand >= 0:
+                assert pk.nth_root_floor(radicand, r) == corrected_newton_root(radicand, r)
+
+    @pytest.mark.parametrize("r", [3, 4, 7, 100, 1200])
+    def test_descent_at_the_base_case_edge(self, r):
+        # roots of 32 bits start at 2^ceil(bits/r); of 33 bits, from the
+        # half-precision root
+        for m in (2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**33 - 1):
+            for offset in range(-2, 3):
+                n = m**r + offset
+                assert pk.nth_root_floor(n, r) == corrected_newton_root(n, r)
 
 
 class TestScaledRootFloor:
@@ -83,8 +133,8 @@ class TestScaledRootFloor:
             assert pk.scaled_root_floor(value, order, d) == self.one_shot(value, order, d)
 
     def test_composed_path_and_one_shot_fallback(self, monkeypatch):
-        # (2^729 - 1)^(1/729) lies just below 2, so the composed lower chain
-        # ends below the digit boundary and the upper chain on it: the
+        # (2^729 - 1)^(1/729) lies just below 2, so the composed chain
+        # ends within 2 units below the digit boundary: the
         # one-shot root decides.  3 * 2^729 is settled by the small roots.
         from prckit import radix
 
@@ -142,6 +192,44 @@ class TestScaledRootFloor:
         assert all(bits <= ceiling for bits in radicands)
         if got is not None:
             assert got == self.one_shot(value, order, d)
+
+    @given(
+        st.sampled_from(ORDERS + (5040, 2 * 3 * 5 * 7 * 11)),
+        st.one_of(
+            st.sampled_from([0, 1]),
+            st.integers(min_value=1, max_value=300).map(lambda k: 2**k - 1),
+            st.integers(min_value=1, max_value=270).map(lambda k: 10**k),
+            st.integers(min_value=0, max_value=2**900),
+        ),
+        st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_chain_ends_within_two_units(self, order, value, d):
+        # composition forced on every composite order: the chain's last lo
+        # lies at most 1 below the floor of the root at d + guard digits,
+        # whose leading d digits are the one-shot root's
+        from prckit import radix
+
+        last = []
+        root = radix.nth_root_floor
+
+        def spy(n, r):
+            m = root(n, r)
+            if r != order:
+                last[:] = [m]
+            return m
+
+        radix._COMPOSE_MIN_BITS, compose = 0, radix._COMPOSE_MIN_BITS
+        radix.nth_root_floor = spy
+        try:
+            got = radix.scaled_root_floor(value, order, d)
+        finally:
+            radix.nth_root_floor = root
+            radix._COMPOSE_MIN_BITS = compose
+        guard = 10**radix._GUARD_DIGITS
+        exact = self.one_shot(value, order, d + radix._GUARD_DIGITS)
+        assert last[0] in (exact - 1, exact)
+        assert got == exact // guard
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -223,8 +311,13 @@ class TestCertifiedRootEnclosure:
         with pytest.raises(pk.BitCeilingError, match="at a 1101-bit root order") as err:
             radix.scaled_root_floor(2, 2**1100, 1)
         assert err.value.max_feasible_digits == 0
-        with pytest.raises(pk.BitCeilingError, match="at a 575152-bit root order"):
+        # prc_digits refuses such an order unbuilt, with its own message
+        with pytest.raises(pk.BitCeilingError) as err:
             pk.prc_digits(self.decoded_powfact_chain(9), 10)
+        assert str(err.value) == (
+            "root order C_9 of over 362880 bits needs a radicand above the ceiling "
+            "16777216; at most ~0 digits are feasible"
+        )
         assert time.monotonic() - started < 1
         # from 2^1024 down, the bit estimates are taken in integers too: a
         # 1024-bit order that rounds to 2^1024 as a float, and an order 2q
@@ -368,10 +461,10 @@ class TestDeepDigits:
 
 def test_orders_past_the_ceiling_are_decided_unbuilt():
     """A decoded powfact:3 chain of primes "2" has the order C_k = 3^(k!):
-    at depth 11 (6.3*10^7 bits), ``convergence_bound_check`` and
-    ``prc_digits`` answer in under 1 s without building it, as they answer
-    at depth 10 (holds None; BitCeilingError, no digit feasible), and at
-    depth 9 they answer as they always did."""
+    at depths 10 and 11 (5.75*10^6 and 6.3*10^7 bits),
+    ``convergence_bound_check`` and ``prc_digits`` answer in under 1 s
+    without building it (holds None; BitCeilingError, no digit feasible),
+    and at depth 9 they answer as at depth 10."""
     probe = """
 import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -396,13 +489,14 @@ for depth in (9, 10, 11):
     for line in lines:
         depth, seconds, rest = line.split(" ", 2)
         answers[int(depth)] = (float(seconds), rest)
+    assert answers[10][0] < 1
     assert answers[11][0] < 1
     for depth in (9, 10, 11):
         check = f"ConvergenceCheck(k={depth - 1}, holds=None, precision=0, lhs_bits=0, rhs_bits=0)"
         assert answers[depth][1].startswith(f"{check} 0 "), depth
     assert answers[9][1].endswith(
-        " 0 radicand for 16 digits at a 575152-bit root order needs over 2^575155 bits, "
-        "above the ceiling 16777216; at most ~0 digits are feasible"
+        " 0 root order C_9 of over 362880 bits needs a radicand above the ceiling "
+        "16777216; at most ~0 digits are feasible"
     )
 
 
